@@ -155,8 +155,11 @@ def _build(block, scalar_map=None):
 class Catalog:
     """All presentations of the transcription, loaded and validated.
 
-    `q0` substitutes an exact rational for q in every coefficient (the fast
-    numeric shadow mode); None keeps full symbolic scalars.
+    `q0` substitutes an exact rational for q in every coefficient (the
+    numeric shadow mode); None keeps full symbolic scalars.  The shadow is not
+    faster: at q0 = 2 most coefficients become true rationals, whose Fraction
+    arithmetic costs more than the short integer Laurent polynomials of the
+    symbolic run (see the README for measured times).
     """
 
     def __init__(self, q0=None):

@@ -321,8 +321,17 @@ class _Budget:
 
 
 def step_budget():
+    """The rewrite-step budget of one normalize call: QDC_STEP_BUDGET, if set."""
     raw = os.environ.get("QDC_STEP_BUDGET")
-    return int(raw) if raw else DEFAULT_STEP_BUDGET
+    if not raw:
+        return DEFAULT_STEP_BUDGET
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise QdcError(f"QDC_STEP_BUDGET must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _leftmost_redex(word, rules):
@@ -387,10 +396,6 @@ def multiply(e1, e2, p=None):
     return e1 * e2
 
 
-def reduces_to_zero(e, p):
-    return normalize(e, p).is_zero()
-
-
 # -- derivations -------------------------------------------------------------
 
 
@@ -445,7 +450,7 @@ def graded_commutator(e1, e2, p):
 @dataclass
 class ConfluenceReport:
     presentation: str
-    max_degree: int
+    max_degree: int | None  # None: critical pairs only
     words_checked: int
     ambiguous: int
     failures: list
@@ -469,35 +474,71 @@ def _one_step(word, i, rule):
     return Element(out, _clean=True)
 
 
-def check_local_confluence(p, max_degree, budget=None):
-    """Brute-force diamond check: every word of length <= max_degree that
-    admits two distinct first reductions must reach one normal form both ways.
+def overlap_words(p):
+    """The words x*y*z whose halves (x, y) and (y, z) are both rule patterns,
+    in term order: the critical pairs of a presentation with quadratic rules."""
+    follows = {}
+    for x, y in p.rule_by_pair:
+        follows.setdefault(x, []).append(y)
+    words = [(x, y, z) for x, y in p.rule_by_pair for z in follows.get(y, ())]
+    return sorted(words, key=p.word_key)
+
+
+def check_local_confluence(p, max_degree=None, budget=None):
+    """Diamond check: every checked word that admits two distinct first
+    reductions must reach one normal form both ways.
+
+    With max_degree=None only the overlap words of overlap_words(p) are
+    checked.  That decides confluence by Bergman's diamond lemma (Adv. Math.
+    29, 1978): every pattern has length 2, so a word with two redexes either
+    holds an overlap x*y*z or two disjoint redexes, which always resolve; and
+    when every rule decreases the deglex order, which is a monomial
+    well-order, joinable overlaps make the normal form unique.  The order is
+    what validate() proves, so a presentation with a localized rule is
+    refused.
+
+    With an integer max_degree every word of length 3..max_degree is
+    enumerated; that exhaustive check is the cross-check of the lemma, and
+    the only check for presentations it does not cover.
     """
-    if max_degree < 3:
-        raise QdcError("confluence check needs max_degree >= 3")
-    names = [g.name for g in p.generators]
     rules = p.rule_by_pair
+    if max_degree is None:
+        localized = [r.pattern for r in p.rules if r.localized]
+        if localized:
+            raise QdcError(
+                f"{p.name}: the critical-pair check needs every rule to "
+                f"decrease the term order; localized rules "
+                f"{['*'.join(w) for w in localized]} do not"
+            )
+        p.validate()
+        words = overlap_words(p)
+    elif max_degree < 3:
+        raise QdcError("confluence check needs max_degree >= 3")
+    else:
+        names = [g.name for g in p.generators]
+        words = itertools.chain.from_iterable(
+            itertools.product(names, repeat=length)
+            for length in range(3, max_degree + 1))
     checked = ambiguous = 0
     failures = []
-    for length in range(3, max_degree + 1):
-        for word in itertools.product(names, repeat=length):
-            checked += 1
-            redexes = [
-                (i, rules[(word[i], word[i + 1])])
-                for i in range(length - 1)
-                if (word[i], word[i + 1]) in rules
-            ]
-            if len(redexes) < 2:
-                continue
-            ambiguous += 1
-            nfs = []
-            for i, rule in redexes:
-                nfs.append(normalize(_one_step(word, i, rule), p, budget=budget))
-            first = nfs[0]
-            for other in nfs[1:]:
-                if other != first:
-                    failures.append((word, first, other))
-                    break
+    for word in words:
+        checked += 1
+        redexes = [
+            (i, rules[(word[i], word[i + 1])])
+            for i in range(len(word) - 1)
+            if (word[i], word[i + 1]) in rules
+        ]
+        if len(redexes) < 2:
+            continue
+        ambiguous += 1
+        nfs = []
+        for i, rule in redexes:
+            nfs.append(normalize(_one_step(word, i, rule), p, budget=budget))
+        first = nfs[0]
+        for other in nfs[1:]:
+            if other != first:
+                failures.append((word, first, other))
+                break
     return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
 
 

@@ -39,9 +39,12 @@ def super_only(cat=None):
     return la.restricted_to(SUPER_GENS, "LieAlg_brackets")
 
 
-def verify_superalgebra(cat=None, confluence_degree=4):
+def verify_superalgebra(cat=None, confluence_degree=None):
     """Bracket relations, the displayed consistency identities, and local
-    confluence of the combined coordinate/bracket/cross-rule system."""
+    confluence of the combined coordinate/bracket/cross-rule system.
+
+    confluence_degree=None checks the critical pairs (diamond lemma); an
+    integer runs the exhaustive check to that word length instead."""
     cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
     out = []
@@ -59,10 +62,12 @@ def verify_superalgebra(cat=None, confluence_degree=4):
                     f"{format_element(p2, la)}")
         return None
 
+    scope = ("(critical pairs, diamond lemma)" if confluence_degree is None
+             else f"to degree {confluence_degree}")
     out.append(timed_check(
         "superalgebra.confluence",
-        f"combined bracket/cross-rule system locally confluent to degree "
-        f"{confluence_degree}", "(2)(43)(45)", fn_confluence))
+        f"combined bracket/cross-rule system locally confluent {scope}",
+        "(2)(43)(45)", fn_confluence))
     return out
 
 

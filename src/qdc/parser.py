@@ -131,6 +131,7 @@ class _Parser:
         return Product(tuple(factors))
 
     def parse_factor(self):
+        _, _, atom_line, atom_col = self.peek()
         atom = self.parse_atom()
         kind, val, _, _ = self.peek()
         if kind == "op" and val == "^":
@@ -145,6 +146,9 @@ class _Parser:
                 raise ParseError("exponent must be an integer", line, col)
             self.next()
             exp = -int(val) if neg else int(val)
+            if exp < 0 and atom == RatLit(Fraction(0)):
+                raise ParseError("zero has no inverse: negative power of 0",
+                                 atom_line, atom_col)
             return Power(atom, exp)
         return atom
 

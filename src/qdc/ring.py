@@ -1,9 +1,13 @@
 """Exact arithmetic in Q[q, q^-1], the coefficient ring of every computation.
 
 Scalars are Laurent polynomials in the deformation parameter q with rational
-coefficients, stored sparsely as {exponent: Fraction}.  All identity checking
-in this package bottoms out in equality of these scalars, so they are exact:
-no floats anywhere.
+coefficients, stored sparsely as {exponent: coefficient}.  A coefficient is a
+Python int when its denominator is 1 and a Fraction only for a true rational:
+almost every coefficient of the calculus is an integer, and int arithmetic is
+several times cheaper than Fraction arithmetic.  int and Fraction compare and
+hash alike, so the choice never shows in equality, hashing or printing.  All
+identity checking in this package bottoms out in equality of these scalars,
+so they are exact: no floats anywhere.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ class LaurentScalar:
         data = {}
         if coeffs:
             for exp, c in coeffs.items():
-                if not isinstance(c, Fraction):
-                    c = Fraction(c)
+                c = _exact(c)
                 if c:
                     data[int(exp)] = c
         object.__setattr__(self, "coeffs", data)
@@ -36,15 +39,15 @@ class LaurentScalar:
 
     @classmethod
     def from_int(cls, n):
-        return cls({0: Fraction(n)})
+        return cls({0: n})
 
     @classmethod
     def from_fraction(cls, f):
-        return cls({0: Fraction(f)})
+        return cls({0: f})
 
     @classmethod
     def q_power(cls, k):
-        return cls({k: Fraction(1)})
+        return cls({k: 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -63,7 +66,7 @@ class LaurentScalar:
         if not self.is_unit():
             raise ValueError(f"not a unit in Q[q, q^-1]: {self}")
         ((k, r),) = self.coeffs.items()
-        return LaurentScalar({-k: 1 / r})
+        return LaurentScalar({-k: Fraction(1) / r})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -74,7 +77,7 @@ class LaurentScalar:
         for k, c in other.coeffs.items():
             s = out.get(k, _F0) + c
             if s:
-                out[k] = s
+                out[k] = s if s.__class__ is int else _exact(s)
             else:
                 out.pop(k, None)
         return _wrap(out)
@@ -86,7 +89,7 @@ class LaurentScalar:
         for k, c in other.coeffs.items():
             s = out.get(k, _F0) - c
             if s:
-                out[k] = s
+                out[k] = s if s.__class__ is int else _exact(s)
             else:
                 out.pop(k, None)
         return _wrap(out)
@@ -108,7 +111,7 @@ class LaurentScalar:
                 k = k1 + k2
                 s = out.get(k, _F0) + c1 * c2
                 if s:
-                    out[k] = s
+                    out[k] = s if s.__class__ is int else _exact(s)
                 else:
                     out.pop(k, None)
         return _wrap(out)
@@ -186,6 +189,15 @@ def _term_str(c, k):
     return f"{c}*{qpart}"
 
 
+def _exact(c):
+    """c as an int when its denominator is 1, else as a Fraction; no floats."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
 def _wrap(data):
     s = LaurentScalar.__new__(LaurentScalar)
     object.__setattr__(s, "coeffs", data)
@@ -193,7 +205,7 @@ def _wrap(data):
     return s
 
 
-_F0 = Fraction(0)
+_F0 = 0
 
 ZERO = LaurentScalar()
 ONE = LaurentScalar({0: 1})

@@ -108,3 +108,28 @@ def test_report_sorting_stable():
         CheckResult("a", "", "", "pass"),
     ]).sorted()
     assert [c.id for c in rep.checks] == ["a", "b"]
+
+
+@pytest.mark.parametrize("expression", ["0^-1", "a*0/3^-2 + d"])
+def test_cli_inverse_of_zero_exit_two(capsys, expression):
+    assert main(["normalize", "--presentation", "Omega", expression]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "zero has no inverse" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+def test_cli_bad_step_budget_exit_two(monkeypatch, capsys, raw):
+    monkeypatch.setenv("QDC_STEP_BUDGET", raw)
+    for argv in (["normalize", "--presentation", "Omega", "d*a"],
+                 ["verify", "--suite", "forms"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "QDC_STEP_BUDGET must be a positive integer" in err and repr(raw) in err
+
+
+@pytest.mark.parametrize("q", ["abc", "1/0"])
+def test_cli_malformed_q_exit_two(capsys, q):
+    assert main(["verify", "--suite", "forms", "--q", q]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--q must be an exact rational" in err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -142,10 +143,49 @@ def test_confluence_detects_inconsistency():
     ]
     p = Presentation("twisted", gens, rules)
     assert check_local_confluence(p, 3).ok
+    assert check_local_confluence(p).ok
     rules_bad = rules[:2] + [RewriteRule(("z", "x"), W(("x", "z"), qp(3)) + W(("y", "y")))]
     p_bad = Presentation("twisted_bad", gens, rules_bad)
     rep = check_local_confluence(p_bad, 3)
     assert not rep.ok
+    # the critical-pair mode fails at the same first overlap
+    pairs = check_local_confluence(p_bad)
+    assert not pairs.ok
+    assert pairs.failures[0][0] == rep.failures[0][0]
+
+
+def _ambiguous_words(p, length):
+    """Independent enumeration: words of the given length with two redexes."""
+    names = [g.name for g in p.generators]
+    return [
+        w for w in itertools.product(names, repeat=length)
+        if sum((w[i], w[i + 1]) in p.rule_by_pair for i in range(length - 1)) >= 2
+    ]
+
+
+def test_critical_pairs_are_the_degree_3_ambiguities(cat):
+    from qdc.kernel import overlap_words
+
+    total = 0
+    for name in cat.names():
+        p = cat.presentation(name)
+        words = overlap_words(p)
+        assert words == _ambiguous_words(p, 3), name
+        total += len(words)
+        rep3 = check_local_confluence(p, 3)
+        assert rep3.ambiguous == len(words), name
+        if any(r.localized for r in p.rules):
+            continue
+        pairs = check_local_confluence(p)
+        assert pairs.words_checked == pairs.ambiguous == len(words), name
+        assert pairs.max_degree is None
+        assert pairs.ok == rep3.ok, name
+    assert total == 470
+
+
+def test_critical_pairs_refuse_localized_rules(cat):
+    with pytest.raises(QdcError, match="localized"):
+        check_local_confluence(cat.presentation("Omega_loc"))
 
 
 def test_derivation_examples(cat):

@@ -105,6 +105,9 @@ def test_printed_cross_rule_signs_fail_confluence(cat):
     flipped = Presentation("LieAlg_printed_sign", la.generators, rules)
     rep = check_local_confluence(flipped, 3)
     assert any(f[0] == ("T1", "beta", "a") for f in rep.failures)
+    # the critical-pair mode finds the same failures, first word first
+    pairs = check_local_confluence(flipped)
+    assert [f[0] for f in pairs.failures] == [f[0] for f in rep.failures]
 
 
 def test_classical_limit(cat):

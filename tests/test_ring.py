@@ -107,3 +107,39 @@ def test_unit_inverse():
     assert s.unit_inverse() * s == ONE
     with pytest.raises(ValueError):
         (Q + ONE).unit_inverse()
+
+
+def test_unit_inverse_is_exact():
+    half = lint(2).unit_inverse()
+    assert half == lfrac(1, 2)
+    assert half.coeffs == {0: Fraction(1, 2)}
+    assert not any(isinstance(c, float) for c in half.coeffs.values())
+    third = (lint(3) * qp(2)).unit_inverse()
+    assert third.coeffs == {-2: Fraction(1, 3)}
+    # an inverse with denominator 1 comes back as an int
+    assert type(lfrac(1, 5).unit_inverse().coeffs[0]) is int
+
+
+def test_integer_arithmetic_stores_ints():
+    x = (Q - QINV) * (Q - QINV) + lint(3) * qp(-1) - ONE
+    y = (x * x - lint(7)) + (-x)
+    for s in (x, y, lint(4), qp(3), lfrac(6, 3), LaurentScalar({1: Fraction(8, 4)})):
+        assert s.coeffs and all(type(c) is int for c in s.coeffs.values())
+    # a true rational stays a Fraction
+    assert type(lfrac(1, 2).coeffs[0]) is Fraction
+
+
+def test_mixed_coefficient_types_compare_and_hash_alike():
+    mixed = LaurentScalar({2: 3, 0: Fraction(1, 2), -1: -4})
+    twin = LaurentScalar({2: Fraction(3), 0: Fraction(1, 2), -1: Fraction(-4)})
+    assert mixed == twin
+    assert hash(mixed) == hash(twin)
+    assert str(mixed) == str(twin) == "3*q^2 + 1/2 - 4*q^-1"
+    assert len({mixed, twin}) == 1
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError):
+        LaurentScalar({0: 0.5})
+    with pytest.raises(TypeError):
+        LaurentScalar.from_fraction(0.5)
