@@ -8,8 +8,8 @@ class QdcError(Exception):
 class ReductionBudgetError(QdcError):
     """Raised when a normalize call exceeds its rewrite-step budget.
 
-    Exceeding the budget means a rule is mis-oriented or a presentation is
-    broken; it is never a routine condition.
+    Exceeding the budget means a rule is mis-oriented, a presentation is
+    broken or the input is very long.
     """
 
 

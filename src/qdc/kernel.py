@@ -2,8 +2,10 @@
 
 Words are tuples of generator names; an Element maps words to scalars.  A
 Presentation fixes the generator order (degree-lexicographic term order) and
-the oriented rewrite rules; normalize() reduces an element to its unique
-normal form under leftmost rule application, memoized per word.
+the oriented rewrite rules; normalize() reduces an element to its normal form
+under leftmost rule application.  It multiplies a normal word by one
+generator at a time, which reaches that same normal form, and memoizes the
+products that apply a rule (the G-algebra scheme of Singular:Plural).
 
 The scalar type is duck-typed: anything with +, -, *, unary - and truthiness
 (false iff zero) works.  The catalog uses LaurentScalar; the ansatz solver
@@ -26,9 +28,6 @@ from .errors import (
 from .ring import ONE, LaurentScalar
 
 DEFAULT_STEP_BUDGET = 10**6
-
-# Reduction chains recurse one frame per rewrite step along a word.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        _accumulate(out, other.terms)
         return Element(out, _clean=True)
 
     def __sub__(self, other):
@@ -184,7 +177,7 @@ class Presentation:
             if r.pattern in self.rule_by_pair:
                 raise QdcError(f"{name}: duplicate rule pattern {r.pattern}")
             self.rule_by_pair[r.pattern] = r
-        self._nf_cache = {}
+        self._nf_cache = {}  # normal word + (g,) -> normal form of that product
         if validate:
             self.validate()
 
@@ -334,54 +327,77 @@ def step_budget():
     return limit
 
 
-def _leftmost_redex(word, rules):
-    for i in range(len(word) - 1):
-        r = rules.get((word[i], word[i + 1]))
-        if r is not None:
-            return i, r
-    return None
+def _accumulate(acc, terms, scale=None):
+    """acc += scale * terms in place, dropping words whose sum is zero."""
+    for w, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        s = acc.get(w)
+        s = c if s is None else s + c
+        if s:
+            acc[w] = s
+        else:
+            acc.pop(w, None)
 
 
-def _nf_word(word, p, budget):
+def _times_generator(m, g, rule, p, budget):
+    """Normal form of m*g, as a dict, where m is a normal word and `rule`
+    rewrites (m[-1], g): the replacement, folded onto m[:-1].  Memoised."""
+    key = m + (g,)
     cache = p._nf_cache
-    hit = cache.get(word)
+    hit = cache.get(key)
     if hit is not None:
         return hit
-    m = _leftmost_redex(word, p.rule_by_pair)
-    if m is None:
-        res = Element({word: p.scalar_one})
-    else:
-        i, rule = m
-        budget.spend()
-        head, tail = word[:i], word[i + 2 :]
-        acc = {}
-        for rep_word, c in rule.replacement.terms.items():
-            sub = _nf_word(head + rep_word + tail, p, budget)
-            for w, c2 in sub.terms.items():
-                s = acc.get(w)
-                s = c * c2 if s is None else s + c * c2
-                if s:
-                    acc[w] = s
-                else:
-                    acc.pop(w, None)
-        res = Element(acc, _clean=True)
-    cache[word] = res
-    return res
+    budget.spend()
+    head = m[:-1]
+    acc = {}
+    for rep_word, c in rule.replacement.terms.items():
+        _accumulate(acc, _fold({head: c}, rep_word, p, budget))
+    cache[key] = acc
+    return acc
+
+
+def _fold(terms, letters, p, budget):
+    """Normal form of (sum of normal words `terms`) * letters, multiplying
+    by one generator at a time.  A word whose last letter and g match no
+    rule stays normal with g appended."""
+    rules = p.rule_by_pair
+    for g in letters:
+        out = {}
+        redexes = []
+        for m, c in terms.items():
+            rule = rules.get((m[-1], g)) if m else None
+            if rule is None:
+                out[m + (g,)] = c
+            else:
+                redexes.append((m, c, rule))
+        for m, c, rule in redexes:
+            _accumulate(out, _times_generator(m, g, rule, p, budget), c)
+        terms = out
+    return terms
 
 
 def normalize(e, p, budget=None):
-    """Fixed point of rule application; linear and idempotent."""
+    """Normal form under leftmost rule application; linear and idempotent.
+
+    Each word is folded left to right: a normal word times one generator g
+    can only have its redex at (last letter, g), and leftmost rewriting of
+    w*g first takes w to its normal form, so the fold gives exactly the
+    leftmost normal form, confluent presentation or not.  One budget step
+    is one rule applied to such a product; products are memoised per
+    presentation.
+    """
     b = _Budget(budget if budget is not None else step_budget())
     acc = {}
-    for word, c in e.terms.items():
-        nf = _nf_word(word, p, b)
-        for w, c2 in nf.terms.items():
-            s = acc.get(w)
-            s = c * c2 if s is None else s + c * c2
-            if s:
-                acc[w] = s
-            else:
-                acc.pop(w, None)
+    try:
+        for word, c in e.terms.items():
+            _accumulate(acc, _fold({(): c}, word, p, b))
+    except RecursionError:
+        raise QdcError(
+            f"{p.name}: input too long to normalize: a generator moving left "
+            f"through a normal word recursed past the Python recursion limit "
+            f"({sys.getrecursionlimit()})"
+        ) from None
     return Element(acc, _clean=True)
 
 
@@ -502,6 +518,7 @@ def check_local_confluence(p, max_degree=None, budget=None):
     the only check for presentations it does not cover.
     """
     rules = p.rule_by_pair
+    limit = budget if budget is not None else step_budget()
     if max_degree is None:
         localized = [r.pattern for r in p.rules if r.localized]
         if localized:
@@ -533,7 +550,7 @@ def check_local_confluence(p, max_degree=None, budget=None):
         ambiguous += 1
         nfs = []
         for i, rule in redexes:
-            nfs.append(normalize(_one_step(word, i, rule), p, budget=budget))
+            nfs.append(normalize(_one_step(word, i, rule), p, budget=limit))
         first = nfs[0]
         for other in nfs[1:]:
             if other != first:

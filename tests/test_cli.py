@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,28 @@ def test_step_budget_env(monkeypatch):
         normalize(Element.word(("Dd", "gamma", "beta", "a")), p)
     monkeypatch.delenv("QDC_STEP_BUDGET")
     p._nf_cache.clear()
+
+
+def _run_python(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
+def test_import_keeps_recursion_limit():
+    run = _run_python("-c", "import sys; before = sys.getrecursionlimit(); "
+                            "import qdc; print(before, sys.getrecursionlimit())")
+    before, after = run.stdout.split()
+    assert run.returncode == 0 and before == after
+
+
+def test_cli_recursion_limit_exit_two():
+    # the a moves left through 1200 normal letters: deeper than the default
+    # recursion limit, which qdc leaves as it is
+    run = _run_python("-m", "qdc.cli", "normalize", "--presentation", "Omega", "d^1200*a")
+    assert run.returncode == 2 and run.stdout == ""
+    err = run.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "recursion limit" in err[0]
 
 
 def test_report_sorting_stable():

@@ -247,6 +247,86 @@ def test_step_budget(cat):
         normalize(W(long_word), p, budget=2)
 
 
+def _leftmost_nf(e, p):
+    """Uncached reference: rewrite the leftmost redex of every word, one step
+    at a time, until no word has one."""
+    while True:
+        out, done = Element.zero(), True
+        for word, c in e.terms.items():
+            for i in range(len(word) - 1):
+                rule = p.rule_by_pair.get(word[i:i + 2])
+                if rule is not None:
+                    done = False
+                    out = out + W(word[:i], c) * rule.replacement * W(word[i + 2:])
+                    break
+            else:
+                out = out + W(word, c)
+        if done:
+            return out
+        e = out
+
+
+def _random_elements(p, rng, count, max_len=6):
+    names = [g.name for g in p.generators]
+    for _ in range(count):
+        e = Element.zero()
+        for _ in range(rng.randint(1, 2)):
+            w = tuple(rng.choice(names) for _ in range(rng.randint(0, max_len)))
+            e = e + W(w, LaurentScalar({rng.randint(-2, 2): rng.randint(-3, 3) or 1}))
+        yield e
+
+
+def test_normalize_matches_uncached_leftmost_rewriting(cat):
+    rng = random.Random(2005)
+    for name in cat.names():
+        p = cat.presentation(name)
+        for e in _random_elements(p, rng, 40):
+            assert normalize(e, p) == _leftmost_nf(e, p), (name, e)
+
+
+def _flipped_sign_product(cat):
+    """A_glq11 * A_q with the Koszul sign of theta*beta flipped: not confluent
+    at theta*d*a, where theta passes a*d one way and beta*gamma the other."""
+    from qdc.kernel import graded_product
+
+    good = graded_product(cat.presentation("A_glq11"), cat.presentation("A_q"))
+    rules = [RewriteRule(r.pattern, -r.replacement) if r.pattern == ("theta", "beta")
+             else r for r in good.rules]
+    return Presentation("flipped_sign", good.generators, rules)
+
+
+def test_normalize_is_leftmost_on_non_confluent_controls(cat):
+    gens = [Generator("x", 0), Generator("y", 0), Generator("z", 0)]
+    p_bad = Presentation("twisted_bad", gens, [
+        RewriteRule(("y", "x"), W(("x", "y"), qp(1))),
+        RewriteRule(("z", "y"), W(("y", "z"), qp(2))),
+        RewriteRule(("z", "x"), W(("x", "z"), qp(3)) + W(("y", "y"))),
+    ])
+    flipped = _flipped_sign_product(cat)
+    rng = random.Random(1978)
+    for p in (p_bad, flipped):
+        rep = check_local_confluence(p)
+        assert not rep.ok, p.name
+        names = [g.name for g in p.generators]
+        words = [w for n in range(4) for w in itertools.product(names, repeat=n)]
+        words += [f[0] for f in rep.failures]
+        for w in words:
+            assert normalize(W(w), p) == _leftmost_nf(W(w), p), (p.name, w)
+        for e in _random_elements(p, rng, 60):
+            assert normalize(e, p) == _leftmost_nf(e, p), (p.name, e)
+
+
+def test_long_ladder_within_default_budget(cat, monkeypatch):
+    # from a cold cache (d*a)^200 takes 100,297 rule applications
+    monkeypatch.delenv("QDC_STEP_BUDGET", raising=False)
+    omega = cat.presentation("Omega")
+    p = Presentation("Omega_cold", omega.generators, omega.rules)
+    y = normalize(W(("d", "a") * 200), p)
+    x = normalize(W(("d", "a") * 100), p)
+    assert len(x.terms) == len(y.terms) == 2
+    assert normalize(x * x, p) == y
+
+
 def test_format_element_roundtrips_through_parser(cat):
     from qdc.parser import parse_expression
 
