@@ -110,7 +110,9 @@ def _suite_confluence(cat):
     is strict because on a tie the longer replacement word wins in deglex.
     Their sum gives 0 > w(Da) + w(Dgamma_inv) + w(a_inv) + w(gamma), which
     no weights satisfy.  So Omega_loc keeps the exhaustive check to degree
-    _LOCALIZED_CONFLUENCE_DEGREE.
+    _LOCALIZED_CONFLUENCE_DEGREE: one depth-first walk over its words that
+    decides every ambiguous word, sampling none, and shares the normal forms
+    of common prefixes (kernel.check_local_confluence).
     """
     out = []
     for name in cat.names():

@@ -14,7 +14,6 @@ reuses the same engine with symbolic-coefficient polynomials.
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -393,12 +392,17 @@ def normalize(e, p, budget=None):
         for word, c in e.terms.items():
             _accumulate(acc, _fold({(): c}, word, p, b))
     except RecursionError:
-        raise QdcError(
-            f"{p.name}: input too long to normalize: a generator moving left "
-            f"through a normal word recursed past the Python recursion limit "
-            f"({sys.getrecursionlimit()})"
-        ) from None
+        raise _too_deep(p) from None
     return Element(acc, _clean=True)
+
+
+def _too_deep(p):
+    """The error for a fold that recursed past the Python recursion limit."""
+    return QdcError(
+        f"{p.name}: input too long to normalize: a generator moving left "
+        f"through a normal word recursed past the Python recursion limit "
+        f"({sys.getrecursionlimit()})"
+    )
 
 
 def multiply(e1, e2, p=None):
@@ -514,32 +518,51 @@ def check_local_confluence(p, max_degree=None, budget=None):
     refused.
 
     With an integer max_degree every word of length 3..max_degree is
-    enumerated; that exhaustive check is the cross-check of the lemma, and
-    the only check for presentations it does not cover.
+    decided; that exhaustive check is the cross-check of the lemma, and the
+    only check for presentations it does not cover.  It is one depth-first
+    walk over the words, letters in generator order (_walk_words).  Rather
+    than normalize each one-step rewrite of each word from scratch, it
+    extends the normal form N(w) of a prefix w by one fold step per letter,
+    and carries along the branches P_i(w), the normal form of w rewritten
+    once at redex i, that differ from N(w).  This decides exactly what the
+    per-word check decides, because:
+
+    1. the branch through the leftmost redex is N(w): the fold is leftmost
+       rewriting, and the part of w before that redex is normal;
+    2. P_i(w) = fold(fold(N(w[:i]), replacement_i), w[i+2:]), since the fold
+       is linear and its arithmetic exact, so a branch opens when its redex
+       is read and then grows by one fold step per letter, as N does; by the
+       same linearity, a branch is N itself when the fold step of its
+       redex's first letter applied no rule, and is then not opened;
+    3. the fold is a function of its input, so a branch that equals N at a
+       prefix equals it on every extension and can be dropped.
+
+    A word fails when a branch differs from N(w); the failure is (w, N(w),
+    the first such branch in redex order), and failures are listed in term
+    order.  Each fold call gets its own budget of the given size.
     """
-    rules = p.rule_by_pair
     limit = budget if budget is not None else step_budget()
-    if max_degree is None:
-        localized = [r.pattern for r in p.rules if r.localized]
-        if localized:
-            raise QdcError(
-                f"{p.name}: the critical-pair check needs every rule to "
-                f"decrease the term order; localized rules "
-                f"{['*'.join(w) for w in localized]} do not"
-            )
-        p.validate()
-        words = overlap_words(p)
-    elif max_degree < 3:
-        raise QdcError("confluence check needs max_degree >= 3")
-    else:
-        names = [g.name for g in p.generators]
-        words = itertools.chain.from_iterable(
-            itertools.product(names, repeat=length)
-            for length in range(3, max_degree + 1))
-    checked = ambiguous = 0
+    if max_degree is not None:
+        if max_degree < 3:
+            raise QdcError("confluence check needs max_degree >= 3")
+        try:
+            checked, ambiguous, failures = _walk_words(p, max_degree, limit)
+        except RecursionError:
+            raise _too_deep(p) from None
+        return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
+    localized = [r.pattern for r in p.rules if r.localized]
+    if localized:
+        raise QdcError(
+            f"{p.name}: the critical-pair check needs every rule to "
+            f"decrease the term order; localized rules "
+            f"{['*'.join(w) for w in localized]} do not"
+        )
+    p.validate()
+    rules = p.rule_by_pair
+    words = overlap_words(p)
+    ambiguous = 0
     failures = []
     for word in words:
-        checked += 1
         redexes = [
             (i, rules[(word[i], word[i + 1])])
             for i in range(len(word) - 1)
@@ -556,7 +579,60 @@ def check_local_confluence(p, max_degree=None, budget=None):
             if other != first:
                 failures.append((word, first, other))
                 break
-    return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
+    return ConfluenceReport(p.name, None, len(words), ambiguous, failures)
+
+
+def _walk_words(p, max_degree, limit):
+    """(words checked, ambiguous words, failures) of the exhaustive check of
+    check_local_confluence, by a depth-first walk over the words."""
+    rules = p.rule_by_pair
+    names = [g.name for g in p.generators]
+    checked = sum(len(names) ** n for n in range(3, max_degree + 1))
+    ambiguous = 0
+    failures = []
+
+    def fold(terms, letters):
+        return _fold(terms, letters, p, _Budget(limit))
+
+    def extend(w, nf, head_nf, redexes, deviating):
+        # nf = N(w), head_nf = N(w[:-1]), deviating = [(i, P_i(w)) != N(w)]
+        nonlocal ambiguous
+        length = len(w) + 1
+        last = length == max_degree
+        appended = w and not any(m and (m[-1], w[-1]) in rules for m in head_nf)
+        for g in names:
+            rule = rules.get((w[-1], g)) if w else None
+            n = redexes if rule is None else redexes + 1
+            if n >= 2:
+                ambiguous += 1
+            # a redex at (w[-1], g) opens a branch unless it is the leftmost,
+            # or N(w) is N(w[:-1]) with w[-1] appended: then the fold of g
+            # rewrites that redex in every term, so the branch is N(w*g)
+            opens = rule is not None and redexes and not appended
+            if last and not (opens or deviating):
+                continue
+            nf_g = fold(nf, (g,))
+            branches = []
+            for i, b in deviating:
+                b = fold(b, (g,))
+                if b != nf_g:
+                    branches.append((i, b))
+            if opens:
+                b = {}
+                for rep_word, c in rule.replacement.terms.items():
+                    _accumulate(b, fold(head_nf, rep_word), c)
+                if b != nf_g:
+                    branches.append((length - 2, b))
+            word = w + (g,)
+            if branches:
+                failures.append((word, Element(nf_g, _clean=True),
+                                 Element(branches[0][1], _clean=True)))
+            if not last:
+                extend(word, nf_g, nf, n, branches)
+
+    extend((), {(): p.scalar_one}, None, 0, [])
+    failures.sort(key=lambda f: p.word_key(f[0]))
+    return checked, ambiguous, failures
 
 
 # -- canonical text ----------------------------------------------------------

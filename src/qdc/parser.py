@@ -14,6 +14,7 @@ AST, which is what the catalog round-trip test pins down.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -145,7 +146,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be an integer", line, col)
             self.next()
-            exp = -int(val) if neg else int(val)
+            exp = (-1 if neg else 1) * _int(val, line, col)
             if exp < 0 and atom == RatLit(Fraction(0)):
                 raise ParseError("zero has no inverse: negative power of 0",
                                  atom_line, atom_col)
@@ -157,17 +158,27 @@ class _Parser:
         if kind == "name":
             return Name(val, line, col)
         if kind == "int":
-            return RatLit(Fraction(int(val)))
+            return RatLit(Fraction(_int(val, line, col)))
         if kind == "rat":
-            num, den = val.split("/")
-            if int(den) == 0:
+            num, den = (_int(v, line, col) for v in val.split("/"))
+            if den == 0:
                 raise ParseError("zero denominator", line, col)
-            return RatLit(Fraction(int(num), int(den)))
+            return RatLit(Fraction(num, den))
         if kind == "op" and val == "(":
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
         raise ParseError(f"expected an atom, got {val or 'end of input'!r}", line, col)
+
+
+def _int(digits, line, col):
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-from-str limit
+        raise ParseError(
+            f"integer literal has more than {sys.get_int_max_str_digits()} "
+            f"digits, the interpreter's limit for reading an integer "
+            f"(sys.get_int_max_str_digits())", line, col) from None
 
 
 def parse_ast(text):
@@ -234,22 +245,22 @@ def eval_ast(node, p, resolve=None):
             out = out * eval_ast(f, p, resolve)
         return out
     if isinstance(node, Power):
-        if node.exp >= 0:
-            base = eval_ast(node.base, p, resolve)
-            out = Element.unit()
-            for _ in range(node.exp):
-                out = out * base
-            return out
-        # negative exponents only for scalar atoms
+        # a scalar atom's power is one ring operation, whatever the exponent
         if isinstance(node.base, Name) and node.base.ident == "q":
             return Element.unit(LaurentScalar.q_power(node.exp))
         if isinstance(node.base, RatLit):
             return Element.unit(LaurentScalar.from_fraction(node.base.value ** node.exp))
-        raise ParseError(
-            "negative exponent on a non-scalar atom (use *_inv generators)",
-            getattr(node.base, "line", 0),
-            getattr(node.base, "col", 0),
-        )
+        if node.exp < 0:
+            raise ParseError(
+                "negative exponent on a non-scalar atom (use *_inv generators)",
+                getattr(node.base, "line", 0),
+                getattr(node.base, "col", 0),
+            )
+        base = eval_ast(node.base, p, resolve)
+        out = Element.unit()
+        for _ in range(node.exp):
+            out = out * base
+        return out
     if isinstance(node, Name):
         if node.ident == "q":
             return Element.unit(LaurentScalar.q_power(1))

@@ -12,7 +12,10 @@ so they are exact: no floats anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+
+from .errors import QdcError
 
 
 class LaurentScalar:
@@ -182,11 +185,23 @@ class LaurentScalar:
 
 def _term_str(c, k):
     if k == 0:
-        return str(c)
+        return _digits(c)
     qpart = "q" if k == 1 else f"q^{k}"
     if c == 1:
         return qpart
-    return f"{c}*{qpart}"
+    return f"{_digits(c)}*{qpart}"
+
+
+def _digits(c):
+    """str(c); a QdcError for an int past the interpreter's int-to-str limit."""
+    try:
+        return str(c)
+    except ValueError:
+        raise QdcError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} "
+            f"digits, the interpreter's limit for printing an integer "
+            f"(sys.get_int_max_str_digits())"
+        ) from None
 
 
 def _exact(c):

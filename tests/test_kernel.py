@@ -334,3 +334,85 @@ def test_format_element_roundtrips_through_parser(cat):
     e = normalize(W(("Dd", "gamma", "a")), p)
     text = format_element(e, p)
     assert parse_expression(text, p) == e
+
+
+def _per_word_confluence(p, max_degree):
+    """Reference for the exhaustive check: every one-step rewrite of every
+    ambiguous word, normalized from scratch, word by word in term order."""
+    from qdc.kernel import _one_step
+
+    rules = p.rule_by_pair
+    names = [g.name for g in p.generators]
+    checked = ambiguous = 0
+    failures = []
+    for word in itertools.chain.from_iterable(
+            itertools.product(names, repeat=n) for n in range(3, max_degree + 1)):
+        checked += 1
+        redexes = [(i, rules[word[i:i + 2]]) for i in range(len(word) - 1)
+                   if word[i:i + 2] in rules]
+        if len(redexes) < 2:
+            continue
+        ambiguous += 1
+        first, *others = [normalize(_one_step(word, i, r), p) for i, r in redexes]
+        other = next((nf for nf in others if nf != first), None)
+        if other is not None:
+            failures.append((word, first, other))
+    return checked, ambiguous, failures
+
+
+def _assert_walk_matches(p, max_degree):
+    rep = check_local_confluence(p, max_degree)
+    got = (rep.words_checked, rep.ambiguous, rep.failures)
+    assert got == _per_word_confluence(p, max_degree), (p.name, max_degree)
+    return rep
+
+
+def test_walk_matches_per_word_check_on_catalog(cat):
+    for name in cat.names():
+        for degree in (3, 4):
+            assert _assert_walk_matches(cat.presentation(name), degree).ok, name
+
+
+def test_walk_matches_per_word_check_on_negative_controls(cat):
+    from qdc.parser import parse_expression
+
+    gens = [Generator("x", 0), Generator("y", 0), Generator("z", 0)]
+    p_bad = Presentation("twisted_bad", gens, [
+        RewriteRule(("y", "x"), W(("x", "y"), qp(1))),
+        RewriteRule(("z", "y"), W(("y", "z"), qp(2))),
+        RewriteRule(("z", "x"), W(("x", "z"), qp(3)) + W(("y", "y"))),
+    ])
+    la = cat.presentation("LieAlg")
+    printed = parse_expression(
+        "q^2*beta*T1 - (q - q^-1)^2*beta*T2 - (q - q^-1)*d*nabla_m + beta", la)
+    printed_sign = Presentation("LieAlg_printed_sign", la.generators, [
+        RewriteRule(r.pattern, printed, eq=r.eq) if r.pattern == ("T1", "beta") else r
+        for r in la.rules])
+    loc = cat.presentation("Omega_loc")
+    scaled = Presentation("Omega_loc_scaled", loc.generators, [
+        RewriteRule(r.pattern, r.replacement.scaled(qp(1)), r.eq, r.localized)
+        if r is loc.rules[0] else r for r in loc.rules], validate=False)
+    controls = [(p_bad, d) for d in (3, 4, 5)]
+    controls += [(printed_sign, 3), (printed_sign, 4), (_flipped_sign_product(cat), 4),
+                 (scaled, 4)]
+    for p, degree in controls:
+        assert not _assert_walk_matches(p, degree).ok, (p.name, degree)
+
+
+def test_walk_budget_and_recursion_limit():
+    # x*y and y*x rewrite to each other, so folding x*y never ends
+    gens = [Generator("x", 0), Generator("y", 0)]
+    loop = Presentation("loop", gens, [RewriteRule(("x", "y"), W(("y", "x"))),
+                                       RewriteRule(("y", "x"), W(("x", "y")))],
+                        validate=False)
+    with pytest.raises(ReductionBudgetError):
+        check_local_confluence(loop, 3, budget=100)
+    # with a larger budget the recursion limit comes first: the same error
+    # as normalize gives, not a RecursionError
+    with pytest.raises(QdcError) as by_normalize:
+        normalize(W(("x", "y")), loop, budget=1000)
+    with pytest.raises(QdcError) as by_walk:
+        check_local_confluence(loop, 3, budget=1000)
+    assert type(by_walk.value) is type(by_normalize.value) is QdcError
+    assert str(by_walk.value) == str(by_normalize.value)
+    assert "recursion limit" in str(by_walk.value)
