@@ -22,7 +22,7 @@ from .kernel import (
 )
 from .parser import print_ast
 from .report import timed_check
-from .ring import ONE, ZERO, LaurentScalar, lint, qp
+from .ring import ONE, ZERO, LaurentScalar, qp
 
 # -- exterior differential ----------------------------------------------------
 
@@ -35,7 +35,7 @@ def exterior_derivation(cat=None):
     """
     cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
-    E = Element.word
+    E = loc.word
     images = {
         "a": E(("Da",)),
         "beta": E(("Dbeta",)),
@@ -68,7 +68,7 @@ def d_squared_checks(cat=None, n_random=100, max_degree=5, seed=20260809):
 
     def residual_for(word):
         def fn():
-            once = apply_derivation(d, Element.word(word), loc, normalized=False)
+            once = apply_derivation(d, loc.word(word), loc, normalized=False)
             twice = apply_derivation(d, once, loc)
             return None if twice.is_zero() else format_element(twice, loc)
         return fn
@@ -96,7 +96,7 @@ def d_on_relations_checks(cat=None):
         for r in p.rules:
             if pname == "Omega" and not r.eq.startswith("(24"):
                 continue
-            rel = Element.word(r.pattern) - r.replacement
+            rel = p.word(r.pattern) - r.replacement
 
             def fn(rel=rel):
                 res = apply_derivation(d, rel, loc)
@@ -534,7 +534,7 @@ def verify_structure_equations(cat=None):
     # layer 2: the matrix identity dW = s3*W*s3*W, entrywise over the forms
     E = forms.el
     W = [[E("w1"), E("u")], [E("v"), E("w2")]]
-    s3 = [[Element.unit(), Element.zero()], [Element.zero(), Element.unit(lint(-1))]]
+    s3 = [[forms.unit(), Element.zero()], [Element.zero(), -forms.unit()]]
 
     def matmul(M, N):
         return [
@@ -604,7 +604,7 @@ def verify_localized_rule(rule, cat=None):
     if not touched:
         raise QdcError("verify_localized_rule needs a rule involving an inverse")
 
-    if _is_cancellation(rule, inverses):
+    if _is_cancellation(rule, inverses, loc.scalar_one):
         return True, "definitional cancellation"
 
     try:
@@ -616,16 +616,16 @@ def verify_localized_rule(rule, cat=None):
         uses_inverse = any(g in inverses for g in r.pattern) or any(
             g in inverses for w in r.replacement.terms for g in w
         )
-        if not uses_inverse or _is_cancellation(r, inverses) or i < idx:
+        if not uses_inverse or _is_cancellation(r, inverses, loc.scalar_one) or i < idx:
             if r.pattern != rule.pattern:
                 partial_rules.append(r)
     partial = Presentation("Omega_loc_partial", loc.generators, partial_rules,
-                           validate=False)
+                           validate=False, scalar_one=loc.scalar_one)
 
     left, right = _clearing_words(rule, inverses)
-    lw = Element.word(left)
-    rw = Element.word(right)
-    lhs = normalize(lw * Element.word(rule.pattern) * rw, partial)
+    lw = loc.word(left)
+    rw = loc.word(right)
+    lhs = normalize(lw * loc.word(rule.pattern) * rw, partial)
     rhs = normalize(lw * rule.replacement * rw, partial)
     if lhs == rhs:
         return True, "cleared and reduced to a common form"
@@ -640,12 +640,12 @@ def verify_localized_rule(rule, cat=None):
     )
 
 
-def _is_cancellation(rule, inverses):
+def _is_cancellation(rule, inverses, one):
     if len(rule.pattern) != 2:
         return False
     x, y = rule.pattern
     pair = inverses.get(x) == y or inverses.get(y) == x
-    return pair and rule.replacement == Element.unit()
+    return pair and rule.replacement == Element.unit(one)
 
 
 def localized_rule_checks(cat=None, only_dgamma=False):

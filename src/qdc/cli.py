@@ -197,7 +197,8 @@ def main(argv=None):
 
     sub.add_parser("list", help="list presentations, suites and families")
 
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_expression_after_options(
+        sys.argv[1:] if argv is None else list(argv)))
     if args.command is None:
         ap.print_help()
         return 2
@@ -207,6 +208,24 @@ def main(argv=None):
     except QdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _expression_after_options(argv):
+    """argv with a `normalize` expression that starts with a single '-'
+    ("-q*a", which the grammar allows) moved behind `--`, so that argparse
+    does not take it for an option; normalize has only long options and -h."""
+    if argv[:1] != ["normalize"] or "--" in argv:
+        return argv
+    rest, expression = [], []
+    for prev, arg in zip(argv, argv[1:]):
+        if (arg.startswith("-") and not arg.startswith("--") and arg != "-h"
+                and prev != "--presentation"):
+            expression.append(arg)
+        else:
+            rest.append(arg)
+    if not expression:
+        return argv
+    return [argv[0], *rest, "--", *expression]
 
 
 def _dispatch(args):

@@ -12,9 +12,7 @@ from .catalog import counit_value, get_catalog
 from .errors import UnsupportedHopfImageError
 from .kernel import Element, format_element, normalize
 from .report import timed_check
-from .ring import ONE, ZERO, lint
-
-_SIGN_MINUS = lint(-1)
+from .ring import ONE, ZERO
 
 
 class TensorElement:
@@ -31,8 +29,8 @@ class TensorElement:
             self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
-    def unit(cls):
-        return cls({((), ()): ONE})
+    def unit(cls, coeff=ONE):
+        return cls({((), ()): coeff})
 
     @classmethod
     def of(cls, w1, w2, coeff=ONE):
@@ -52,8 +50,11 @@ class TensorElement:
                 out.pop(k, None)
         return TensorElement(out, _clean=True)
 
+    def __neg__(self):
+        return TensorElement({k: -c for k, c in self.terms.items()}, _clean=True)
+
     def __sub__(self, other):
-        return self + other.scaled(_SIGN_MINUS)
+        return self + (-other)
 
     def scaled(self, coeff):
         if not coeff:
@@ -98,8 +99,8 @@ def tensor_normalize(t, p):
     """Reduce both slots independently."""
     out = TensorElement()
     for (w1, w2), c in t.terms.items():
-        n1 = normalize(Element.word(w1), p)
-        n2 = normalize(Element.word(w2), p)
+        n1 = normalize(p.word(w1), p)
+        n2 = normalize(p.word(w2), p)
         acc = {}
         for u1, c1 in n1.terms.items():
             for u2, c2 in n2.terms.items():
@@ -137,6 +138,8 @@ class HopfData:
     def __init__(self, cat):
         self.cat = cat
         self.loc = cat.presentation("Omega_loc")
+        self.one = self.loc.scalar_one
+        self.zero = cat.scalar(ZERO)
         self.delta_images = self._build_delta()
         self.antipode_images = self._build_antipode()
 
@@ -145,17 +148,19 @@ class HopfData:
         T = ((("a",), ("beta",)), (("gamma",), ("d",)))
         That = ((("Da",), ("Dbeta",)), (("Dgamma",), ("Dd",)))
         parity_T = ((0, 1), (1, 0))
+        one = self.one
+        of = TensorElement.of
         images = {}
         for i in range(2):
             for j in range(2):
                 acc = TensorElement()
                 acc_hat = TensorElement()
                 for k in range(2):
-                    acc = acc + TensorElement.of(T[i][k], T[k][j])
-                    sign = ONE if parity_T[i][k] == 0 else _SIGN_MINUS
+                    acc = acc + of(T[i][k], T[k][j], one)
+                    sign = one if parity_T[i][k] == 0 else -one
                     acc_hat = (acc_hat
-                               + TensorElement.of(That[i][k], T[k][j])
-                               + TensorElement.of(T[i][k], That[k][j], sign))
+                               + of(That[i][k], T[k][j], one)
+                               + of(T[i][k], That[k][j], sign))
                 images[T[i][j][0]] = acc
                 images[That[i][j][0]] = acc_hat
         images["a_inv"] = self._tensor_inverse(images["a"], ("a_inv", "a_inv"))
@@ -167,10 +172,11 @@ class HopfData:
         the inverse of the group-like leading term, and the remainder is
         nilpotent because its slots carry the odd coordinates."""
         p = self.loc
-        x = TensorElement.of((seed[0],), (seed[1],))
-        r = TensorElement.unit() - tensor_normalize(tensor_mul(t, x, p), p)
-        total = TensorElement.unit()
-        power = TensorElement.unit()
+        unit = TensorElement.unit(self.one)
+        x = TensorElement.of((seed[0],), (seed[1],), self.one)
+        r = unit - tensor_normalize(tensor_mul(t, x, p), p)
+        total = unit
+        power = unit
         for _ in range(8):
             power = tensor_normalize(tensor_mul(power, r, p), p)
             if power.is_zero():
@@ -183,11 +189,11 @@ class HopfData:
     def _build_antipode(self):
         loc = self.loc
         iA, iB, iC, iD = (loc.defined[k] for k in ("iA", "iB", "iC", "iD"))
-        E = Element.word
+        E = loc.word
         images = {"a": iA, "beta": iB, "gamma": iC, "d": iD}
         # the sign of the mnemonic matrix form attaches to the entries of the
         # left inverse factor: entrywise (+A, -B; -C, +D)
-        sT = ((iA, iB.scaled(_SIGN_MINUS)), (iC.scaled(_SIGN_MINUS), iD))
+        sT = ((iA, -iB), (-iC, iD))
         Tinv = ((iA, iB), (iC, iD))
         That = ((E(("Da",)), E(("Dbeta",))), (E(("Dgamma",)), E(("Dd",))))
         names = (("Da", "Dbeta"), ("Dgamma", "Dd"))
@@ -219,22 +225,21 @@ class HopfData:
         p = self.loc
         out = TensorElement()
         for word, c in e.terms.items():
-            acc = TensorElement.unit()
+            acc = TensorElement.unit(self.one)
             for g in word:
                 acc = tensor_mul(acc, self.delta_image(g), p)
             out = out + acc.scaled(c)
         return tensor_normalize(out, p)
 
     def counit(self, e):
-        total = ZERO
+        total = self.zero
         for word, c in e.terms.items():
-            val = c
-            for g in word:
-                v = counit_value(g)
-                if v is None:
-                    raise UnsupportedHopfImageError(f"counit of {g} is not defined")
-                val = val * v
-            total = total + val
+            vals = [counit_value(g) for g in word]
+            if None in vals:
+                g = word[vals.index(None)]
+                raise UnsupportedHopfImageError(f"counit of {g} is not defined")
+            if all(vals):
+                total = total + c
         return total
 
     def antipode(self, e):
@@ -292,7 +297,7 @@ _OMEGA_GENS = ("a", "beta", "gamma", "d", "Da", "Dbeta", "Dgamma", "Dd")
 def _triple_normalize(terms, p):
     out = {}
     for (w1, w2, w3), c in terms.items():
-        n = [normalize(Element.word(w), p) for w in (w1, w2, w3)]
+        n = [normalize(p.word(w), p) for w in (w1, w2, w3)]
         for u1, c1 in n[0].terms.items():
             for u2, c2 in n[1].terms.items():
                 for u3, c3 in n[2].terms.items():
@@ -313,7 +318,7 @@ def _delta_on_slot(t, slot, H):
     out = {}
     for (w1, w2), c in t.terms.items():
         target = w1 if slot == 0 else w2
-        expanded = TensorElement.unit()
+        expanded = TensorElement.unit(H.one)
         for g in target:
             expanded = tensor_mul(expanded, H.delta_image(g), H.loc)
         for (x, y), c2 in expanded.terms.items():
@@ -337,9 +342,10 @@ def verify_hopf_axioms(cat=None):
     loc = H.loc
     out = []
 
+    E = loc.word
     for g in _OMEGA_GENS:
         def fn_coassoc(g=g):
-            t = H.coproduct(Element.word((g,)))
+            t = H.coproduct(E((g,)))
             left = _triple_normalize(_delta_on_slot(t, 0, H), loc)
             right = _triple_normalize(_delta_on_slot(t, 1, H), loc)
             diff = dict(left)
@@ -357,13 +363,13 @@ def verify_hopf_axioms(cat=None):
 
     for g in _OMEGA_GENS:
         def fn_counit(g=g):
-            t = H.coproduct(Element.word((g,)))
+            t = H.coproduct(E((g,)))
             left = Element.zero()
             right = Element.zero()
             for (w1, w2), c in t.terms.items():
-                left = left + Element.word(w2, c * H.counit(Element.word(w1)))
-                right = right + Element.word(w1, c * H.counit(Element.word(w2)))
-            want = Element.word((g,))
+                left = left + E(w2, c * H.counit(E(w1)))
+                right = right + E(w1, c * H.counit(E(w2)))
+            want = E((g,))
             bad = []
             if normalize(left - want, loc):
                 bad.append("left")
@@ -375,13 +381,13 @@ def verify_hopf_axioms(cat=None):
 
     for g in _OMEGA_GENS:
         def fn_antipode(g=g):
-            t = H.coproduct(Element.word((g,)))
+            t = H.coproduct(E((g,)))
             left = Element.zero()
             right = Element.zero()
             for (w1, w2), c in t.terms.items():
-                left = left + H.antipode(Element.word(w1)) * Element.word(w2, c)
-                right = right + Element.word(w1, c) * H.antipode(Element.word(w2))
-            want = Element.unit(H.counit(Element.word((g,))))
+                left = left + H.antipode(E(w1)) * E(w2, c)
+                right = right + E(w1, c) * H.antipode(E(w2))
+            want = loc.unit(H.counit(E((g,))))
             bad = []
             if normalize(left - want, loc):
                 bad.append("m(S x id)")
@@ -397,7 +403,7 @@ def verify_hopf_axioms(cat=None):
         for r in p.rules:
             if pname == "Omega" and not r.eq.startswith("(24"):
                 continue
-            rel = Element.word(r.pattern) - r.replacement
+            rel = p.word(r.pattern) - r.replacement
 
             def fn_hom(rel=rel):
                 t = H.coproduct(rel)
@@ -424,8 +430,7 @@ def verify_hopf_axioms(cat=None):
         for g, terms in stated.items():
             acc = TensorElement()
             for x, y, s in terms:
-                acc = acc + TensorElement.of((x,), (y,),
-                                             ONE if s > 0 else _SIGN_MINUS)
+                acc = acc + TensorElement.of((x,), (y,), H.one if s > 0 else -H.one)
             if acc != H.delta_image(g):
                 return f"matrix-form expansion differs at {g}"
         return None
@@ -445,8 +450,8 @@ def verify_central_element(cat=None):
     loc = cat.presentation("Omega_loc")
 
     def fn_unit():
-        res = normalize(Element.unit() * loc.el("a")
-                        - loc.el("a") * Element.unit(), loc)
+        res = normalize(loc.unit() * loc.el("a")
+                        - loc.el("a") * loc.unit(), loc)
         return None if res.is_zero() else format_element(res, loc)
 
     out.append(timed_check("central.unit_commutes",

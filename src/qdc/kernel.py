@@ -8,8 +8,12 @@ generator at a time, which reaches that same normal form, and memoizes the
 products that apply a rule (the G-algebra scheme of Singular:Plural).
 
 The scalar type is duck-typed: anything with +, -, *, unary - and truthiness
-(false iff zero) works.  The catalog uses LaurentScalar; the ansatz solver
-reuses the same engine with symbolic-coefficient polynomials.
+(false iff zero) works, and a Presentation names its unit as scalar_one.
+The symbolic catalog uses LaurentScalar; the numeric shadow catalog
+(Catalog(q0)) uses plain rationals, int or Fraction, which format_element
+prints as the equal constant LaurentScalar; the ansatz solver reuses the
+same engine with symbolic-coefficient polynomials.  One element never mixes
+scalar types.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     MissingImageError,
@@ -185,16 +190,21 @@ class Presentation:
     def gen(self, name):
         return self.generators[self.index[name]]
 
-    def el(self, name, coeff=ONE):
+    def el(self, name, coeff=None):
         """Single-generator element, or a defined composite."""
+        if coeff is None:
+            coeff = self.scalar_one
         if name in self.index:
             return Element({(name,): coeff})
         if name in self.defined:
             return self.defined[name].scaled(coeff)
         raise QdcError(f"{self.name}: unknown generator or composite {name!r}")
 
-    def unit(self, coeff=ONE):
-        return Element.unit(coeff)
+    def unit(self, coeff=None):
+        return Element.unit(self.scalar_one if coeff is None else coeff)
+
+    def word(self, letters, coeff=None):
+        return Element.word(letters, self.scalar_one if coeff is None else coeff)
 
     def word_key(self, word):
         idx = self.index
@@ -272,7 +282,8 @@ class Presentation:
             if set(r.pattern) <= keep
             and all(set(w) <= keep for w in r.replacement.terms)
         ]
-        return Presentation(new_name or f"{self.name}_sub", gens, rules)
+        return Presentation(new_name or f"{self.name}_sub", gens, rules,
+                            scalar_one=self.scalar_one)
 
 
 def graded_product(p1, p2, name=None):
@@ -286,12 +297,13 @@ def graded_product(p1, p2, name=None):
         raise QdcError(f"graded_product: generator name clash {sorted(overlap)}")
     gens = list(p1.generators) + list(p2.generators)
     rules = list(p1.rules) + list(p2.rules)
+    one = p1.scalar_one
     for g2 in p2.generators:
         for g1 in p1.generators:
-            sign = -1 if (g1.parity and g2.parity) else 1
-            repl = Element({(g1.name, g2.name): LaurentScalar({0: sign})})
+            sign = -one if (g1.parity and g2.parity) else one
+            repl = Element.word((g1.name, g2.name), sign)
             rules.append(RewriteRule((g2.name, g1.name), repl, eq="(10)"))
-    return Presentation(name or f"{p1.name}*{p2.name}", gens, rules)
+    return Presentation(name or f"{p1.name}*{p2.name}", gens, rules, scalar_one=one)
 
 
 # -- normalization ----------------------------------------------------------
@@ -442,7 +454,7 @@ def apply_derivation(d, e, p, normalized=True):
             img = d.image(g)
             if img:
                 left = Element.word(word[:i], c if sign > 0 else -c)
-                right = Element.word(word[i + 1 :])
+                right = p.word(word[i + 1 :])
                 out = out + left * img * right
             if p.parity_of[g]:
                 sign = -sign
@@ -660,6 +672,8 @@ def format_element(e, p):
 
 
 def _term_text(c, w):
+    if type(c) in (int, Fraction):  # a numeric shadow's coefficient
+        c = LaurentScalar({0: c})
     word_txt = "*".join(w)
     if not w:
         s = str(c)

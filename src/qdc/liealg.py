@@ -17,7 +17,6 @@ from .kernel import (
     normalize,
 )
 from .report import timed_check
-from .ring import lint
 
 SUPER_GENS = ("T1", "T2", "nabla_p", "nabla_m")
 BODY_GENS = ("a", "beta", "gamma", "d")
@@ -123,9 +122,8 @@ def classical_limit_checks():
     undeformed superalgebra remains."""
     cat1 = get_catalog(q0=1)
     la1 = cat1.presentation("LieAlg")
-    E = Element.word
-    one = la1.scalar_one
-    minus = lint(-1)
+    E = la1.word
+    minus = -la1.scalar_one
     # undeformed brackets: [T1, np] = -np, [T2, np] = np, [T1, nm] = nm,
     # [T2, nm] = -nm, [T1, T2] = 0, np^2 = nm^2 = 0, {nm, np} = T1 + T2
     expected = {

@@ -150,6 +150,8 @@ class _Parser:
             if exp < 0 and atom == RatLit(Fraction(0)):
                 raise ParseError("zero has no inverse: negative power of 0",
                                  atom_line, atom_col)
+            if isinstance(atom, RatLit) and _power_too_long(atom.value, exp):
+                raise _too_many_digits("literal power", atom_line, atom_col)
             return Power(atom, exp)
         return atom
 
@@ -175,10 +177,26 @@ def _int(digits, line, col):
     try:
         return int(digits)
     except ValueError:  # past the interpreter's int-from-str limit
-        raise ParseError(
-            f"integer literal has more than {sys.get_int_max_str_digits()} "
-            f"digits, the interpreter's limit for reading an integer "
-            f"(sys.get_int_max_str_digits())", line, col) from None
+        raise _too_many_digits("integer literal", line, col) from None
+
+
+def _too_many_digits(what, line, col):
+    return ParseError(
+        f"{what} has more than {sys.get_int_max_str_digits()} "
+        f"digits, the interpreter's limit for reading an integer "
+        f"(sys.get_int_max_str_digits())", line, col)
+
+
+def _power_too_long(value, exp):
+    """True when the numerator or denominator of value^exp must have more
+    digits than the interpreter's int/str limit, decided without computing
+    the power: n^e >= 2^(e*(b-1)) for an integer n of b bits, and
+    log10(2) > 0.30102, so it has more than e*(b-1)*0.30102 digits."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # 0: no limit
+        return False
+    bits = max(abs(value.numerator).bit_length(), value.denominator.bit_length())
+    return abs(exp) * (bits - 1) * 30102 // 100000 >= limit
 
 
 def parse_ast(text):

@@ -8,6 +8,12 @@ several times cheaper than Fraction arithmetic.  int and Fraction compare and
 hash alike, so the choice never shows in equality, hashing or printing.  All
 identity checking in this package bottoms out in equality of these scalars,
 so they are exact: no floats anywhere.
+
+The symbolic catalog's scalars are LaurentScalars.  The numeric shadow
+catalog (catalog.Catalog(q0)) substitutes q0 for q once, when it loads, and
+from then on its scalars are the plain values, an int or a Fraction as
+_exact gives them.  LaurentScalar arithmetic takes only LaurentScalar
+operands, so the two kinds never meet in one sum or product.
 """
 
 from __future__ import annotations

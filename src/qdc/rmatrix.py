@@ -16,7 +16,7 @@ from .kernel import Element, Presentation, format_element, graded_product, norma
 from .linalg import elements_to_rows, row_space_equal
 from .parser import eval_ast
 from .report import timed_check
-from .ring import ONE, ZERO, lint, qp
+from .ring import ONE, ZERO, qp
 
 # -- supermatrices --------------------------------------------------------------
 
@@ -91,7 +91,6 @@ class SuperMatrix:
 
     def signed(self, include_shift=True, extra=0):
         """Entrywise sign (-1)^(row + col [+ shift] + extra)."""
-        minus = lint(-1)
         out = []
         for i, row in enumerate(self.entries):
             new = []
@@ -99,7 +98,7 @@ class SuperMatrix:
                 s = self.row_parity[i] + self.col_parity[j] + extra
                 if include_shift:
                     s += self.shift
-                new.append(e if s % 2 == 0 else e.scaled(minus))
+                new.append(e if s % 2 == 0 else -e)
             out.append(new)
         return SuperMatrix(out, self.row_parity, self.col_parity, self.shift)
 
@@ -115,7 +114,6 @@ def graded_kron(M, N, graded=True):
     """Tensor product of supermatrices with the Koszul sign
     (-1)^((row_N(k) + col_N(l)) * col_M(j)) on entry ((i,k),(j,l)), so that
     matrix multiplication of the results reproduces the graded product."""
-    minus = lint(-1)
     rows = []
     row_par = tuple(
         (pi + pk) % 2 for pi in M.row_parity for pk in N.row_parity
@@ -132,22 +130,22 @@ def graded_kron(M, N, graded=True):
                     if graded:
                         s = (N.row_parity[k] + N.col_parity[l]) * M.col_parity[j]
                         if s % 2:
-                            e = e.scaled(minus)
+                            e = -e
                     row.append(e)
             rows.append(row)
     return SuperMatrix(rows, row_par, col_par, (M.shift + N.shift) % 2)
 
 
-def identity_matrix(parities):
+def identity_matrix(parities, one=ONE):
     n = len(parities)
     return SuperMatrix(
-        [[Element.unit() if i == j else Element.zero() for j in range(n)]
+        [[Element.unit(one) if i == j else Element.zero() for j in range(n)]
          for i in range(n)],
         tuple(parities), tuple(parities), 0)
 
 
 def scalar_matrix(rows, parities):
-    """SuperMatrix from a grid of LaurentScalar entries."""
+    """SuperMatrix from a grid of scalar entries."""
     ents = [
         [Element.unit(c) if c else Element.zero() for c in row]
         for row in rows
@@ -163,6 +161,7 @@ def r_hat(cat=None):
     (1,1), (1,2), (2,1), (2,2)."""
     sc = cat.scalar if cat is not None else (lambda s: s)
     qm = sc(qp(1) - qp(-1))
+    # a zero entry is left out of the matrix, whatever its scalar type
     return scalar_matrix(
         [
             [sc(qp(1)), ZERO, ZERO, ZERO],
@@ -179,7 +178,7 @@ def r_hat_inverse(cat=None):
     sc = cat.scalar if cat is not None else (lambda s: s)
     qm = sc(qp(1) - qp(-1))
     R = r_hat(cat)
-    I = identity_matrix(_TENSOR_PAR)
+    I = identity_matrix(_TENSOR_PAR, sc(ONE))
     return R - I.scaled(qm)
 
 
@@ -215,7 +214,7 @@ def _matrix_W_abstract(p):
 
 def _family_spec(eq, cat):
     """LHS/RHS matrix builders and the span data for one matrix relation."""
-    I2 = identity_matrix((0, 1))
+    I2 = identity_matrix((0, 1), cat.scalar(ONE))
     R = r_hat(cat)
 
     if eq == "53":
@@ -270,19 +269,21 @@ def _abstract_presentation(cat, eq):
             Generator("w1", 1), Generator("u", 0),
             Generator("v", 0), Generator("w2", 1),
         ]
-        return Presentation("TForms_free", gens, [], validate=False)
+        return Presentation("TForms_free", gens, [], validate=False,
+                            scalar_one=loc.scalar_one)
     gens = [
         Generator("u", 0), Generator("v", 0),
         Generator("w1", 1), Generator("w2", 1),
     ]
-    return Presentation("Forms_free", gens, [], validate=False)
+    return Presentation("Forms_free", gens, [], validate=False,
+                        scalar_one=loc.scalar_one)
 
 
 def _entry_elements(eq, cat, reduce_=True):
     """The 16 entry equations of a matrix relation, reduced or free."""
     if eq in ("56", "57") and not reduce_:
         free = _abstract_presentation(cat, eq)
-        I2 = identity_matrix((0, 1))
+        I2 = identity_matrix((0, 1), free.scalar_one)
         R = r_hat(cat)
         W = _matrix_W_abstract(free)
         if eq == "56":
@@ -337,8 +338,9 @@ def verify_rtt_family(eq, cat=None):
                 )
             ]
         basis = _degree2_basis(entries + rel_elements)
-        rows_a = elements_to_rows(entries, basis, ZERO)
-        rows_b = elements_to_rows(rel_elements, basis, ZERO)
+        zero = cat.scalar(ZERO)
+        rows_a = elements_to_rows(entries, basis, zero)
+        rows_b = elements_to_rows(rel_elements, basis, zero)
         if not row_space_equal(rows_a, rows_b):
             return "degree-2 spans differ"
         return None
@@ -458,7 +460,7 @@ def verify_plane_covariance(cat=None):
             comp = 2 * i + j
             lhs = Xp[i] * Xh[j]
             if parities[i]:
-                lhs = lhs.scaled(lint(-1))
+                lhs = -lhs
             rhs = Element.zero()
             for k in range(2):
                 for l in range(2):
@@ -492,7 +494,7 @@ def check_hecke_braid(cat=None):
     rep = HeckeBraidReport()
     cat = cat or get_catalog()
     R = r_hat(cat)
-    I4 = identity_matrix(_TENSOR_PAR)
+    I4 = identity_matrix(_TENSOR_PAR, cat.scalar(ONE))
     qm = cat.scalar(qp(1) - qp(-1))
 
     RR = R @ R
@@ -509,10 +511,11 @@ def check_hecke_braid(cat=None):
     def fn_trace():
         # Hecke forces eigenvalues q and -q^-1; the trace fixes the
         # multiplicities at 2 and 2
-        tr = ZERO
+        zero = cat.scalar(ZERO)
+        tr = zero
         for i in range(4):
             e = R.entries[i][i]
-            tr = tr + (e.coeff(()) or ZERO)
+            tr = tr + (e.coeff(()) or zero)
         expect = cat.scalar((qp(1) + qp(1)) - (qp(-1) + qp(-1)))
         return None if tr == expect else f"trace {tr} != {expect}"
 
@@ -520,7 +523,7 @@ def check_hecke_braid(cat=None):
         "hecke.trace_multiplicities",
         "trace matches eigenvalue multiplicities (2, 2)", "Hecke", fn_trace))
 
-    I2 = identity_matrix((0, 1))
+    I2 = identity_matrix((0, 1), cat.scalar(ONE))
     for label, graded in (("graded", True), ("ungraded", False)):
         R12 = graded_kron(R, I2, graded=graded)
         R23 = graded_kron(I2, R, graded=graded)

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from qdc.catalog import (
     counit_audit,
+    get_catalog,
     maurer_forms,
     parse_document,
     roundtrip_lines,
@@ -9,7 +12,7 @@ from qdc.catalog import (
 )
 from qdc.errors import UnknownPresentationError
 from qdc.hopf import counit
-from qdc.kernel import normalize
+from qdc.kernel import format_element, normalize
 from qdc.parser import parse_ast, print_ast
 from qdc.ring import ONE
 
@@ -98,7 +101,56 @@ def test_document_parser_rejects_garbage():
 def test_numeric_catalog_substitutes(cat_q2):
     g = cat_q2.presentation("A_glq11")
     r = g.rule_by_pair[("d", "a")]
-    coeffs = {c for w, c in r.replacement.terms.items()}
-    for c in coeffs:
-        lo, hi = c.degree_range()
-        assert lo == hi == 0  # constants only after substitution
+    for c in r.replacement.terms.values():
+        # exact rationals only: neither a float nor a LaurentScalar
+        assert type(c) in (int, Fraction), type(c)
+    assert r.replacement.terms == {("a", "d"): 1, ("beta", "gamma"): Fraction(3, 2)}
+
+
+def _shadow_elements(cat):
+    """(what, element) for every rule, composite and identity side of a
+    shadow catalog, and the normal form of every identity's lhs - rhs."""
+    for name in cat.names():
+        p = cat.presentation(name)
+        for r in p.rules:
+            yield f"{name} rule {r.pattern}", r.replacement
+        for k, e in p.defined.items():
+            yield f"{name} composite {k}", e
+        for i in p.identities:
+            yield f"{name} {i.family}.{i.name} lhs", i.lhs
+            yield f"{name} {i.family}.{i.name} rhs", i.rhs
+            yield f"{name} {i.family}.{i.name} residual", normalize(i.lhs - i.rhs, p)
+
+
+@pytest.mark.parametrize("q0", [2, Fraction(3, 2)])
+def test_shadow_catalog_is_exact_rationals(q0):
+    cat = get_catalog(q0)
+    seen = 0
+    for name in cat.names():
+        assert cat.presentation(name).scalar_one == 1
+    for what, e in _shadow_elements(cat):
+        for c in e.terms.values():
+            seen += 1
+            assert type(c) in (int, Fraction), (what, type(c))
+            assert type(c) is int or c.denominator != 1, (what, c)
+    assert seen > 0
+
+
+# normal forms of lhs - 2*rhs of catalog identities in the shadow: texts of
+# the catalog whose shadow coefficients were constant LaurentScalars
+_SHADOW_RESIDUALS = [
+    (2, "Omega_loc", "a_u",
+     "-1/2*a*d_inv*Dbeta - 1/2*beta*d_inv*Da + 1/4*beta*gamma*d_inv*d_inv*Dbeta"),
+    (2, "LieAlg", "nm_np", "-T1 - T2 + 3/4*T1*T2 + 3/4*T2*T2"),
+    (2, "Omega_loc", "a_A", "-1 - 2*a_inv*beta*gamma*d_inv"),
+    (Fraction(3, 2), "LieAlg", "T1_np", "9/4*nabla_p - 5/4*T2*nabla_p"),
+    (Fraction(3, 2), "LieAlg", "np_nm",
+     "-9/4*T1 - 9/4*T2 + 5/4*T1*T2 + 5/4*T2*T2"),
+]
+
+
+@pytest.mark.parametrize("q0, pname, ident, text", _SHADOW_RESIDUALS)
+def test_shadow_residual_text(q0, pname, ident, text):
+    p = get_catalog(q0).presentation(pname)
+    (i,) = [i for i in p.identities if i.name == ident]
+    assert format_element(normalize(i.lhs - i.rhs - i.rhs, p), p) == text

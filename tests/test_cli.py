@@ -54,6 +54,17 @@ def test_cli_normalize_output(capsys):
     assert out == "a*d + (q - q^-1)*beta*gamma"
 
 
+@pytest.mark.parametrize("expression", ["-q*a", "-a", "-1/2*d*a"])
+def test_cli_expression_with_leading_minus(capsys, expression):
+    # read as the expression, not as an option: the same as after `--`
+    assert main(["normalize", "--presentation", "Omega", "--", expression]) == 0
+    want = capsys.readouterr()
+    assert main(["normalize", "--presentation", "Omega", expression]) == 0
+    assert capsys.readouterr() == want
+    assert main(["normalize", expression, "--presentation", "Omega"]) == 0
+    assert capsys.readouterr() == want
+
+
 def test_cli_confluence(capsys):
     assert main(["confluence", "--presentation", "A_glq11", "--max-degree", "3"]) == 0
     out = capsys.readouterr().out

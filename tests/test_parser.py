@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qdc.errors import ParseError, UnknownGeneratorError
-from qdc.kernel import normalize
+from qdc.kernel import format_element, normalize
 from qdc.parser import (
     Name,
     Power,
@@ -55,6 +55,24 @@ def test_negative_power_only_on_scalars(cat):
     parse_expression("2^-1", om)
     with pytest.raises(ParseError):
         parse_expression("a^-1", om)
+
+
+def test_literal_powers_exact_or_refused(cat):
+    om = cat.presentation("Omega")
+
+    def nf(text):
+        return format_element(normalize(parse_expression(text, om), om), om)
+
+    assert nf("7^100*a") == f"{7**100}*a"
+    assert nf("(1/7)^50*a") == f"1/{7**50}*a"
+    assert nf("7/2^-3*a") == f"8/343*a"
+    # 2^14284 has 4300 digits, the default limit; 2^14285 has 4301
+    assert nf("2^14284*a") == f"{2**14284}*a"
+    for text in ("b + 2^14285*a", "b + 7^9999999*a", "b + 2/3^-99999999*a"):
+        with pytest.raises(ParseError) as err:
+            parse_ast(text)  # refused before the power is computed
+        assert "literal power has more than" in str(err.value)
+        assert (err.value.line, err.value.col) == (1, 5)
 
 
 def test_parenthesized_sums(cat):
