@@ -9,18 +9,22 @@ from qdc.hopf import (
     antipode,
     coproduct,
     counit,
+    hopf_data,
     verify_central_element,
     verify_hopf_axioms,
 )
+from qdc.kernel import tensor_legs
 
 cat = get_catalog()
 loc = cat.presentation("Omega_loc")
+# the tensor square: slot k holds the letters k:a, k:beta, ...
+square = hopf_data(cat).square
 W = Element.word
 
-print("coproduct of a:", repr(coproduct(W(("a",)), cat)))
-print("coproduct of Da:", repr(coproduct(W(("Da",)), cat)))
+print("coproduct of a:", format_element(coproduct(W(("a",)), cat), square))
+print("coproduct of Da:", format_element(coproduct(W(("Da",)), cat), square))
 print("coproduct of a_inv (geometric series):",
-      repr(coproduct(W(("a_inv",)), cat)))
+      format_element(coproduct(W(("a_inv",)), cat), square))
 
 print("\ncounit: eps(a) =", counit(W(("a",)), cat),
       "| eps(Da) =", counit(W(("Da",)), cat))
@@ -31,7 +35,8 @@ print("antipode of Da:", format_element(antipode(W(("Da",)), cat), loc))
 # the antipode law on a: multiply the two tensor legs of the coproduct
 t = coproduct(W(("a",)), cat)
 acc = Element.zero()
-for (w1, w2), c in t.terms.items():
+for w, c in t.terms.items():
+    w1, w2 = tensor_legs(w, 2)
     acc = acc + antipode(W(w1), cat) * W(w2, c)
 print("m(S x id) delta(a) =", format_element(normalize(acc, loc), loc))
 

@@ -10,7 +10,6 @@ from .kernel import (
     RewriteRule,
     DerivationSpec,
     normalize,
-    multiply,
     apply_derivation,
     graded_commutator,
     check_local_confluence,
@@ -23,7 +22,7 @@ from .catalog import get_catalog, presentation, superinverse_entries, maurer_for
 __all__ = [
     "LaurentScalar", "ONE", "ZERO", "Q", "QINV", "qp", "lint", "lfrac",
     "Element", "Generator", "Presentation", "RewriteRule", "DerivationSpec",
-    "normalize", "multiply", "apply_derivation", "graded_commutator",
+    "normalize", "apply_derivation", "graded_commutator",
     "check_local_confluence", "graded_product", "format_element",
     "parse_expression", "parse_ast", "print_ast",
     "get_catalog", "presentation", "superinverse_entries", "maurer_forms",

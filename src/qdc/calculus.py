@@ -16,6 +16,7 @@ from .kernel import (
     Element,
     Presentation,
     RewriteRule,
+    _accumulate,
     apply_derivation,
     format_element,
     normalize,
@@ -145,12 +146,7 @@ class CoeffPoly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        _accumulate(out, other.terms)
         return CoeffPoly(out)
 
     def __sub__(self, other):
@@ -162,13 +158,8 @@ class CoeffPoly:
     def __mul__(self, other):
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                s = out.get(m, ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            _accumulate(out, {tuple(x + y for x, y in zip(m1, m2)): c2
+                              for m2, c2 in other.terms.items()}, c1)
         return CoeffPoly(out)
 
     def __eq__(self, other):
@@ -176,17 +167,6 @@ class CoeffPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def substitute(self, values):
-        """Full substitution var -> LaurentScalar; returns a LaurentScalar."""
-        total = ZERO
-        for mono, c in self.terms.items():
-            term = c
-            for v, e in zip(_VARS, mono):
-                for _ in range(e):
-                    term = term * values[v]
-            total = total + term
-        return total
 
     def unit_scaled(self):
         """Scaled so the lexicographically largest monomial has coefficient 1,

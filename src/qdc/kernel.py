@@ -7,6 +7,10 @@ under leftmost rule application.  It multiplies a normal word by one
 generator at a time, which reaches that same normal form, and memoizes the
 products that apply a rule (the G-algebra scheme of Singular:Plural).
 
+graded_product joins two presentations with Koszul cross-commutation, and
+tensor_power builds the graded tensor square or cube of one presentation
+from renamed slot copies, so a tensor is an Element like any other.
+
 The scalar type is duck-typed: anything with +, -, *, unary - and truthiness
 (false iff zero) works, and a Presentation names its unit as scalar_one.
 The symbolic catalog uses LaurentScalar; the numeric shadow catalog
@@ -100,7 +104,7 @@ class Element:
         """Concatenation product, extended bilinearly; unreduced."""
         if not isinstance(other, Element):
             return NotImplemented
-        out = {}
+        out = {}  # inline, not _accumulate: each parsed factor calls this
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
@@ -306,6 +310,48 @@ def graded_product(p1, p2, name=None):
     return Presentation(name or f"{p1.name}*{p2.name}", gens, rules, scalar_one=one)
 
 
+def tensor_power(p, n):
+    """Graded tensor power: the graded_product of n slot copies of p, where
+    slot k renames each generator g to "k:g".
+
+    A letter of a later slot passes left over one of an earlier slot with
+    the Koszul sign, and no rule joins two slots the other way round, so
+    normalize takes a word to the product of each slot's own leftmost
+    normal form, slot 1 first, times the sign of that reordering:
+    (A (x) B)(C (x) D) = (-1)^(p(B)p(C)) AC (x) BD, confluent or not.
+    """
+    def slot(k):
+        new = {g.name: f"{k}:{g.name}" for g in p.generators}
+        gens = [Generator(new[g.name], g.parity, new.get(g.inverse_of))
+                for g in p.generators]
+        rules = [RewriteRule(
+            tuple(new[g] for g in r.pattern),
+            Element({tuple(new[g] for g in w): c
+                     for w, c in r.replacement.terms.items()}, _clean=True),
+            r.eq, r.localized) for r in p.rules]
+        return Presentation(f"{p.name}[{k}]", gens, rules, validate=False,
+                            scalar_one=p.scalar_one)
+
+    out = slot(1)
+    for k in range(2, n + 1):
+        out = graded_product(out, slot(k), f"{p.name}^{k}")
+    return out
+
+
+def tensor_word(*legs):
+    """The word of tensor_power whose slot k holds the word legs[k-1]."""
+    return tuple(f"{k}:{g}" for k, leg in enumerate(legs, 1) for g in leg)
+
+
+def tensor_legs(word, n):
+    """The n slot words of a normal word of tensor_power(p, n)."""
+    legs = [[] for _ in range(n)]
+    for letter in word:
+        k, g = letter.split(":", 1)
+        legs[int(k) - 1].append(g)
+    return tuple(map(tuple, legs))
+
+
 # -- normalization ----------------------------------------------------------
 
 
@@ -417,17 +463,6 @@ def _too_deep(p):
     )
 
 
-def multiply(e1, e2, p=None):
-    """Unreduced bilinear concatenation product (presentation only checks names)."""
-    if p is not None:
-        for e in (e1, e2):
-            for w in e.terms:
-                for g in w:
-                    if g not in p.index:
-                        raise QdcError(f"{p.name}: unknown generator {g!r}")
-    return e1 * e2
-
-
 # -- derivations -------------------------------------------------------------
 
 
@@ -494,16 +529,8 @@ class ConfluenceReport:
 
 def _one_step(word, i, rule):
     head, tail = word[:i], word[i + 2 :]
-    out = {}
-    for rep_word, c in rule.replacement.terms.items():
-        w = head + rep_word + tail
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return Element(out, _clean=True)
+    return Element({head + w + tail: c for w, c in rule.replacement.terms.items()},
+                   _clean=True)
 
 
 def overlap_words(p):

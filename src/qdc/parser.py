@@ -6,7 +6,9 @@
     atom   := name | rational | 'q' | '(' expr ')'
 
 Rationals are integer or num/den literals.  Negative exponents are allowed on
-q and on rationals (scalar inverses); generator inverses are spelled as their
+q and on rationals, bare or parenthesized like (-1/2) (scalar inverses), and a
+rational's power is refused before it is computed when it would exceed the
+interpreter's digit limit; generator inverses are spelled as their
 own names (a_inv, d_inv, Dgamma_inv).  parse -> print is the identity on the
 AST, which is what the catalog round-trip test pins down.
 """
@@ -147,10 +149,11 @@ class _Parser:
                 raise ParseError("exponent must be an integer", line, col)
             self.next()
             exp = (-1 if neg else 1) * _int(val, line, col)
-            if exp < 0 and atom == RatLit(Fraction(0)):
+            value = _literal(atom)
+            if exp < 0 and value == 0:
                 raise ParseError("zero has no inverse: negative power of 0",
                                  atom_line, atom_col)
-            if isinstance(atom, RatLit) and _power_too_long(atom.value, exp):
+            if value is not None and _power_too_long(value, exp):
                 raise _too_many_digits("literal power", atom_line, atom_col)
             return Power(atom, exp)
         return atom
@@ -171,6 +174,19 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"expected an atom, got {val or 'end of input'!r}", line, col)
+
+
+def _literal(atom):
+    """The value of a rational literal atom, bare or in parentheses such as
+    (7), (-1/2) or ((3)); None for any other atom."""
+    sign = 1
+    while isinstance(atom, Sum) and len(atom.terms) == 1:
+        term_sign, product = atom.terms[0]
+        if len(product.factors) != 1:
+            return None
+        sign *= term_sign
+        atom = product.factors[0]
+    return sign * atom.value if isinstance(atom, RatLit) else None
 
 
 def _int(digits, line, col):
@@ -266,8 +282,9 @@ def eval_ast(node, p, resolve=None):
         # a scalar atom's power is one ring operation, whatever the exponent
         if isinstance(node.base, Name) and node.base.ident == "q":
             return Element.unit(LaurentScalar.q_power(node.exp))
-        if isinstance(node.base, RatLit):
-            return Element.unit(LaurentScalar.from_fraction(node.base.value ** node.exp))
+        value = _literal(node.base)
+        if value is not None:
+            return Element.unit(LaurentScalar.from_fraction(value ** node.exp))
         if node.exp < 0:
             raise ParseError(
                 "negative exponent on a non-scalar atom (use *_inv generators)",

@@ -125,18 +125,6 @@ class LaurentScalar:
                     out.pop(k, None)
         return _wrap(out)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers of a scalar")
-        acc = ONE
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
     # -- evaluation --------------------------------------------------------
 
     def eval_at(self, q0):
@@ -181,12 +169,6 @@ class LaurentScalar:
 
     def __repr__(self):
         return f"LaurentScalar({self})"
-
-    def degree_range(self):
-        """(min exponent, max exponent); (0, 0) for the zero scalar."""
-        if not self.coeffs:
-            return (0, 0)
-        return (min(self.coeffs), max(self.coeffs))
 
 
 def _term_str(c, k):

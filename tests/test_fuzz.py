@@ -74,6 +74,7 @@ def test_fuzz_normalize_exit_codes(cat, capsys, monkeypatch):
 @pytest.mark.parametrize("text, code, message", [
     ("2^20000*a", 2, "get_int_max_str_digits"),
     ("7^9999999*a", 2, "get_int_max_str_digits"),
+    ("(7)^9999999*a", 2, "get_int_max_str_digits"),
     ("q^99999999", 0, None),
     ("0^-1", 2, "zero has no inverse"),
     ("d^1200*a", 2, "recursion limit"),

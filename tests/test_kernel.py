@@ -14,6 +14,9 @@ from qdc.kernel import (
     format_element,
     graded_commutator,
     normalize,
+    tensor_legs,
+    tensor_power,
+    tensor_word,
 )
 from qdc.calculus import exterior_derivation
 from qdc.ring import ONE, LaurentScalar, lint, qp
@@ -284,6 +287,16 @@ def test_normalize_matches_uncached_leftmost_rewriting(cat):
             assert normalize(e, p) == _leftmost_nf(e, p), (name, e)
 
 
+def _twisted_bad():
+    """Not confluent at z*y*x: z passes x*y one way and y*y the other."""
+    gens = [Generator("x", 0), Generator("y", 0), Generator("z", 0)]
+    return Presentation("twisted_bad", gens, [
+        RewriteRule(("y", "x"), W(("x", "y"), qp(1))),
+        RewriteRule(("z", "y"), W(("y", "z"), qp(2))),
+        RewriteRule(("z", "x"), W(("x", "z"), qp(3)) + W(("y", "y"))),
+    ])
+
+
 def _flipped_sign_product(cat):
     """A_glq11 * A_q with the Koszul sign of theta*beta flipped: not confluent
     at theta*d*a, where theta passes a*d one way and beta*gamma the other."""
@@ -296,12 +309,7 @@ def _flipped_sign_product(cat):
 
 
 def test_normalize_is_leftmost_on_non_confluent_controls(cat):
-    gens = [Generator("x", 0), Generator("y", 0), Generator("z", 0)]
-    p_bad = Presentation("twisted_bad", gens, [
-        RewriteRule(("y", "x"), W(("x", "y"), qp(1))),
-        RewriteRule(("z", "y"), W(("y", "z"), qp(2))),
-        RewriteRule(("z", "x"), W(("x", "z"), qp(3)) + W(("y", "y"))),
-    ])
+    p_bad = _twisted_bad()
     flipped = _flipped_sign_product(cat)
     rng = random.Random(1978)
     for p in (p_bad, flipped):
@@ -314,6 +322,61 @@ def test_normalize_is_leftmost_on_non_confluent_controls(cat):
             assert normalize(W(w), p) == _leftmost_nf(W(w), p), (p.name, w)
         for e in _random_elements(p, rng, 60):
             assert normalize(e, p) == _leftmost_nf(e, p), (p.name, e)
+
+
+def _slotwise_product(tensors, p, n):
+    """Reference for tensor_power(p, n): the product of tensors given as
+    {legs: coefficient}, each product with the Koszul sign
+    (-1)^(sum over j < i of p(a_i) p(x_j)) of (a_1 (x) ...)(x_1 (x) ...),
+    then every slot normalized on its own in p."""
+    prod = {((),) * n: p.scalar_one}
+    for t in tensors:
+        out = Element.zero()
+        for a, c1 in prod.items():
+            for x, c2 in t.items():
+                odd = sum(p.word_parity(a[i]) * p.word_parity(x[j])
+                          for j in range(n) for i in range(j + 1, n))
+                legs = tuple(ai + xi for ai, xi in zip(a, x))
+                out = out + Element({legs: -(c1 * c2) if odd % 2 else c1 * c2})
+        prod = out.terms
+    ref = Element.zero()
+    for legs, c in prod.items():
+        slots = [normalize(p.word(leg), p).terms.items() for leg in legs]
+        for combo in itertools.product(*slots):
+            coeff = c
+            for _, ck in combo:
+                coeff = coeff * ck
+            ref = ref + W(tensor_word(*(u for u, _ in combo)), coeff)
+    return ref
+
+
+def test_tensor_power_matches_slotwise_normalization(cat):
+    rng = random.Random(1999)
+    loc = cat.presentation("Omega_loc")
+    flipped = _flipped_sign_product(cat)
+    cases = [(loc, 2), (loc, 3), (_twisted_bad(), 2), (flipped, 2), (flipped, 3)]
+    for p, n in cases:
+        power = tensor_power(p, n)
+        names = [g.name for g in p.generators]
+        # the non-confluent controls' failing words appear as legs too
+        special = [f[0] for f in check_local_confluence(p, 3).failures]
+
+        def leg():
+            if special and rng.random() < 0.3:
+                return rng.choice(special)
+            return tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+
+        for _ in range(25):
+            tensors = [{tuple(leg() for _ in range(n)):
+                        LaurentScalar({rng.randint(-2, 2): rng.randint(-3, 3) or 1})
+                        for _ in range(rng.randint(1, 2))} for _ in range(2)]
+            got = Element.unit()
+            for t in tensors:
+                got = got * Element({tensor_word(*legs): c for legs, c in t.items()})
+            got = normalize(got, power)
+            assert got == _slotwise_product(tensors, p, n), (p.name, n, tensors)
+            for w in got.terms:
+                assert tensor_word(*tensor_legs(w, n)) == w
 
 
 def test_long_ladder_within_default_budget(cat, monkeypatch):
@@ -376,12 +439,7 @@ def test_walk_matches_per_word_check_on_catalog(cat):
 def test_walk_matches_per_word_check_on_negative_controls(cat):
     from qdc.parser import parse_expression
 
-    gens = [Generator("x", 0), Generator("y", 0), Generator("z", 0)]
-    p_bad = Presentation("twisted_bad", gens, [
-        RewriteRule(("y", "x"), W(("x", "y"), qp(1))),
-        RewriteRule(("z", "y"), W(("y", "z"), qp(2))),
-        RewriteRule(("z", "x"), W(("x", "z"), qp(3)) + W(("y", "y"))),
-    ])
+    p_bad = _twisted_bad()
     la = cat.presentation("LieAlg")
     printed = parse_expression(
         "q^2*beta*T1 - (q - q^-1)^2*beta*T2 - (q - q^-1)*d*nabla_m + beta", la)

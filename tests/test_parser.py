@@ -68,11 +68,20 @@ def test_literal_powers_exact_or_refused(cat):
     assert nf("7/2^-3*a") == f"8/343*a"
     # 2^14284 has 4300 digits, the default limit; 2^14285 has 4301
     assert nf("2^14284*a") == f"{2**14284}*a"
-    for text in ("b + 2^14285*a", "b + 7^9999999*a", "b + 2/3^-99999999*a"):
+    for text in ("b + 2^14285*a", "b + 7^9999999*a", "b + 2/3^-99999999*a",
+                 "b + (7)^100000*a", "b + (1/7)^9999999*a", "b + ((-7))^-9999999*a"):
         with pytest.raises(ParseError) as err:
             parse_ast(text)  # refused before the power is computed
         assert "literal power has more than" in str(err.value)
         assert (err.value.line, err.value.col) == (1, 5)
+    # a parenthesized literal is a scalar too: negative powers work
+    assert nf("(1/2)^-1*a") == "2*a"
+    assert nf("(-1/2)^-3*a") == "-8*a"
+    assert nf("((3))^2*a") == "9*a"
+    assert nf("(7)^100*a") == f"{7**100}*a"
+    for text in ("(0)^-1", "b + ((0))^-2*a"):
+        with pytest.raises(ParseError, match="zero has no inverse"):
+            parse_ast(text)
 
 
 def test_parenthesized_sums(cat):
