@@ -109,10 +109,18 @@ def _suite_confluence(cat):
     ... a_inv^2*beta*gamma forces w(d) > w(a_inv) + w(beta) + w(gamma); each
     is strict because on a tie the longer replacement word wins in deglex.
     Their sum gives 0 > w(Da) + w(Dgamma_inv) + w(a_inv) + w(gamma), which
-    no weights satisfy.  So Omega_loc keeps the exhaustive check to degree
-    _LOCALIZED_CONFLUENCE_DEGREE: one depth-first walk over its words that
-    decides every ambiguous word, sampling none, and shares the normal forms
-    of common prefixes (kernel.check_local_confluence).
+    no weights satisfy.  No other order does either: w0 = Dgamma_inv*a_inv^2
+    rewrites at position 0, then at position 5, each time to the correction
+    word of Dgamma_inv*a_inv with coefficient 1 - q^-2, into u*w0*v with
+    u = a_inv^2*gamma*Da and v = gamma*Da*Dgamma_inv^2.  An order compatible
+    with multiplication that orients these rules would then have the
+    infinite descent w0 > u*w0*v > u^2*w0*v^2 > ..., so it is not a
+    well-order, and the diamond lemma can never decide Omega_loc
+    (tests/test_kernel.py pins the two steps).  So Omega_loc keeps the
+    exhaustive check to degree _LOCALIZED_CONFLUENCE_DEGREE: one
+    depth-first walk over its words that decides every ambiguous word,
+    sampling none, and shares the normal forms of common prefixes
+    (kernel.check_local_confluence).
     """
     out = []
     for name in cat.names():

@@ -5,7 +5,11 @@ Presentation fixes the generator order (degree-lexicographic term order) and
 the oriented rewrite rules; normalize() reduces an element to its normal form
 under leftmost rule application.  It multiplies a normal word by one
 generator at a time, which reaches that same normal form, and memoizes the
-products that apply a rule (the G-algebra scheme of Singular:Plural).
+products that apply a rule (the G-algebra scheme of Singular:Plural).  The
+fold runs on interned words: each Presentation keeps the normal words it has
+met as the nodes of a trie (hash-consing), so a word's prefix, its last
+letter, its extension by a letter and a memo key each cost O(1), whatever
+the word's length; a word becomes a tuple again on leaving normalize.
 
 graded_product joins two presentations with Koszul cross-commutation, and
 tensor_power builds the graded tensor square or cube of one presentation
@@ -185,7 +189,16 @@ class Presentation:
             if r.pattern in self.rule_by_pair:
                 raise QdcError(f"{name}: duplicate rule pattern {r.pattern}")
             self.rule_by_pair[r.pattern] = r
-        self._nf_cache = {}  # normal word + (g,) -> normal form of that product
+        # the fold's normal words as trie nodes: node 0 is the empty word,
+        # _child[(m, g)] is the node of word m times letter g, and node m is
+        # _parent[m] times _last[m]; _words[m] is its tuple once built
+        self._child = {}
+        self._parent = [0]
+        self._last = [None]
+        self._words = [()]
+        # (node m, g) -> {node: coeff}, the normal form of m*g where a rule
+        # applies; dropping it leaves the nodes valid
+        self._nf_cache = {}
         if validate:
             self.validate()
 
@@ -398,15 +411,16 @@ def _accumulate(acc, terms, scale=None):
 
 
 def _times_generator(m, g, rule, p, budget):
-    """Normal form of m*g, as a dict, where m is a normal word and `rule`
-    rewrites (m[-1], g): the replacement, folded onto m[:-1].  Memoised."""
-    key = m + (g,)
+    """Normal form of m*g, as {node: coeff}, where m is a normal word's node
+    and `rule` rewrites (its last letter, g): the replacement, folded onto
+    m's prefix.  Memoised."""
+    key = (m, g)
     cache = p._nf_cache
     hit = cache.get(key)
     if hit is not None:
         return hit
     budget.spend()
-    head = m[:-1]
+    head = p._parent[m]
     acc = {}
     for rep_word, c in rule.replacement.terms.items():
         _accumulate(acc, _fold({head: c}, rep_word, p, budget))
@@ -415,23 +429,51 @@ def _times_generator(m, g, rule, p, budget):
 
 
 def _fold(terms, letters, p, budget):
-    """Normal form of (sum of normal words `terms`) * letters, multiplying
-    by one generator at a time.  A word whose last letter and g match no
-    rule stays normal with g appended."""
+    """Normal form of (sum of normal words `terms`, {node: coeff}) * letters,
+    multiplying by one generator at a time.  A word whose last letter and g
+    match no rule stays normal with g appended: a new node if it is new."""
     rules = p.rule_by_pair
+    child = p._child
+    last = p._last
     for g in letters:
         out = {}
         redexes = []
         for m, c in terms.items():
-            rule = rules.get((m[-1], g)) if m else None
-            if rule is None:
-                out[m + (g,)] = c
-            else:
+            rule = rules.get((last[m], g))
+            if rule is not None:
                 redexes.append((m, c, rule))
+                continue
+            n = child.get((m, g))
+            if n is None:
+                parent = p._parent
+                n = len(parent)
+                parent.append(m)
+                last.append(g)
+                p._words.append(None)
+                child[(m, g)] = n
+            out[n] = c
         for m, c, rule in redexes:
             _accumulate(out, _times_generator(m, g, rule, p, budget), c)
         terms = out
     return terms
+
+
+def _word(p, n):
+    """The tuple of letters of node n, built on first use and kept."""
+    words = p._words
+    letters = []
+    k = n
+    while words[k] is None:
+        letters.append(p._last[k])
+        k = p._parent[k]
+    words[n] = w = words[k] + tuple(reversed(letters))
+    return w
+
+
+def _element(p, terms):
+    """The Element of a {node: coeff} dict."""
+    words = p._words
+    return Element({words[n] or _word(p, n): c for n, c in terms.items()}, _clean=True)
 
 
 def normalize(e, p, budget=None):
@@ -448,10 +490,10 @@ def normalize(e, p, budget=None):
     acc = {}
     try:
         for word, c in e.terms.items():
-            _accumulate(acc, _fold({(): c}, word, p, b))
+            _accumulate(acc, _fold({0: c}, word, p, b))
     except RecursionError:
         raise _too_deep(p) from None
-    return Element(acc, _clean=True)
+    return _element(p, acc)
 
 
 def _too_deep(p):
@@ -623,8 +665,10 @@ def check_local_confluence(p, max_degree=None, budget=None):
 
 def _walk_words(p, max_degree, limit):
     """(words checked, ambiguous words, failures) of the exhaustive check of
-    check_local_confluence, by a depth-first walk over the words."""
+    check_local_confluence, by a depth-first walk over the words.  Normal
+    forms are the fold's {node: coeff} dicts."""
     rules = p.rule_by_pair
+    tail = p._last
     names = [g.name for g in p.generators]
     checked = sum(len(names) ** n for n in range(3, max_degree + 1))
     ambiguous = 0
@@ -638,7 +682,7 @@ def _walk_words(p, max_degree, limit):
         nonlocal ambiguous
         length = len(w) + 1
         last = length == max_degree
-        appended = w and not any(m and (m[-1], w[-1]) in rules for m in head_nf)
+        appended = w and not any((tail[m], w[-1]) in rules for m in head_nf)
         for g in names:
             rule = rules.get((w[-1], g)) if w else None
             n = redexes if rule is None else redexes + 1
@@ -664,12 +708,11 @@ def _walk_words(p, max_degree, limit):
                     branches.append((length - 2, b))
             word = w + (g,)
             if branches:
-                failures.append((word, Element(nf_g, _clean=True),
-                                 Element(branches[0][1], _clean=True)))
+                failures.append((word, _element(p, nf_g), _element(p, branches[0][1])))
             if not last:
                 extend(word, nf_g, nf, n, branches)
 
-    extend((), {(): p.scalar_one}, None, 0, [])
+    extend((), {0: p.scalar_one}, None, 0, [])
     failures.sort(key=lambda f: p.word_key(f[0]))
     return checked, ambiguous, failures
 

@@ -5,12 +5,14 @@
     factor := atom ['^' integer]
     atom   := name | rational | 'q' | '(' expr ')'
 
-Rationals are integer or num/den literals.  Negative exponents are allowed on
-q and on rationals, bare or parenthesized like (-1/2) (scalar inverses), and a
-rational's power is refused before it is computed when it would exceed the
-interpreter's digit limit; generator inverses are spelled as their
-own names (a_inv, d_inv, Dgamma_inv).  parse -> print is the identity on the
-AST, which is what the catalog round-trip test pins down.
+Rationals are integer or num/den literals.  A power of a unit scalar r*q^k,
+such as q, (-1/2) or (2*q), is one scalar power, and its negative exponents
+give inverses; its power, and a literal's already at parse time, is refused
+before it is computed when it would exceed the interpreter's digit limit.
+Any other power is a product by repeated squaring; generator inverses are
+spelled as their own names (a_inv, d_inv, Dgamma_inv).  parse -> print is
+the identity on the AST, which is what the catalog round-trip test pins
+down.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class RatLit:
 class Power:
     base: object
     exp: int
+    line: int = field(default=0, compare=False)  # the base's position
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ class _Parser:
                                  atom_line, atom_col)
             if value is not None and _power_too_long(value, exp):
                 raise _too_many_digits("literal power", atom_line, atom_col)
-            return Power(atom, exp)
+            return Power(atom, exp, atom_line, atom_col)
         return atom
 
     def parse_atom(self):
@@ -279,23 +283,10 @@ def eval_ast(node, p, resolve=None):
             out = out * eval_ast(f, p, resolve)
         return out
     if isinstance(node, Power):
-        # a scalar atom's power is one ring operation, whatever the exponent
+        # q^n, most of the catalog's powers: one scalar, no base to evaluate
         if isinstance(node.base, Name) and node.base.ident == "q":
             return Element.unit(LaurentScalar.q_power(node.exp))
-        value = _literal(node.base)
-        if value is not None:
-            return Element.unit(LaurentScalar.from_fraction(value ** node.exp))
-        if node.exp < 0:
-            raise ParseError(
-                "negative exponent on a non-scalar atom (use *_inv generators)",
-                getattr(node.base, "line", 0),
-                getattr(node.base, "col", 0),
-            )
-        base = eval_ast(node.base, p, resolve)
-        out = Element.unit()
-        for _ in range(node.exp):
-            out = out * base
-        return out
+        return _power(eval_ast(node.base, p, resolve), node)
     if isinstance(node, Name):
         if node.ident == "q":
             return Element.unit(LaurentScalar.q_power(1))
@@ -315,6 +306,36 @@ def eval_ast(node, p, resolve=None):
     if isinstance(node, RatLit):
         return Element.unit(LaurentScalar.from_fraction(node.value))
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _power(base, node):
+    """base^node.exp.  A unit scalar r*q^k, such as q, a literal or (2*3),
+    gives one scalar power, refused like a literal's when r^exp is too long
+    to print, and its negative powers are its inverse's.  Any other base is
+    raised by repeated squaring, unreduced."""
+    exp = node.exp
+    c = base.terms.get(()) if len(base.terms) == 1 else None
+    if isinstance(c, LaurentScalar) and c.is_unit():
+        ((k, r),) = c.coeffs.items()
+        if _power_too_long(r, exp):
+            raise _too_many_digits("scalar power", node.line, node.col)
+        if exp < 0:
+            c, exp = c.unit_inverse(), -exp
+            ((k, r),) = c.coeffs.items()
+        return Element.unit(LaurentScalar({k * exp: r ** exp}))
+    if exp < 0:
+        why = ("zero has no inverse: negative power of 0" if not base else
+               "negative exponent on an atom that is not a unit scalar r*q^k "
+               "(use *_inv generators)")
+        raise ParseError(why, node.line, node.col)
+    out = Element.unit()
+    while exp:
+        if exp & 1:
+            out = out * base
+        exp >>= 1
+        if exp:
+            base = base * base
+    return out
 
 
 def parse_expression(text, p, resolve=None):

@@ -84,6 +84,46 @@ def test_literal_powers_exact_or_refused(cat):
             parse_ast(text)
 
 
+def test_negative_power_error_has_the_atoms_position(cat):
+    om = cat.presentation("Omega")
+    for text, where in (("(a)^-1", (1, 1)), ("d + (a*d)^-2", (1, 5)),
+                        ("a +\n  (d)^-1", (2, 3))):
+        with pytest.raises(ParseError, match="negative exponent") as err:
+            parse_expression(text, om)
+        assert (err.value.line, err.value.col) == where, text
+    with pytest.raises(ParseError, match="zero has no inverse") as err:
+        parse_expression("a + (1 - 1)^-1", om)
+    assert (err.value.line, err.value.col) == (1, 5)
+
+
+def test_unit_scalar_powers_are_one_scalar_power(cat):
+    om = cat.presentation("Omega")
+
+    def nf(text):
+        return format_element(normalize(parse_expression(text, om), om), om)
+
+    assert nf("(q)^-1*a") == "q^-1*a"
+    assert nf("(2*3)^3*a") == "216*a"
+    assert nf("(2*q)^-2*a") == "1/4*q^-2*a"
+    assert nf("(-q^2*1/3)^-3*a") == "-27*q^-6*a"
+    assert nf("(q)^99999999*a") == "q^99999999*a"
+    for text in ("d + (2*3)^200000*a", "d + (q*7)^-9999999*a"):
+        with pytest.raises(ParseError, match="scalar power has more than") as err:
+            parse_expression(text, om)  # refused before the power is computed
+        assert (err.value.line, err.value.col) == (1, 5)
+
+
+def test_non_scalar_power_by_squaring_is_the_repeated_product(cat):
+    om = cat.presentation("Omega")
+    for base in ("a", "a + q*d", "(1 + beta)*Da - gamma"):
+        element = parse_expression(f"({base})", om)
+        product = parse_expression("1", om)
+        for n in range(9):
+            assert parse_expression(f"({base})^{n}", om) == product, (base, n)
+            product = product * element
+    assert parse_expression("a^20000", om) == om.word(("a",) * 20000)
+
+
 def test_parenthesized_sums(cat):
     om = cat.presentation("Omega")
     e = parse_expression("(q - q^-1)*(beta*gamma + gamma*beta)", om)
