@@ -17,6 +17,8 @@ from .kernel import (
     Presentation,
     RewriteRule,
     _accumulate,
+    _one_step,
+    _redexes,
     apply_derivation,
     format_element,
     normalize,
@@ -24,6 +26,7 @@ from .kernel import (
 from .parser import print_ast
 from .report import timed_check
 from .ring import ONE, ZERO, LaurentScalar, qp
+from .rmatrix import W_NAMES, name_matrix
 
 # -- exterior differential ----------------------------------------------------
 
@@ -284,15 +287,8 @@ def _ab_conditions(const):
 def _condition_residual(kind, payload, p):
     if kind == "element":
         return normalize(payload, p)
-    from .kernel import _one_step
-
     word = payload
-    rules = p.rule_by_pair
-    redexes = [
-        (i, rules[(word[i], word[i + 1])])
-        for i in range(len(word) - 1)
-        if (word[i], word[i + 1]) in rules
-    ]
+    redexes = _redexes(word, p)
     if len(redexes) < 2:
         raise QdcError(f"overlap condition on {word} has fewer than two redexes")
     i0, r0 = redexes[0]
@@ -511,18 +507,11 @@ def verify_structure_equations(cat=None):
         out.append(timed_check(f"structure.leibniz_{name}",
                                f"{name} from the graded Leibniz rule", "(39)", fn))
 
-    # layer 2: the matrix identity dW = s3*W*s3*W, entrywise over the forms
+    # layer 2: the matrix identity dW = s3*W*s3*W, entrywise over the forms;
+    # s3*W*s3 is W with its odd-index entries negated
     E = forms.el
-    W = [[E("w1"), E("u")], [E("v"), E("w2")]]
-    s3 = [[forms.unit(), Element.zero()], [Element.zero(), -forms.unit()]]
-
-    def matmul(M, N):
-        return [
-            [M[i][0] * N[0][j] + M[i][1] * N[1][j] for j in range(2)]
-            for i in range(2)
-        ]
-
-    rhs_matrix = matmul(matmul(matmul(s3, W), s3), W)
+    W = name_matrix(forms, W_NAMES, 1)
+    rhs_matrix = (W.signed(include_shift=False) @ W).entries
     stated = [
         [E("w1") * E("w1") - E("u") * E("v"), E("w1") * E("u") - E("u") * E("w2")],
         [E("w2") * E("v") - E("v") * E("w1"), E("w2") * E("w2") - E("v") * E("u")],

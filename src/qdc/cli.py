@@ -32,10 +32,6 @@ def _suite_relations(cat):
     return out
 
 
-def _suite_ansatz(cat):
-    return calculus.ansatz_checks(cat)
-
-
 def _suite_inverse(cat):
     out = []
     out.extend(calculus.verify_family("T_unit", cat))
@@ -61,10 +57,6 @@ def _suite_forms(cat):
     return out
 
 
-def _suite_structure(cat):
-    return calculus.verify_structure_equations(cat)
-
-
 def _suite_superalgebra(cat):
     out = []
     out.extend(liealg.verify_superalgebra(cat))
@@ -72,10 +64,6 @@ def _suite_superalgebra(cat):
     out.extend(liealg.verify_cross_relations_consistency(cat))
     out.extend(liealg.classical_limit_checks())
     return out
-
-
-def _suite_hopf(cat):
-    return hopf.verify_hopf_axioms(cat)
 
 
 def _suite_central(cat):
@@ -90,10 +78,6 @@ def _suite_rmatrix(cat):
     for eq in ("53", "54", "55", "56", "57"):
         out.extend(rmatrix.verify_rtt_family(eq, cat))
     return out
-
-
-def _suite_plane(cat):
-    return rmatrix.verify_plane_covariance(cat)
 
 
 def _suite_confluence(cat):
@@ -145,21 +129,17 @@ def _suite_confluence(cat):
 
 SUITES = {
     "relations": _suite_relations,
-    "ansatz": _suite_ansatz,
+    "ansatz": calculus.ansatz_checks,
     "inverse": _suite_inverse,
     "forms": _suite_forms,
-    "structure": _suite_structure,
+    "structure": calculus.verify_structure_equations,
     "superalgebra": _suite_superalgebra,
-    "hopf": _suite_hopf,
+    "hopf": hopf.verify_hopf_axioms,
     "central": _suite_central,
     "rmatrix": _suite_rmatrix,
-    "plane": _suite_plane,
+    "plane": rmatrix.verify_plane_covariance,
     "confluence": _suite_confluence,
 }
-
-_ALL_ORDER = ("relations", "ansatz", "inverse", "forms", "structure",
-              "superalgebra", "hopf", "central", "rmatrix", "plane",
-              "confluence")
 
 
 def run_suite(name, q0=None):
@@ -170,7 +150,7 @@ def run_suite(name, q0=None):
         )
     cat = get_catalog(q0)
     report = SuiteReport(name)
-    suites = _ALL_ORDER if name == "all" else (name,)
+    suites = SUITES if name == "all" else (name,)
     for s in suites:
         report.checks.extend(SUITES[s](cat))
     report = report.sorted()

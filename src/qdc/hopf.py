@@ -23,6 +23,7 @@ from .kernel import (
 )
 from .report import timed_check
 from .ring import ZERO
+from .rmatrix import DT_NAMES, T_NAMES, name_matrix
 
 
 def _image(e, image_of, target):
@@ -56,25 +57,22 @@ class HopfData:
         """The element w1 (x) w2 of the tensor square."""
         return self.square.word(tensor_word(w1, w2), coeff)
 
-    # the matrix coproduct on coordinates and its extension to differentials
+    # the matrix coproduct on coordinates and its extension to differentials:
+    # delta(T) = T_1 T_2 and delta(That) = That_1 T_2 + T_1^s That_2, where
+    # M_k is M over the letters of slot k and ^s signs the odd entries
     def _build_delta(self):
-        T = (("a", "beta"), ("gamma", "d"))
-        That = (("Da", "Dbeta"), ("Dgamma", "Dd"))
-        parity_T = ((0, 1), (1, 0))
-        one = self.one
+        def slot(k, names, shift):
+            return name_matrix(
+                self.square, [[f"{k}:{n}" for n in row] for row in names], shift)
+
+        T1, T2 = slot(1, T_NAMES, 0), slot(2, T_NAMES, 0)
+        dT = T1 @ T2
+        dThat = slot(1, DT_NAMES, 1) @ T2 + T1.signed() @ slot(2, DT_NAMES, 1)
         images = {}
         for i in range(2):
             for j in range(2):
-                acc = Element.zero()
-                acc_hat = Element.zero()
-                for k in range(2):
-                    acc = acc + self.tensor((T[i][k],), (T[k][j],))
-                    sign = one if parity_T[i][k] == 0 else -one
-                    acc_hat = (acc_hat
-                               + self.tensor((That[i][k],), (T[k][j],))
-                               + self.tensor((T[i][k],), (That[k][j],), sign))
-                images[T[i][j]] = acc
-                images[That[i][j]] = acc_hat
+                images[T_NAMES[i][j]] = dT.entries[i][j]
+                images[DT_NAMES[i][j]] = dThat.entries[i][j]
         images["a_inv"] = self._tensor_inverse(images["a"], "a_inv")
         images["d_inv"] = self._tensor_inverse(images["d"], "d_inv")
         return images
@@ -99,22 +97,17 @@ class HopfData:
 
     def _build_antipode(self):
         loc = self.loc
-        iA, iB, iC, iD = (loc.defined[k] for k in ("iA", "iB", "iC", "iD"))
         E = loc.word
-        images = {"a": iA, "beta": iB, "gamma": iC, "d": iD}
-        # the sign of the mnemonic matrix form attaches to the entries of the
-        # left inverse factor: entrywise (+A, -B; -C, +D)
-        sT = ((iA, -iB), (-iC, iD))
-        Tinv = ((iA, iB), (iC, iD))
-        That = ((E(("Da",)), E(("Dbeta",))), (E(("Dgamma",)), E(("Dd",))))
-        names = (("Da", "Dbeta"), ("Dgamma", "Dd"))
+        # S(T) = T^-1, and S(That) = -(T^-1)^s That T^-1: the sign of the
+        # mnemonic matrix form attaches to the entries of the left inverse
+        # factor, entrywise (+A, -B; -C, +D)
+        Tinv = name_matrix(loc, (("iA", "iB"), ("iC", "iD")))
+        S = Tinv.signed() @ name_matrix(loc, DT_NAMES, 1) @ Tinv
+        images = {}
         for i in range(2):
             for j in range(2):
-                acc = Element.zero()
-                for k in range(2):
-                    for l in range(2):
-                        acc = acc + sT[i][k] * That[k][l] * Tinv[l][j]
-                images[names[i][j]] = normalize(-acc, loc)
+                images[T_NAMES[i][j]] = Tinv.entries[i][j]
+                images[DT_NAMES[i][j]] = normalize(-S.entries[i][j], loc)
         # forced by the anti-homomorphism property on g*g_inv = 1
         images["a_inv"] = (E(("a",))
                            - E(("beta",)) * E(("d_inv",)) * E(("gamma",)))

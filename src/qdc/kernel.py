@@ -575,6 +575,13 @@ def _one_step(word, i, rule):
                    _clean=True)
 
 
+def _redexes(word, p):
+    """(position, rule) of every rule pattern in word, left to right."""
+    rules = p.rule_by_pair
+    return [(i, rules[pair]) for i, pair in enumerate(zip(word, word[1:]))
+            if pair in rules]
+
+
 def overlap_words(p):
     """The words x*y*z whose halves (x, y) and (y, z) are both rule patterns,
     in term order: the critical pairs of a presentation with quadratic rules."""
@@ -639,16 +646,11 @@ def check_local_confluence(p, max_degree=None, budget=None):
             f"{['*'.join(w) for w in localized]} do not"
         )
     p.validate()
-    rules = p.rule_by_pair
     words = overlap_words(p)
     ambiguous = 0
     failures = []
     for word in words:
-        redexes = [
-            (i, rules[(word[i], word[i + 1])])
-            for i in range(len(word) - 1)
-            if (word[i], word[i + 1]) in rules
-        ]
+        redexes = _redexes(word, p)
         if len(redexes) < 2:
             continue
         ambiguous += 1

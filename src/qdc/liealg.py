@@ -17,6 +17,7 @@ from .kernel import (
     normalize,
 )
 from .report import timed_check
+from .ring import _exact
 
 SUPER_GENS = ("T1", "T2", "nabla_p", "nabla_m")
 BODY_GENS = ("a", "beta", "gamma", "d")
@@ -119,11 +120,16 @@ def verify_cross_relations_consistency(cat=None):
 
 def classical_limit_checks():
     """At q = 1 every deformation term of the brackets vanishes and the
-    undeformed superalgebra remains."""
-    cat1 = get_catalog(q0=1)
-    la1 = cat1.presentation("LieAlg")
-    E = la1.word
-    minus = -la1.scalar_one
+    undeformed superalgebra remains.
+
+    Each bracket is reduced in the symbolic LieAlg, and the coefficients of
+    its difference from the undeformed bracket are then evaluated at q = 1.
+    That is exactly the reduction in a catalog built at q = 1: evaluation at
+    q = 1 is a ring map, and which rule normalize applies where depends on
+    the words only, never on a coefficient, so the two commute."""
+    la = get_catalog().presentation("LieAlg")
+    E = la.word
+    minus = -la.scalar_one
     # undeformed brackets: [T1, np] = -np, [T2, np] = np, [T1, nm] = nm,
     # [T2, nm] = -nm, [T1, T2] = 0, np^2 = nm^2 = 0, {nm, np} = T1 + T2
     expected = {
@@ -139,11 +145,10 @@ def classical_limit_checks():
     out = []
     for (x, y), want in expected.items():
         def fn(x=x, y=y, want=want):
-            got = graded_commutator(la1.el(x), la1.el(y), la1)
-            if (x, y) in (("nabla_m", "nabla_p"),):
-                pass  # anticommutator, handled by graded_commutator (both odd)
-            diff = got - want
-            return None if diff.is_zero() else format_element(diff, la1)
+            diff = graded_commutator(la.el(x), la.el(y), la) - want
+            at_one = Element({w: _exact(c.eval_at(1))
+                              for w, c in diff.terms.items()})
+            return None if at_one.is_zero() else format_element(at_one, la)
         out.append(timed_check(f"classical_limit.{x}_{y}",
                                f"bracket of {x}, {y} at q = 1 is undeformed",
                                "(43)", fn))

@@ -1,9 +1,13 @@
 """Quantum superplane covariance and the braid-form R-matrix equivalences.
 
-Each matrix relation is checked in two directions: every entry reduces to
-zero modulo the corresponding presentation (membership), and the degree-two
-components of the unreduced entry equations span the same subspace as the
+Each matrix relation (53)-(57) is written once, by _entries, as the 16
+unreduced entries of lhs - rhs, and checked in two directions: every entry
+reduces to zero modulo the relation's presentation (membership), and the
+degree-two components of the entries span the same subspace as the
 transcribed relation family (ideal generation), by exact linear algebra.
+Spanning is computed over the rule-free copy _free(p) of the presentation,
+where the one-form composites are letters, so that the entries and the
+family are both purely quadratic.
 """
 
 from __future__ import annotations
@@ -12,7 +16,14 @@ from dataclasses import dataclass, field
 
 from .catalog import get_catalog
 from .errors import QdcError
-from .kernel import Element, Presentation, format_element, graded_product, normalize
+from .kernel import (
+    Element,
+    Generator,
+    Presentation,
+    format_element,
+    graded_product,
+    normalize,
+)
 from .linalg import elements_to_rows, row_space_equal
 from .parser import eval_ast
 from .report import timed_check
@@ -53,16 +64,14 @@ class SuperMatrix:
                     )
         return self
 
-    def entry(self, i, j):
-        return self.entries[i][j]
-
     def __matmul__(self, other):
         if self.col_parity != other.row_parity:
             raise QdcError("parity mismatch in matrix product")
         n, m, k = len(self.entries), len(other.entries[0]), len(other.entries)
         out = [
             [
-                _sum(self.entries[i][t] * other.entries[t][j] for t in range(k))
+                sum((self.entries[i][t] * other.entries[t][j] for t in range(k)),
+                    Element.zero())
                 for j in range(m)
             ]
             for i in range(n)
@@ -89,25 +98,18 @@ class SuperMatrix:
             [[e.scaled(coeff) for e in row] for row in self.entries],
             self.row_parity, self.col_parity, self.shift)
 
-    def signed(self, include_shift=True, extra=0):
-        """Entrywise sign (-1)^(row + col [+ shift] + extra)."""
+    def signed(self, include_shift=True):
+        """Entrywise sign (-1)^(row + col [+ shift])."""
         out = []
         for i, row in enumerate(self.entries):
             new = []
             for j, e in enumerate(row):
-                s = self.row_parity[i] + self.col_parity[j] + extra
+                s = self.row_parity[i] + self.col_parity[j]
                 if include_shift:
                     s += self.shift
                 new.append(e if s % 2 == 0 else -e)
             out.append(new)
         return SuperMatrix(out, self.row_parity, self.col_parity, self.shift)
-
-
-def _sum(items):
-    acc = Element.zero()
-    for x in items:
-        acc = acc + x
-    return acc
 
 
 def graded_kron(M, N, graded=True):
@@ -184,121 +186,70 @@ def r_hat_inverse(cat=None):
 
 # -- matrices of generators -------------------------------------------------------
 
-
-def _matrix_T(p):
-    return SuperMatrix(
-        [[p.el("a"), p.el("beta")], [p.el("gamma"), p.el("d")]],
-        (0, 1), (0, 1), 0).validate_parities(p)
+T_NAMES = (("a", "beta"), ("gamma", "d"))
+DT_NAMES = (("Da", "Dbeta"), ("Dgamma", "Dd"))
+W_NAMES = (("w1", "u"), ("v", "w2"))
 
 
-def _matrix_That(p):
-    return SuperMatrix(
-        [[p.el("Da"), p.el("Dbeta")], [p.el("Dgamma"), p.el("Dd")]],
-        (0, 1), (0, 1), 1).validate_parities(p)
-
-
-def _matrix_W(p):
-    return SuperMatrix(
-        [[p.defined["w1"], p.defined["u"]], [p.defined["v"], p.defined["w2"]]],
-        (0, 1), (0, 1), 1).validate_parities(p)
-
-
-def _matrix_W_abstract(p):
-    return SuperMatrix(
-        [[p.el("w1"), p.el("u")], [p.el("v"), p.el("w2")]],
-        (0, 1), (0, 1), 1)
+def name_matrix(p, names, shift=0):
+    """The 2x2 supermatrix, index parities (0, 1), whose entries are p.el of a
+    grid of names: generators or defined composites of p."""
+    return SuperMatrix([[p.el(n) for n in row] for row in names],
+                       (0, 1), (0, 1), shift).validate_parities(p)
 
 
 # -- the relation families ---------------------------------------------------------
 
+# tag -> (presentation of the entries, transcribed relation family)
+_RELATIONS = {
+    "53": ("A_glq11", "relations_2"),
+    "54": ("Omega", "dT_relations"),
+    "55": ("Omega", "relations_17"),
+    "56": ("Omega_loc", "T_forms"),
+    "57": ("Omega_loc", "forms"),
+}
 
-def _family_spec(eq, cat):
-    """LHS/RHS matrix builders and the span data for one matrix relation."""
-    I2 = identity_matrix((0, 1), cat.scalar(ONE))
+
+def _entries(eq, p, cat):
+    """The 16 unreduced entries of lhs - rhs of matrix relation eq over p,
+    row by row."""
+    I2 = identity_matrix((0, 1), p.scalar_one)
     R = r_hat(cat)
 
+    def legs(names, shift):
+        M = name_matrix(p, names, shift)
+        return graded_kron(M, I2), graded_kron(I2, M)
+
     if eq == "53":
-        p = cat.presentation("A_glq11")
-        T1 = graded_kron(_matrix_T(p), I2)
-        T2 = graded_kron(I2, _matrix_T(p))
-        lhs, rhs = R @ T1 @ T2, T1 @ T2 @ R
-        return p, lhs, rhs, "relations_2", p
-    if eq == "54":
-        p = cat.presentation("Omega")
-        T1 = graded_kron(_matrix_T(p), I2)
-        T2 = graded_kron(I2, _matrix_T(p))
-        Th1 = graded_kron(_matrix_That(p), I2)
-        Th2 = graded_kron(I2, _matrix_That(p))
-        lhs = T1.signed() @ Th2
-        rhs = R @ Th1 @ T2 @ R
-        return p, lhs, rhs, "dT_relations", p
-    if eq == "55":
-        p = cat.presentation("Omega")
-        Th1 = graded_kron(_matrix_That(p), I2)
-        Th2 = graded_kron(I2, _matrix_That(p))
-        lhs = Th1.signed(include_shift=False) @ Th2
-        rhs = R @ Th1.signed(include_shift=True) @ Th2 @ R
-        span_p = cat.presentation("A_hat")
-        return p, lhs, rhs, "relations_17", span_p
-    if eq == "56":
-        p = cat.presentation("Omega_loc")
-        T1 = graded_kron(_matrix_T(p), I2)
-        W1 = graded_kron(_matrix_W(p), I2)
-        W2 = graded_kron(I2, _matrix_W(p))
-        lhs = T1.signed() @ W2
-        rhs = R @ W1 @ R @ T1
-        return p, lhs, rhs, "T_forms", None
-    if eq == "57":
-        p = cat.presentation("Omega_loc")
-        W1 = graded_kron(_matrix_W(p), I2)
-        Rinv = r_hat_inverse(cat)
-        lhs = W1.signed() @ R @ W1 @ Rinv
-        rhs = R @ W1.signed() @ R @ W1
-        return p, lhs + rhs, None, "forms", None
-    raise QdcError(f"unknown matrix relation tag {eq!r}; use 53..57")
+        T1, T2 = legs(T_NAMES, 0)
+        diff = R @ T1 @ T2 - T1 @ T2 @ R
+    elif eq == "54":
+        T1, T2 = legs(T_NAMES, 0)
+        Th1, Th2 = legs(DT_NAMES, 1)
+        diff = T1.signed() @ Th2 - R @ Th1 @ T2 @ R
+    elif eq == "55":
+        Th1, Th2 = legs(DT_NAMES, 1)
+        diff = (Th1.signed(include_shift=False) @ Th2
+                - R @ Th1.signed() @ Th2 @ R)
+    elif eq == "56":
+        T1, _ = legs(T_NAMES, 0)
+        W1, W2 = legs(W_NAMES, 1)
+        diff = T1.signed() @ W2 - R @ W1 @ R @ T1
+    else:
+        # (57): W1^s R W1 R^-1 = -R W1^s R W1
+        W1, _ = legs(W_NAMES, 1)
+        diff = (W1.signed() @ R @ W1 @ r_hat_inverse(cat)
+                + R @ W1.signed() @ R @ W1)
+    return [e for row in diff.entries for e in row]
 
 
-def _abstract_presentation(cat, eq):
-    """Free presentations used for the spanning direction of 56/57."""
-    from .kernel import Generator
-
-    loc = cat.presentation("Omega_loc")
-    if eq == "56":
-        gens = [loc.gen(n) for n in ("a", "beta", "gamma", "d")]
-        gens += [
-            Generator("w1", 1), Generator("u", 0),
-            Generator("v", 0), Generator("w2", 1),
-        ]
-        return Presentation("TForms_free", gens, [], validate=False,
-                            scalar_one=loc.scalar_one)
-    gens = [
-        Generator("u", 0), Generator("v", 0),
-        Generator("w1", 1), Generator("w2", 1),
-    ]
-    return Presentation("Forms_free", gens, [], validate=False,
-                        scalar_one=loc.scalar_one)
-
-
-def _entry_elements(eq, cat, reduce_=True):
-    """The 16 entry equations of a matrix relation, reduced or free."""
-    if eq in ("56", "57") and not reduce_:
-        free = _abstract_presentation(cat, eq)
-        I2 = identity_matrix((0, 1), free.scalar_one)
-        R = r_hat(cat)
-        W = _matrix_W_abstract(free)
-        if eq == "56":
-            T1 = graded_kron(_matrix_T(free), I2)
-            W1 = graded_kron(W, I2)
-            W2 = graded_kron(I2, W)
-            diff = T1.signed() @ W2 - (R @ W1 @ R @ T1)
-        else:
-            W1 = graded_kron(W, I2)
-            diff = (W1.signed() @ R @ W1 @ r_hat_inverse(cat)
-                    + R @ W1.signed() @ R @ W1)
-        return free, [e for row in diff.entries for e in row]
-    p, lhs, rhs, _, _ = _family_spec(eq, cat)
-    diff = lhs - rhs if rhs is not None else lhs
-    return p, [e for row in diff.entries for e in row]
+def _free(p):
+    """p without rules, and with the one-form composites it defines as
+    letters of their own parity."""
+    forms = [Generator(n, p.element_parity(p.defined[n]))
+             for row in W_NAMES for n in row if n in p.defined]
+    return Presentation(f"{p.name}_free", p.generators + forms, [],
+                        validate=False, scalar_one=p.scalar_one)
 
 
 def _degree2_basis(elements):
@@ -311,37 +262,33 @@ def _degree2_basis(elements):
 def verify_rtt_family(eq, cat=None):
     """Membership and spanning checks for one matrix relation tag."""
     cat = cat or get_catalog()
-    p, lhs, rhs, family, span_p = _family_spec(eq, cat)
+    if eq not in _RELATIONS:
+        raise QdcError(f"unknown matrix relation tag {eq!r}; use 53..57")
+    pname, family = _RELATIONS[eq]
+    p = cat.presentation(pname)
     out = []
-    diff = lhs - rhs if rhs is not None else lhs
-    for i, row in enumerate(diff.entries):
-        for j, e in enumerate(row):
-            def fn(e=e):
-                r = normalize(e, p)
-                return None if r.is_zero() else format_element(r, p)
-            out.append(timed_check(
-                f"rtt{eq}.entry_{i+1}_{j+1}",
-                f"matrix relation entry ({i+1},{j+1}) reduces to zero",
-                f"({eq})", fn))
+    for k, e in enumerate(_entries(eq, p, cat)):
+        def fn(e=e):
+            r = normalize(e, p)
+            return None if r.is_zero() else format_element(r, p)
+        i, j = divmod(k, 4)
+        out.append(timed_check(
+            f"rtt{eq}.entry_{i+1}_{j+1}",
+            f"matrix relation entry ({i+1},{j+1}) reduces to zero",
+            f"({eq})", fn))
 
     def fn_span():
-        free_p, entries = _entry_elements(eq, cat, reduce_=False)
-        fam_p, idents = cat.find_family(family)
-        if span_p is not None:
-            rel_elements = [i.lhs - i.rhs for i in idents]
-        else:
-            rel_elements = [
-                Element({w: cat.scalar(c) for w, c in e.terms.items()})
-                for e in (
-                    eval_ast(i.lhs_ast, free_p) - eval_ast(i.rhs_ast, free_p)
-                    for i in idents
-                )
-            ]
-        basis = _degree2_basis(entries + rel_elements)
+        free = _free(p)
+        entries = _entries(eq, free, cat)
+        rels = [
+            Element({w: cat.scalar(c) for w, c in e.terms.items()})
+            for e in (eval_ast(i.lhs_ast, free) - eval_ast(i.rhs_ast, free)
+                      for i in cat.find_family(family)[1])
+        ]
+        basis = _degree2_basis(entries + rels)
         zero = cat.scalar(ZERO)
-        rows_a = elements_to_rows(entries, basis, zero)
-        rows_b = elements_to_rows(rel_elements, basis, zero)
-        if not row_space_equal(rows_a, rows_b):
+        if not row_space_equal(elements_to_rows(entries, basis, zero),
+                               elements_to_rows(rels, basis, zero)):
             return "degree-2 spans differ"
         return None
 
@@ -353,32 +300,6 @@ def verify_rtt_family(eq, cat=None):
 
 
 # -- superplane covariance ----------------------------------------------------------
-
-
-@dataclass
-class SuperVector:
-    """Column of Elements with declared index parities."""
-
-    entries: list
-    parities: tuple
-
-    def validate_parities(self, p, shift=0):
-        for i, e in enumerate(self.entries):
-            par = p.element_parity(e)
-            want = (self.parities[i] + shift) % 2
-            if par is not None and par != want:
-                raise QdcError(f"vector entry {i} has parity {par}, expected {want}")
-        return self
-
-
-def apply_matrix(rows, X, shift=0):
-    """Matrix (grid of Elements) times column vector in a shared algebra."""
-    n = len(X.entries)
-    return SuperVector(
-        [_sum(rows[i][j] * X.entries[j] for j in range(n))
-         for i in range(len(rows))],
-        tuple((p + shift) % 2 for p in X.parities),
-    )
 
 
 def verify_plane_covariance(cat=None):
@@ -394,36 +315,37 @@ def verify_plane_covariance(cat=None):
     aq = cat.presentation("A_q")
     aqd = cat.presentation("A_q_dual")
 
-    def plane_rels(x, th, p):
+    def plane_rels(x, th):
         """x'theta' - q theta'x' and theta'^2 for a candidate plane point."""
         return [
             ("xy_relation", x * th - (th * x).scaled(sc(qp(1)))),
             ("odd_square", th * th),
         ]
 
-    def dual_rels(ph, y, p):
+    def dual_rels(ph, y):
         return [
             ("odd_square", ph * ph),
             ("xy_relation", ph * y - (y * ph).scaled(sc(qp(-1)))),
         ]
 
     cases = [
-        ("TX_in_Aq", glq, aq, ("x", "theta"), 0,
-         (("a", "beta"), ("gamma", "d")), plane_rels, "(48)"),
-        ("TXhat_in_Aq_dual", glq, aqd, ("phi", "y"), 0,
-         (("a", "beta"), ("gamma", "d")), dual_rels, "(48)"),
-        ("ThatX_in_Aq_dual", ahat, aq, ("x", "theta"), 1,
-         (("Da", "Dbeta"), ("Dgamma", "Dd")), dual_rels, "(49)"),
-        ("ThatXhat_in_Aq", ahat, aqd, ("phi", "y"), 1,
-         (("Da", "Dbeta"), ("Dgamma", "Dd")), plane_rels, "(49)"),
+        ("TX_in_Aq", glq, aq, ("x", "theta"), 0, T_NAMES, plane_rels, "(48)"),
+        ("TXhat_in_Aq_dual", glq, aqd, ("phi", "y"), 0, T_NAMES, dual_rels,
+         "(48)"),
+        ("ThatX_in_Aq_dual", ahat, aq, ("x", "theta"), 1, DT_NAMES, dual_rels,
+         "(49)"),
+        ("ThatXhat_in_Aq", ahat, aqd, ("phi", "y"), 1, DT_NAMES, plane_rels,
+         "(49)"),
     ]
     for name, mat_p, plane_p, coords, shift, mat_names, rels, eqtag in cases:
         combined = graded_product(mat_p, plane_p, f"{mat_p.name}_{plane_p.name}")
-        M = [[combined.el(g) for g in row] for row in mat_names]
-        X = SuperVector([combined.el(c) for c in coords],
-                        tuple(combined.parity_of[c] for c in coords))
-        img = apply_matrix(M, X, shift=shift).validate_parities(combined)
-        for rel_name, e in rels(img.entries[0], img.entries[1], combined):
+        M = name_matrix(combined, mat_names, shift)
+        # the point is a one-column supermatrix: its rows have parities
+        # (0, 1), so its column has the parity of its first coordinate
+        X = SuperMatrix([[combined.el(c)] for c in coords], (0, 1),
+                        (combined.parity_of[coords[0]],))
+        img = (M @ X).validate_parities(combined)
+        for rel_name, e in rels(img.entries[0][0], img.entries[1][0]):
             def fn(e=e, combined=combined):
                 r = normalize(e, combined)
                 return None if r.is_zero() else format_element(r, combined)

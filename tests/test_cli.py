@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -170,3 +172,25 @@ def test_cli_malformed_q_exit_two(capsys, q):
     assert main(["verify", "--suite", "forms", "--q", q]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "--q must be an exact rational" in err
+
+
+# sha256 of the report of `verify --suite all`, every check's as_dict()
+# without duration_ms: a refactor that keeps these keeps every check id,
+# status, residual text and description
+_REPORT_SHA256 = {
+    None: "23b4ce98384db096cfedf1f7d3c6756d820f2a526535e9326a6657a8f06fe96d",
+    2: "44311e3f4a56905b724f7bbbe9bc06e3b540f0f3282197988bf119924880025c",
+    Fraction(3, 2): "9e181a2c67edfbc570d287444f43c2b58bcb424f6292fade95b79f4b0ab5a8ad",
+}
+
+
+@pytest.mark.parametrize("q0", list(_REPORT_SHA256), ids=["symbolic", "q2", "q3_2"])
+def test_full_report_is_pinned(q0):
+    rows = []
+    for c in run_suite("all", q0).checks:
+        row = c.as_dict()
+        del row["duration_ms"]
+        rows.append(row)
+    assert len(rows) == 552
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _REPORT_SHA256[q0]

@@ -1,5 +1,9 @@
-from qdc.kernel import check_local_confluence, normalize
+import random
+
+from qdc.catalog import get_catalog
+from qdc.kernel import Element, check_local_confluence, graded_commutator, normalize
 from qdc.liealg import (
+    _BRACKET_PATTERNS,
     classical_limit_checks,
     super_only,
     verify_cross_relations_consistency,
@@ -7,6 +11,7 @@ from qdc.liealg import (
     verify_xy_basis,
 )
 from qdc.parser import parse_expression
+from qdc.ring import LaurentScalar, _exact
 
 
 def test_nilpotent_conjugation(cat):
@@ -116,9 +121,29 @@ def test_classical_limit(cat):
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
 
-def test_deformation_terms_vanish_at_q1():
-    from qdc.catalog import get_catalog
+def test_classical_limit_commutes_with_normalize(cat):
+    # q = 1 applied to a symbolic normal form gives the normal form in a
+    # catalog built at q = 1, which classical_limit_checks relies on
+    la = cat.presentation("LieAlg")
+    la1 = get_catalog(q0=1).presentation("LieAlg")
 
+    def at_one(e):
+        return Element({w: _exact(c.eval_at(1)) for w, c in e.terms.items()})
+
+    for x, y in _BRACKET_PATTERNS:
+        got = graded_commutator(la.el(x), la.el(y), la)
+        assert at_one(got) == graded_commutator(la1.el(x), la1.el(y), la1), (x, y)
+    rng = random.Random(20261018)
+    names = [g.name for g in la.generators]
+    for _ in range(60):
+        word = tuple(rng.choice(names) for _ in range(rng.randint(1, 5)))
+        coeff = LaurentScalar({rng.randint(-2, 2): rng.randint(1, 5)})
+        e = la.word(word, coeff)
+        want = normalize(la1.word(word, _exact(coeff.eval_at(1))), la1)
+        assert at_one(normalize(e, la)) == want, word
+
+
+def test_deformation_terms_vanish_at_q1():
     la1 = get_catalog(q0=1).presentation("LieAlg")
     # the bracket corrections proportional to q^2 - 1 disappear
     r = la1.rule_by_pair[("nabla_p", "T1")]

@@ -1,10 +1,13 @@
+import dataclasses
 import random
 
 import pytest
 
+from qdc.catalog import Catalog
 from qdc.errors import QdcError
 from qdc.kernel import Element
 from qdc.linalg import elements_to_rows, rank, row_space_equal, span_contains
+from qdc.parser import parse_ast
 from qdc.ring import ONE, ZERO, LaurentScalar, lint, qp
 from qdc.rmatrix import (
     SuperMatrix,
@@ -124,14 +127,34 @@ def test_rtt_families_pass(cat):
 
 
 def test_rtt53_span_contains_coordinate_relation(cat):
-    from qdc.rmatrix import _degree2_basis, _entry_elements
+    from qdc.rmatrix import _degree2_basis, _entries, _free
 
-    p, entries = _entry_elements("53", cat, reduce_=False)
+    entries = _entries("53", _free(cat.presentation("A_glq11")), cat)
     rel = W(("a", "beta")) - W(("beta", "a"), qp(1))
     basis = _degree2_basis(entries + [rel])
     rows = elements_to_rows(entries, basis, ZERO)
     vec = elements_to_rows([rel], basis, ZERO)[0]
     assert span_contains(rows, vec)
+
+
+@pytest.mark.parametrize("eq, family, name, rhs", [
+    ("56", "T_forms", "a_w1", "q*w1*a"),
+    ("53", "relations_2", "a_beta", "q^2*beta*a"),
+])
+def test_rtt_spanning_negative_control(eq, family, name, rhs):
+    # a perturbed transcription of one family member changes the family's
+    # degree-2 span, and so fails spanning, while membership still holds
+    fresh = Catalog()
+    p, _ = fresh.find_family(family)
+    p.identities = [
+        dataclasses.replace(i, rhs_ast=parse_ast(rhs)) if i.name == name else i
+        for i in p.identities
+    ]
+    checks = {c.id: c for c in verify_rtt_family(eq, fresh)}
+    span = checks.pop(f"rtt{eq}.spanning")
+    assert (span.status, span.residual) == ("fail", "degree-2 spans differ")
+    assert len(checks) == 16
+    assert all(c.passed for c in checks.values())
 
 
 def test_rtt_unknown_tag(cat):
