@@ -7,7 +7,8 @@ to residuals in the localized differential algebra and report exact zeros.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from weakref import WeakKeyDictionary
 
 from .catalog import get_catalog
 from .errors import QdcError, UnknownFamilyError
@@ -617,10 +618,19 @@ def _is_cancellation(rule, inverses, one):
     return pair and rule.replacement == Element.unit(one)
 
 
+# catalog -> {rule: CheckResult}: the inverse and central suites both report
+# the clearing checks of the rules that involve Dgamma_inv
+_localized_results = WeakKeyDictionary()
+
+
 def localized_rule_checks(cat=None, only_dgamma=False):
+    """The clearing check of every localized rule that involves an inverse,
+    or only of those involving Dgamma_inv.  Each check runs once per catalog;
+    every call returns fresh copies of the results."""
     cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
     inverses = _inverse_names(loc)
+    done = _localized_results.setdefault(cat, {})
     out = []
     for r in loc.rules:
         involved = {g for g in r.pattern if g in inverses}
@@ -629,12 +639,14 @@ def localized_rule_checks(cat=None, only_dgamma=False):
             continue
         if only_dgamma and "Dgamma_inv" not in involved:
             continue
+        check = done.get(r)
+        if check is None:
+            def fn(r=r):
+                ok, why = verify_localized_rule(r, cat)
+                return None if ok else why
 
-        def fn(r=r):
-            ok, why = verify_localized_rule(r, cat)
-            return None if ok else why
-
-        out.append(timed_check(
-            f"localized.{'_'.join(r.pattern)}",
-            f"clearing check for {'*'.join(r.pattern)} -> ...", r.eq, fn))
+            check = done[r] = timed_check(
+                f"localized.{'_'.join(r.pattern)}",
+                f"clearing check for {'*'.join(r.pattern)} -> ...", r.eq, fn)
+        out.append(replace(check))
     return out

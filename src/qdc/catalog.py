@@ -158,10 +158,10 @@ class Catalog:
     catalog's scalars are LaurentScalars; a shadow catalog's are plain
     rationals, an int when the denominator is 1 and a Fraction otherwise,
     from the rules to every element the suites build (scalar_one = 1).
-    That makes the shadow the cheaper run: the benchmark's verdict of
-    `verify --suite all` is about 0.33 s at q0 = 2 against 0.36 s symbolic,
-    where a shadow of one-term constant LaurentScalars took 0.53 s (see the
-    README for the machine).
+    The benchmark's verdict of `verify --suite all` is about 0.32 s at
+    q0 = 2, where a shadow of one-term constant LaurentScalars took 0.53 s;
+    the symbolic run, whose interned scalars memoise their arithmetic, takes
+    about 0.21 s (see the README for the machine).
     """
 
     def __init__(self, q0=None):

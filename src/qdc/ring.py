@@ -9,6 +9,17 @@ hash alike, so the choice never shows in equality, hashing or printing.  All
 identity checking in this package bottoms out in equality of these scalars,
 so they are exact: no floats anywhere.
 
+Scalars are interned (hash-consed): every construction and every arithmetic
+result goes through one table keyed by the sorted coefficient tuple, so
+equal polynomials are one object and == is identity.  The hash is the
+content hash of that tuple, computed once at interning, so no output can
+depend on object addresses.  Each scalar memoises its negative and the sums
+and products whose left operand it is, keyed by the right one: a verify run
+meets a few hundred distinct scalars and multiplies them tens of thousands
+of times, and a repeated operation is a dictionary hit that returns the
+exact result computed the first time.  The intern table and the memos live
+as long as the process, like the normal-form memo of a Presentation.
+
 The symbolic catalog's scalars are LaurentScalars.  The numeric shadow
 catalog (catalog.Catalog(q0)) substitutes q0 for q once, when it loads, and
 from then on its scalars are the plain values, an int or a Fraction as
@@ -25,24 +36,27 @@ from .errors import QdcError
 
 
 class LaurentScalar:
-    """Immutable sparse Laurent polynomial in q over the rationals.
+    """Immutable sparse Laurent polynomial in q over the rationals, interned.
 
     The zero polynomial is the empty map; stored coefficients are never zero,
-    which makes structural equality of the maps the same thing as equality in
-    the ring.
+    so equal polynomials have equal sorted coefficient tuples, and that tuple
+    is the intern key: equal scalars are one object, and == is identity.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_content_hash", "_sums", "_products", "_negative")
 
-    def __init__(self, coeffs=None):
+    def __new__(cls, coeffs=None):
         data = {}
         if coeffs:
             for exp, c in coeffs.items():
                 c = _exact(c)
                 if c:
                     data[int(exp)] = c
-        object.__setattr__(self, "coeffs", data)
-        object.__setattr__(self, "_hash", None)
+        return _wrap(data)
+
+    def __reduce__(self):
+        # copy, deepcopy and unpickling go through the intern table
+        return LaurentScalar, (self.coeffs,)
 
     # -- constructors ------------------------------------------------------
 
@@ -78,52 +92,37 @@ class LaurentScalar:
         return LaurentScalar({-k: Fraction(1) / r})
 
     # -- arithmetic --------------------------------------------------------
+    # A sum or product is memoised on the left operand, keyed by the right
+    # one, and a negative on both scalars; the class test comes first, so a
+    # foreign operand is never hashed.
 
     def __add__(self, other):
-        if not isinstance(other, LaurentScalar):
+        if other.__class__ is not LaurentScalar:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, _F0) + c
-            if s:
-                out[k] = s if s.__class__ is int else _exact(s)
-            else:
-                out.pop(k, None)
-        return _wrap(out)
+        s = self._sums.get(other)
+        if s is None:
+            s = self._sums[other] = _wrap(_sum(self.coeffs, other.coeffs))
+        return s
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentScalar):
+        if other.__class__ is not LaurentScalar:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, _F0) - c
-            if s:
-                out[k] = s if s.__class__ is int else _exact(s)
-            else:
-                out.pop(k, None)
-        return _wrap(out)
+        return self + (-other)
 
     def __neg__(self):
-        return _wrap({k: -c for k, c in self.coeffs.items()})
+        n = self._negative
+        if n is None:
+            n = self._negative = _wrap({k: -c for k, c in self.coeffs.items()})
+            n._negative = self
+        return n
 
     def __mul__(self, other):
-        if not isinstance(other, LaurentScalar):
+        if other.__class__ is not LaurentScalar:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                s = out.get(k, _F0) + c1 * c2
-                if s:
-                    out[k] = s if s.__class__ is int else _exact(s)
-                else:
-                    out.pop(k, None)
-        return _wrap(out)
+        s = self._products.get(other)
+        if s is None:
+            s = self._products[other] = _wrap(_product(self.coeffs, other.coeffs))
+        return s
 
     # -- evaluation --------------------------------------------------------
 
@@ -137,19 +136,10 @@ class LaurentScalar:
             total += c * q0**k
         return total
 
-    # -- comparison / hashing ----------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentScalar):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    # -- hashing -----------------------------------------------------------
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(tuple(sorted(self.coeffs.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._content_hash
 
     # -- printing ----------------------------------------------------------
 
@@ -201,13 +191,48 @@ def _exact(c):
     raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
 
 
+def _sum(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, _F0) + c
+        if s:
+            out[k] = s if s.__class__ is int else _exact(s)
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _product(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            s = out.get(k, _F0) + c1 * c2
+            if s:
+                out[k] = s if s.__class__ is int else _exact(s)
+            else:
+                out.pop(k, None)
+    return out
+
+
 def _wrap(data):
-    s = LaurentScalar.__new__(LaurentScalar)
-    object.__setattr__(s, "coeffs", data)
-    object.__setattr__(s, "_hash", None)
+    """The interned scalar of a canonical {exponent: nonzero int or Fraction}."""
+    key = tuple(sorted(data.items()))
+    s = _interned.get(key)
+    if s is None:
+        s = object.__new__(LaurentScalar)
+        s.coeffs = data
+        s._content_hash = hash(key)
+        s._sums = {}
+        s._products = {}
+        s._negative = None
+        s = _interned.setdefault(key, s)  # one object, even if threads race here
     return s
 
 
+_interned = {}
 _F0 = 0
 
 ZERO = LaurentScalar()

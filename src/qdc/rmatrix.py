@@ -243,6 +243,14 @@ def _entries(eq, p, cat):
     return [e for row in diff.entries for e in row]
 
 
+def _zero_check(check_id, description, paper_eq, e, p):
+    """The check that e normalizes to 0 in p; its residual is the normal form."""
+    def fn():
+        r = normalize(e, p)
+        return None if r.is_zero() else format_element(r, p)
+    return timed_check(check_id, description, paper_eq, fn)
+
+
 def _free(p):
     """p without rules, and with the one-form composites it defines as
     letters of their own parity."""
@@ -268,14 +276,11 @@ def verify_rtt_family(eq, cat=None):
     p = cat.presentation(pname)
     out = []
     for k, e in enumerate(_entries(eq, p, cat)):
-        def fn(e=e):
-            r = normalize(e, p)
-            return None if r.is_zero() else format_element(r, p)
         i, j = divmod(k, 4)
-        out.append(timed_check(
+        out.append(_zero_check(
             f"rtt{eq}.entry_{i+1}_{j+1}",
             f"matrix relation entry ({i+1},{j+1}) reduces to zero",
-            f"({eq})", fn))
+            f"({eq})", e, p))
 
     def fn_span():
         free = _free(p)
@@ -300,6 +305,13 @@ def verify_rtt_family(eq, cat=None):
 
 
 # -- superplane covariance ----------------------------------------------------------
+
+
+def _point(p, coords, shift=0):
+    """A plane point of p as a one-column supermatrix with row parities
+    (0, 1); the column parity is what its first coordinate then needs."""
+    col = (p.parity_of[coords[0]] + shift) % 2
+    return SuperMatrix([[p.el(c)] for c in coords], (0, 1), (col,), shift)
 
 
 def verify_plane_covariance(cat=None):
@@ -340,63 +352,31 @@ def verify_plane_covariance(cat=None):
     for name, mat_p, plane_p, coords, shift, mat_names, rels, eqtag in cases:
         combined = graded_product(mat_p, plane_p, f"{mat_p.name}_{plane_p.name}")
         M = name_matrix(combined, mat_names, shift)
-        # the point is a one-column supermatrix: its rows have parities
-        # (0, 1), so its column has the parity of its first coordinate
-        X = SuperMatrix([[combined.el(c)] for c in coords], (0, 1),
-                        (combined.parity_of[coords[0]],))
-        img = (M @ X).validate_parities(combined)
+        img = (M @ _point(combined, coords)).validate_parities(combined)
         for rel_name, e in rels(img.entries[0][0], img.entries[1][0]):
-            def fn(e=e, combined=combined):
-                r = normalize(e, combined)
-                return None if r.is_zero() else format_element(r, combined)
-            out.append(timed_check(f"plane.{name}.{rel_name}",
+            out.append(_zero_check(f"plane.{name}.{rel_name}",
                                    f"{name}: transformed point satisfies "
-                                   f"{rel_name}", eqtag, fn))
+                                   f"{rel_name}", eqtag, e, combined))
 
-    # the plane relations in R-matrix form: X (x) X = q^-1 R (X (x) X)
+    # the plane relations in R-matrix form (50): X (x) X = q^-1 R (X (x) X)
     R = r_hat(cat)
-    X = [aq.el("x"), aq.el("theta")]
-    XX = [X[0] * X[0], X[0] * X[1], X[1] * X[0], X[1] * X[1]]
-    for i in range(4):
-        rhs = Element.zero()
-        for j in range(4):
-            c = R.entries[i][j]
-            if c:
-                rhs = rhs + c * XX[j]
-
-        def fn(i=i, rhs=rhs):
-            res = normalize(XX[i] - rhs.scaled(sc(qp(-1))), aq)
-            return None if res.is_zero() else format_element(res, aq)
-
-        out.append(timed_check(f"plane.rmatrix_form.component_{i+1}",
+    XX = graded_kron(_point(aq, ("x", "theta")), _point(aq, ("x", "theta")))
+    diff = XX - (R @ XX).scaled(sc(qp(-1)))
+    for i, (e,) in enumerate(diff.entries):
+        out.append(_zero_check(f"plane.rmatrix_form.component_{i+1}",
                                "plane relations written through the R-matrix",
-                               "(50)", fn))
+                               "(50)", e, aq))
 
-    # mixed coordinate/differential components
+    # the mixed coordinate/differential components (52):
+    # (-1)^p(i) x_i dx_j = q R (dX (x) X), component 2i + j
     pd = cat.presentation("Planes_diff")
-    Xp = [pd.el("x"), pd.el("theta")]
-    Xh = [pd.el("Dx"), pd.el("Dtheta")]
-    parities = (0, 1)
-    for i in range(2):
-        for j in range(2):
-            comp = 2 * i + j
-            lhs = Xp[i] * Xh[j]
-            if parities[i]:
-                lhs = -lhs
-            rhs = Element.zero()
-            for k in range(2):
-                for l in range(2):
-                    c = R.entries[comp][2 * k + l]
-                    if c:
-                        rhs = rhs + (c * Xh[k] * Xp[l]).scaled(sc(qp(1)))
-
-            def fn(lhs=lhs, rhs=rhs):
-                res = normalize(lhs - rhs, pd)
-                return None if res.is_zero() else format_element(res, pd)
-
-            out.append(timed_check(
-                f"plane.mixed.component_{comp+1}",
-                "mixed coordinate-differential component", "(52)", fn))
+    X, dX = _point(pd, ("x", "theta")), _point(pd, ("Dx", "Dtheta"), shift=1)
+    diff = (graded_kron(X.signed(include_shift=False), dX)
+            - (R @ graded_kron(dX, X)).scaled(sc(qp(1))))
+    for i, (e,) in enumerate(diff.entries):
+        out.append(_zero_check(f"plane.mixed.component_{i+1}",
+                               "mixed coordinate-differential component",
+                               "(52)", e, pd))
     return out
 
 

@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from qdc.ring import LaurentScalar, ONE, ZERO, Q, QINV, qp, lint, lfrac
+from qdc.kernel import Element
+from qdc.ring import LaurentScalar, ONE, ZERO, Q, QINV, qp, lint, lfrac, _product, _sum
 
 # independent oracle: evaluate both sides of a claimed scalar identity at
 # enough rational points; the degrees here are tiny, so five points decide
@@ -136,6 +139,7 @@ def test_mixed_coefficient_types_compare_and_hash_alike():
     assert hash(mixed) == hash(twin)
     assert str(mixed) == str(twin) == "3*q^2 + 1/2 - 4*q^-1"
     assert len({mixed, twin}) == 1
+    assert mixed is twin
 
 
 def test_float_coefficient_rejected():
@@ -143,3 +147,73 @@ def test_float_coefficient_rejected():
         LaurentScalar({0: 0.5})
     with pytest.raises(TypeError):
         LaurentScalar.from_fraction(0.5)
+
+
+# -- interning ------------------------------------------------------------------
+
+
+def _random_scalars(seed, n):
+    rng = random.Random(seed)
+    return [
+        LaurentScalar({
+            rng.randint(-4, 4): Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+            for _ in range(rng.randint(0, 4))
+        })
+        for _ in range(n)
+    ]
+
+
+def test_equal_scalars_are_one_object():
+    assert LaurentScalar({0: Fraction(2)}) is lint(2)
+    assert LaurentScalar({0: 2, 3: 0}) is lint(2)
+    assert LaurentScalar() is ZERO and LaurentScalar({1: 0}) is ZERO
+    assert lfrac(4, 2) is lint(2) and qp(1) is Q and qp(-1) is QINV
+    assert lint(2).unit_inverse() is lfrac(1, 2)
+    assert (Q - QINV) * (Q - QINV) is qp(2) - lint(2) + qp(-2)
+
+
+def test_arithmetic_results_are_interned_and_exact():
+    xs = _random_scalars(2718, 40)
+    rng = random.Random(31)
+    for _ in range(300):
+        a, b = rng.choice(xs), rng.choice(xs)
+        assert a * b is b * a
+        assert a + b is b + a
+        assert (a + b) - b is a
+        assert -(-a) is a
+        # a memoised result is the product computed afresh
+        assert (a * b).coeffs == _product(a.coeffs, b.coeffs)
+        assert (a + b).coeffs == _sum(a.coeffs, b.coeffs)
+        assert (a * b) is LaurentScalar(_product(b.coeffs, a.coeffs))
+
+
+def test_copy_and_pickle_return_the_interned_object():
+    for s in _random_scalars(5, 20) + [ZERO, ONE, lfrac(-7, 3) * qp(5)]:
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert copy.deepcopy([s, {s: s}])[0] is s
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(s, proto)) is s
+
+
+def test_hash_is_the_content_hash():
+    for s in _random_scalars(77, 30) + [ZERO, ONE, Q, QINV]:
+        assert hash(s) == hash(tuple(sorted(s.coeffs.items())))
+
+
+class _Unhashable:
+    def __hash__(self):
+        raise AssertionError("a scalar operator hashed a foreign operand")
+
+
+def test_foreign_operands_are_not_hashed():
+    e = Element.word(("a",))
+    for op in ("__add__", "__sub__", "__mul__"):
+        assert getattr(ONE, op)(_Unhashable()) is NotImplemented
+        assert getattr(ONE, op)(e) is NotImplemented
+    # Element has no reflected operator: a scalar times an Element is an
+    # error, as it was before interning, and Element.scaled is the way
+    with pytest.raises(TypeError):
+        ONE * e
+    assert e.scaled(ONE) == e
+    assert e.scaled(lint(3)) == Element.word(("a",), lint(3))
