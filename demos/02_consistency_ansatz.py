@@ -6,9 +6,12 @@ On the two-generator block (a, beta) one posits
     b  da = F21 da b + F22 db a
     b  db = B db b
 and asks for the exterior differential to be consistent with a*beta = q*beta*a
-and beta^2 = 0.  Reducing the consistency conditions with fully symbolic
-coefficients yields linear and quadratic constraints; the branch F22 = 0 with
-A = q^2 reproduces the mixed relations used everywhere else in the package.
+and beta^2 = 0.  The six unknowns are generators that commute with every
+other one, so reducing the consistency conditions leaves, for each word of
+the block, a polynomial in them that must vanish: three linear and two
+quadratic constraints, each printed scaled so its last term has coefficient
+1.  The branch F22 = 0 with A = q^2 reproduces the mixed relations used
+everywhere else in the package.
 
 Run:  python demos/02_consistency_ansatz.py
 """
@@ -20,16 +23,17 @@ from qdc.calculus import (
     paper_branch,
     solve_ansatz,
 )
+from qdc.kernel import format_element
 from qdc.ring import ONE, ZERO, qp
 
 rep = solve_ansatz()
 
 print("linear constraints (each must vanish):")
-for p in rep.linear:
-    print("   ", p)
+for c in rep.linear:
+    print("   ", format_element(c, rep.presentation))
 print("quadratic constraints:")
-for p in rep.quadratic:
-    print("   ", p)
+for c in rep.quadratic:
+    print("   ", format_element(c, rep.presentation))
 
 print("\nselected branch:", rep.selected)
 z = paper_branch()

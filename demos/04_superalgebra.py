@@ -43,7 +43,7 @@ print(f"X/Y-basis relations: {sum(c.passed for c in checks)}/{len(checks)}")
 brackets = super_only(cat)
 e = parse_expression(
     "nabla_p*nabla_m + q^2*nabla_m*nabla_p - q^2*X - 1/2*(1 - q^2)*(X*X - X*Y)",
-    la, resolve=lambda n: la.defined.get(n))
+    la)
 print("quadratic X/Y relation residual:",
       format_element(normalize(e, brackets), brackets))
 

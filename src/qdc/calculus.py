@@ -15,16 +15,15 @@ from .errors import QdcError, UnknownFamilyError
 from .kernel import (
     DerivationSpec,
     Element,
+    Generator,
     Presentation,
     RewriteRule,
-    _accumulate,
-    _one_step,
-    _redexes,
     apply_derivation,
+    branches,
     format_element,
     normalize,
 )
-from .parser import print_ast
+from .parser import parse_expression, print_ast
 from .report import timed_check
 from .ring import ONE, ZERO, LaurentScalar, qp
 from .rmatrix import W_NAMES, name_matrix
@@ -115,94 +114,6 @@ def d_on_relations_checks(cat=None):
 
 # -- the consistency ansatz ---------------------------------------------------
 
-_VARS = ("A", "B", "F11", "F12", "F21", "F22")
-_ZEROS = (0, 0, 0, 0, 0, 0)
-
-
-class CoeffPoly:
-    """Polynomial in the six ansatz unknowns with Laurent-scalar coefficients.
-
-    Small and special-purpose: just enough ring structure for the rewriting
-    engine to reduce the consistency conditions with symbolic coefficients.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    data[mono] = c
-        self.terms = data
-
-    @classmethod
-    def const(cls, scalar):
-        return cls({_ZEROS: scalar})
-
-    @classmethod
-    def var(cls, name):
-        mono = tuple(1 if v == name else 0 for v in _VARS)
-        return cls({mono: ONE})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _accumulate(out, other.terms)
-        return CoeffPoly(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CoeffPoly({m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            _accumulate(out, {tuple(x + y for x, y in zip(m1, m2)): c2
-                              for m2, c2 in other.terms.items()}, c1)
-        return CoeffPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, CoeffPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def unit_scaled(self):
-        """Scaled so the lexicographically largest monomial has coefficient 1,
-        when that coefficient is a unit; used to compare constraints up to
-        an invertible factor."""
-        if not self.terms:
-            return self
-        lead = max(self.terms)
-        c = self.terms[lead]
-        if not c.is_unit():
-            return self
-        inv = c.unit_inverse()
-        return CoeffPoly({m: inv * cc for m, cc in self.terms.items()})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            names = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(_VARS, mono) if e
-            )
-            cs = str(c)
-            if " " in cs:
-                cs = f"({cs})"
-            bits.append(f"{cs}*{names}" if names else cs)
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
 
 @dataclass(frozen=True)
 class Ansatz:
@@ -232,94 +143,84 @@ def alternative_branch(A):
                   F21=-qp(-1), F22=ONE - A)
 
 
-_AB_GENS = ("Da", "Dbeta", "a", "beta")
-_AB_PARITY = {"Da": 1, "Dbeta": 0, "a": 0, "beta": 1}
+_UNKNOWNS = ("A", "B", "F11", "F12", "F21", "F22")
+_AB_GENS = (("Da", 1), ("Dbeta", 0), ("a", 0), ("beta", 1))
 
 
-def _ansatz_presentation(coeffs, const):
-    """Differentials-first presentation of the a-beta block; `coeffs` maps the
-    six unknown names to scalar-like values and `const` lifts a LaurentScalar
-    into the same scalar type."""
-    from .kernel import Generator
-
-    gens = [Generator(g, _AB_PARITY[g]) for g in _AB_GENS]
+def _ansatz_presentation(coeffs):
+    """The a-beta block, differentials first, after the six unknowns: even
+    generators that commute with every other one, so they lead every normal
+    word.  `coeffs` maps each unknown's name to the Element that stands in
+    its rules, a scalar or the unknown's own letter; a rule whose
+    replacement holds a letter grows the degree and is marked localized."""
+    gens = [Generator(u, 0) for u in _UNKNOWNS]
+    gens += [Generator(g, parity) for g, parity in _AB_GENS]
     E = Element.word
 
-    def el(*pairs):
-        acc = Element.zero()
-        for coeff, word in pairs:
-            acc = acc + E(word, coeff)
-        return acc
+    def rule(pattern, *terms):
+        repl = Element.zero()
+        for coeff, word in terms:
+            repl = repl + coeff * E(word)
+        return RewriteRule(pattern, repl,
+                           localized=any(len(w) > 2 for w in repl.terms))
 
+    c = coeffs
     rules = [
-        RewriteRule(("a", "Da"), el((coeffs["A"], ("Da", "a")))),
-        RewriteRule(("a", "Dbeta"), el((coeffs["F11"], ("Dbeta", "a")),
-                                       (coeffs["F12"], ("Da", "beta")))),
-        RewriteRule(("beta", "Da"), el((coeffs["F21"], ("Da", "beta")),
-                                       (coeffs["F22"], ("Dbeta", "a")))),
-        RewriteRule(("beta", "Dbeta"), el((coeffs["B"], ("Dbeta", "beta")))),
-        RewriteRule(("beta", "a"), el((const(qp(-1)), ("a", "beta")))),
-        RewriteRule(("beta", "beta"), Element.zero()),
-        RewriteRule(("Dbeta", "Da"), el((const(qp(1)), ("Da", "Dbeta")))),
-        RewriteRule(("Da", "Da"), Element.zero()),
+        rule(("a", "Da"), (c["A"], ("Da", "a"))),
+        rule(("a", "Dbeta"), (c["F11"], ("Dbeta", "a")), (c["F12"], ("Da", "beta"))),
+        rule(("beta", "Da"), (c["F21"], ("Da", "beta")), (c["F22"], ("Dbeta", "a"))),
+        rule(("beta", "Dbeta"), (c["B"], ("Dbeta", "beta"))),
+        rule(("beta", "a"), (Element.unit(qp(-1)), ("a", "beta"))),
+        rule(("beta", "beta")),
+        rule(("Dbeta", "Da"), (Element.unit(qp(1)), ("Da", "Dbeta"))),
+        rule(("Da", "Da")),
     ]
-    return Presentation("Omega_ab", gens, rules, scalar_one=const(ONE))
+    names = [g.name for g in gens]
+    rules += [RewriteRule((y, x), E((x, y)))
+              for i, x in enumerate(_UNKNOWNS) for y in names[i + 1:]]
+    return Presentation("Omega_ab", gens, rules)
 
 
-def _ab_conditions(const):
-    """The four consistency conditions over the a-beta block: d applied to
-    both defining relations (as elements), and the two products of the
-    relation with a differential (as overlap words whose two first reductions
-    must agree; a single deterministic reduction collapses them trivially)."""
-    E = Element.word
-    one = const(ONE)
-    q = const(qp(1))
-    d_rel = (E(("Da", "beta"), one) + E(("a", "Dbeta"), one)
-             - E(("Dbeta", "a"), q) + E(("beta", "Da"), q))
-    d_beta_sq = E(("Dbeta", "beta"), one) - E(("beta", "Dbeta"), one)
-    return [
-        ("d_of_relation", "element", d_rel),
-        ("d_of_beta_sq", "element", d_beta_sq),
-        ("ideal_times_Da", "overlap", ("beta", "a", "Da")),
-        ("ideal_times_Dbeta", "overlap", ("beta", "a", "Dbeta")),
-    ]
-
-
-def _condition_residual(kind, payload, p):
-    if kind == "element":
-        return normalize(payload, p)
-    word = payload
-    redexes = _redexes(word, p)
-    if len(redexes) < 2:
-        raise QdcError(f"overlap condition on {word} has fewer than two redexes")
-    i0, r0 = redexes[0]
-    first = normalize(_one_step(word, i0, r0), p)
-    residual = Element.zero()
-    for i, r in redexes[1:]:
-        residual = residual + (normalize(_one_step(word, i, r), p) - first)
-    return residual
+def _consistency_residuals(coeffs):
+    """The ansatz presentation at `coeffs` and the residuals of the four
+    consistency conditions over the a-beta block: d applied to both defining
+    relations, reduced, and for the two products of the relation with a
+    differential, the difference of the word's two first reductions (a
+    single deterministic reduction would collapse them trivially)."""
+    p = _ansatz_presentation(coeffs)
+    out = [normalize(parse_expression(text, p), p)
+           for text in ("Da*beta + a*Dbeta - q*Dbeta*a + q*beta*Da",
+                        "Dbeta*beta - beta*Dbeta")]
+    for word in (("beta", "a", "Da"), ("beta", "a", "Dbeta")):
+        first, second = branches(word, p)
+        out.append(second - first)
+    return p, out
 
 
 def ansatz_residuals(z):
     """Residuals of the four consistency conditions at concrete coefficients;
     all zero exactly when the candidate rules define a consistent calculus."""
-    coeffs = z.as_dict()
-    p = _ansatz_presentation(coeffs, lambda s: s)
-    return [_condition_residual(kind, payload, p)
-            for _, kind, payload in _ab_conditions(lambda s: s)]
+    coeffs = {u: Element.unit(c) for u, c in z.as_dict().items()}
+    return _consistency_residuals(coeffs)[1]
+
+
+def _monic(e, p):
+    """e scaled so that its last word in the term order has coefficient 1,
+    when that coefficient is a unit: constraints that differ by a unit
+    factor become equal."""
+    lead = e.terms[max(e.terms, key=p.word_key)]
+    return e.scaled(lead.unit_inverse()) if lead.is_unit() else e
 
 
 @dataclass
 class SolveReport:
     linear: list
     quadratic: list
+    presentation: Presentation  # the constraints' words are its unknowns
     branch_f22_zero: Ansatz
     branch_alternative: Ansatz
     free_parameters: dict
     selected: str
-
-    def constraints(self):
-        return list(self.linear) + list(self.quadratic)
 
 
 EXPECTED_LINEAR = ("F11 + q*F22 - q", "F12 + q*F21 + 1", "B - 1")
@@ -327,23 +228,28 @@ EXPECTED_QUADRATIC = ("F12*F22", "F11*F22 - q*A*F22")
 
 
 def solve_ansatz():
-    """Reduce the consistency conditions with fully symbolic coefficients and
-    read off the constraint polynomials and the two solution branches."""
-    coeffs = {v: CoeffPoly.var(v) for v in _VARS}
-    const = CoeffPoly.const
-    p = _ansatz_presentation(coeffs, const)
+    """Reduce the consistency conditions with the unknowns as generators and
+    read off the constraint polynomials and the two solution branches.
+
+    A residual's normal words are a product of unknowns times a word of the
+    block; the constraint of block word w is the sum of the residual's terms
+    ending in w, with w dropped, kept once up to a unit factor."""
+    p, residuals = _consistency_residuals({u: Element.word((u,)) for u in _UNKNOWNS})
     linear, quadratic = [], []
-    for name, kind, payload in _ab_conditions(const):
-        res = _condition_residual(kind, payload, p)
-        for word, poly in res.terms.items():
-            poly = poly.unit_scaled()
-            degree = max(sum(m) for m in poly.terms)
-            bucket = linear if degree <= 1 else quadratic
-            if poly not in bucket:
-                bucket.append(poly)
-    report = SolveReport(
+    for res in residuals:
+        by_block = {}
+        for word, c in res.terms.items():
+            k = sum(g in _UNKNOWNS for g in word)
+            by_block.setdefault(word[k:], {})[word[:k]] = c
+        for terms in by_block.values():
+            constraint = _monic(Element(terms), p)
+            bucket = linear if max(map(len, terms)) <= 1 else quadratic
+            if constraint not in bucket:
+                bucket.append(constraint)
+    return SolveReport(
         linear=linear,
         quadratic=quadratic,
+        presentation=p,
         branch_f22_zero=paper_branch(),
         branch_alternative=alternative_branch(qp(2)),
         free_parameters={
@@ -353,7 +259,6 @@ def solve_ansatz():
         },
         selected="F22 = 0 with A = q^2",
     )
-    return report
 
 
 def ansatz_checks(cat=None):
@@ -362,34 +267,23 @@ def ansatz_checks(cat=None):
     cat = cat or get_catalog()
     out = []
     rep = solve_ansatz()
+    p = rep.presentation
 
     def match(expected_texts, got):
-        missing = []
-        want = [_expected_poly(t) for t in expected_texts]
-        for w, t in zip(want, expected_texts):
-            if w not in got:
-                missing.append(t)
-        extra = len(got) - len([w for w in want if w in got])
-        return missing, extra
-
-    def fn_linear():
-        missing, extra = match(EXPECTED_LINEAR, rep.linear)
+        want = [_monic(normalize(parse_expression(t, p), p), p) for t in expected_texts]
+        missing = [t for w, t in zip(want, expected_texts) if w not in got]
+        extra = len(got) - (len(want) - len(missing))
         if missing or extra:
-            return f"missing {missing}, {extra} unexpected of {[str(p) for p in rep.linear]}"
-        return None
-
-    def fn_quadratic():
-        missing, extra = match(EXPECTED_QUADRATIC, rep.quadratic)
-        if missing or extra:
-            return f"missing {missing}, {extra} unexpected of {[str(p) for p in rep.quadratic]}"
+            return (f"missing {missing}, {extra} unexpected of "
+                    f"{[format_element(c, p) for c in got]}")
         return None
 
     out.append(timed_check("ansatz.linear_constraints",
                            "linear consistency conditions as stated", "(22)",
-                           fn_linear))
+                           lambda: match(EXPECTED_LINEAR, rep.linear)))
     out.append(timed_check("ansatz.quadratic_constraints",
                            "quadratic consistency conditions as stated", "(23)",
-                           fn_quadratic))
+                           lambda: match(EXPECTED_QUADRATIC, rep.quadratic)))
 
     omega = cat.presentation("Omega")
 
@@ -439,21 +333,6 @@ def ansatz_checks(cat=None):
                            "perturbed coefficients leave a nonzero residual",
                            "(22)", residual_check(control, False)))
     return out
-
-
-def _expected_poly(text):
-    """Tiny builder for the expected constraint polynomials."""
-    q = CoeffPoly.const(qp(1))
-    one = CoeffPoly.const(ONE)
-    v = {name: CoeffPoly.var(name) for name in _VARS}
-    table = {
-        "F11 + q*F22 - q": v["F11"] + q * v["F22"] - q,
-        "F12 + q*F21 + 1": v["F12"] + q * v["F21"] + one,
-        "B - 1": v["B"] - one,
-        "F12*F22": v["F12"] * v["F22"],
-        "F11*F22 - q*A*F22": v["F11"] * v["F22"] - q * v["A"] * v["F22"],
-    }
-    return table[text].unit_scaled()
 
 
 # -- identity families ---------------------------------------------------------

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import calculus, hopf, liealg, rmatrix
 from .catalog import get_catalog
-from .errors import QdcError, UnknownSuiteError
+from .errors import ParseError, QdcError, UnknownSuiteError
 from .kernel import check_local_confluence, format_element, normalize, step_budget
-from .parser import parse_expression
+from .parser import _literal, parse_ast, parse_expression
 from .report import SuiteReport, timed_check
 
 # exhaustive degree for a presentation with localized rules (Omega_loc)
@@ -84,7 +83,8 @@ def _suite_confluence(cat):
     """Local confluence of every catalog presentation.
 
     A presentation whose rules all decrease the deglex order is checked on
-    its critical pairs alone (kernel.check_local_confluence, diamond lemma).
+    its critical pairs alone, the ambiguous words of length 3
+    (kernel.check_local_confluence with no degree, diamond lemma).
     Omega_loc is not: its localized rules grow the degree, and no order that
     compares a weight first and breaks ties by deglex orients them all.  With
     additive weights w >= 0 (a negative weight would give the descending
@@ -101,10 +101,10 @@ def _suite_confluence(cat):
     infinite descent w0 > u*w0*v > u^2*w0*v^2 > ..., so it is not a
     well-order, and the diamond lemma can never decide Omega_loc
     (tests/test_kernel.py pins the two steps).  So Omega_loc keeps the
-    exhaustive check to degree _LOCALIZED_CONFLUENCE_DEGREE: one
-    depth-first walk over its words that decides every ambiguous word,
-    sampling none, and shares the normal forms of common prefixes
-    (kernel.check_local_confluence).
+    exhaustive check to degree _LOCALIZED_CONFLUENCE_DEGREE.  Both checks
+    are one depth-first walk over the words, which decides every ambiguous
+    word, sampling none, and shares the normal forms of common prefixes;
+    the critical-pair check stops it at length 3.
     """
     out = []
     for name in cat.names():
@@ -175,7 +175,10 @@ def main(argv=None):
     ap_verify = sub.add_parser("verify", help="run a verification suite")
     ap_verify.add_argument("--suite", required=True)
     ap_verify.add_argument("--q", default=None,
-                           help="substitute an exact rational for q "
+                           help="substitute an exact rational for q, written "
+                                "as the expression grammar writes one, such "
+                                "as 2, -1 or 3/2; decimal and exponent "
+                                "spellings such as 0.5 or 1e3 are refused "
                                 "(numeric shadow; weaker than symbolic)")
     ap_verify.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -225,13 +228,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "verify":
-        q0 = None
-        if args.q is not None:
-            try:
-                q0 = Fraction(args.q)
-            except (ValueError, ZeroDivisionError):
-                raise QdcError(f"--q must be an exact rational such as 2 or 3/2, "
-                               f"got {args.q!r}") from None
+        q0 = None if args.q is None else _rational(args.q)
         if q0 == 0:
             raise QdcError("q = 0 is outside the coefficient ring")
         report = run_suite(args.suite, q0=q0)
@@ -270,6 +267,20 @@ def _dispatch(args):
             print(f"  {fam} ({pname})")
         return 0
     return 2
+
+
+def _rational(text):
+    """--q read as the grammar's rational literal, such as 2, -1 or 3/2,
+    so an integer too long to read is refused before it is computed."""
+    why = "not a rational literal"
+    try:
+        value = _literal(parse_ast(text))
+    except ParseError as exc:
+        value, why = None, str(exc)
+    if value is None:
+        raise QdcError(f"--q must be an exact rational such as 2, -1 or 3/2, "
+                       f"got {text!r} ({why})")
+    return value
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ The scalar type is duck-typed: anything with +, -, *, unary - and truthiness
 (false iff zero) works, and a Presentation names its unit as scalar_one.
 The symbolic catalog uses LaurentScalar; the numeric shadow catalog
 (Catalog(q0)) uses plain rationals, int or Fraction, which format_element
-prints as the equal constant LaurentScalar; the ansatz solver reuses the
-same engine with symbolic-coefficient polynomials.  One element never mixes
-scalar types.
+prints as the equal constant LaurentScalar.  The consistency ansatz needs no
+other coefficient type: its unknowns are generators that commute with every
+other one, so a polynomial in them is an element too.  One element never
+mixes scalar types.
 """
 
 from __future__ import annotations
@@ -146,8 +147,11 @@ class RewriteRule:
     """Oriented relation: every occurrence of `pattern` rewrites to `replacement`.
 
     `localized` marks rules whose replacement grows the total degree; those are
-    exempt from the load-time order check and are instead validated by
-    clearing their formal inverses (calculus.verify_localized_rule).
+    exempt from the load-time order check, so the critical-pair check
+    (check_local_confluence with no degree) refuses their presentation.  In
+    Omega_loc they are validated instead by clearing their formal inverses
+    (calculus.verify_localized_rule); in the consistency ansatz they are the
+    rules whose coefficient is an unknown's letter.
     """
 
     pattern: tuple
@@ -203,9 +207,6 @@ class Presentation:
             self.validate()
 
     # -- basic helpers -----------------------------------------------------
-
-    def gen(self, name):
-        return self.generators[self.index[name]]
 
     def el(self, name, coeff=None):
         """Single-generator element, or a defined composite."""
@@ -569,51 +570,45 @@ class ConfluenceReport:
         return not self.failures
 
 
-def _one_step(word, i, rule):
-    head, tail = word[:i], word[i + 2 :]
-    return Element({head + w + tail: c for w, c in rule.replacement.terms.items()},
-                   _clean=True)
-
-
-def _redexes(word, p):
-    """(position, rule) of every rule pattern in word, left to right."""
-    rules = p.rule_by_pair
-    return [(i, rules[pair]) for i, pair in enumerate(zip(word, word[1:]))
-            if pair in rules]
-
-
-def overlap_words(p):
-    """The words x*y*z whose halves (x, y) and (y, z) are both rule patterns,
-    in term order: the critical pairs of a presentation with quadratic rules."""
-    follows = {}
-    for x, y in p.rule_by_pair:
-        follows.setdefault(x, []).append(y)
-    words = [(x, y, z) for x, y in p.rule_by_pair for z in follows.get(y, ())]
-    return sorted(words, key=p.word_key)
+def branches(word, p):
+    """The normal form of each one-step rewrite of word, in redex order: the
+    reductions of one word that a confluent presentation brings together."""
+    word = tuple(word)
+    out = []
+    for i in range(len(word) - 1):
+        rule = p.rule_by_pair.get(word[i:i + 2])
+        if rule is not None:
+            head, tail = word[:i], word[i + 2:]
+            once = Element({head + w + tail: c for w, c in rule.replacement.terms.items()},
+                           _clean=True)
+            out.append(normalize(once, p))
+    return out
 
 
 def check_local_confluence(p, max_degree=None, budget=None):
     """Diamond check: every checked word that admits two distinct first
     reductions must reach one normal form both ways.
 
-    With max_degree=None only the overlap words of overlap_words(p) are
-    checked.  That decides confluence by Bergman's diamond lemma (Adv. Math.
-    29, 1978): every pattern has length 2, so a word with two redexes either
-    holds an overlap x*y*z or two disjoint redexes, which always resolve; and
-    when every rule decreases the deglex order, which is a monomial
-    well-order, joinable overlaps make the normal form unique.  The order is
-    what validate() proves, so a presentation with a localized rule is
-    refused.
-
     With an integer max_degree every word of length 3..max_degree is
-    decided; that exhaustive check is the cross-check of the lemma, and the
-    only check for presentations it does not cover.  It is one depth-first
-    walk over the words, letters in generator order (_walk_words).  Rather
-    than normalize each one-step rewrite of each word from scratch, it
-    extends the normal form N(w) of a prefix w by one fold step per letter,
-    and carries along the branches P_i(w), the normal form of w rewritten
-    once at redex i, that differ from N(w).  This decides exactly what the
-    per-word check decides, because:
+    decided.  With max_degree=None only the words of length 3 are, and the
+    report counts the ambiguous ones, the critical pairs x*y*z whose halves
+    (x, y) and (y, z) are both rule patterns, as the words checked.  That
+    decides confluence by Bergman's diamond lemma (Adv. Math. 29, 1978):
+    every pattern has length 2, so a word with two redexes either holds an
+    overlap x*y*z or two disjoint redexes, which are always joinable; and when
+    every rule decreases the deglex order, which is a monomial well-order,
+    joinable overlaps make the normal form unique.  The order is what
+    validate() proves, so a presentation with a localized rule is refused;
+    for those the exhaustive check to a degree is the only check, and for
+    the others it is the cross-check of the lemma.
+
+    Either way the check is one depth-first walk over the words, letters in
+    generator order (_walk_words).  Rather than normalize each one-step
+    rewrite of each word from scratch (branches), it extends the normal
+    form N(w) of a prefix w by one fold step per letter, and carries along
+    the branches P_i(w), the normal form of w rewritten once at redex i,
+    that differ from N(w).  This decides exactly what the per-word check
+    decides, because:
 
     1. the branch through the leftmost redex is N(w): the fold is leftmost
        rewriting, and the part of w before that redex is normal;
@@ -630,45 +625,30 @@ def check_local_confluence(p, max_degree=None, budget=None):
     order.  Each fold call gets its own budget of the given size.
     """
     limit = budget if budget is not None else step_budget()
-    if max_degree is not None:
-        if max_degree < 3:
-            raise QdcError("confluence check needs max_degree >= 3")
-        try:
-            checked, ambiguous, failures = _walk_words(p, max_degree, limit)
-        except RecursionError:
-            raise _too_deep(p) from None
-        return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
-    localized = [r.pattern for r in p.rules if r.localized]
-    if localized:
-        raise QdcError(
-            f"{p.name}: the critical-pair check needs every rule to "
-            f"decrease the term order; localized rules "
-            f"{['*'.join(w) for w in localized]} do not"
-        )
-    p.validate()
-    words = overlap_words(p)
-    ambiguous = 0
-    failures = []
-    for word in words:
-        redexes = _redexes(word, p)
-        if len(redexes) < 2:
-            continue
-        ambiguous += 1
-        nfs = []
-        for i, rule in redexes:
-            nfs.append(normalize(_one_step(word, i, rule), p, budget=limit))
-        first = nfs[0]
-        for other in nfs[1:]:
-            if other != first:
-                failures.append((word, first, other))
-                break
-    return ConfluenceReport(p.name, None, len(words), ambiguous, failures)
+    if max_degree is None:
+        localized = [r.pattern for r in p.rules if r.localized]
+        if localized:
+            raise QdcError(
+                f"{p.name}: the critical-pair check needs every rule to "
+                f"decrease the term order; localized rules "
+                f"{['*'.join(w) for w in localized]} do not"
+            )
+        p.validate()
+    elif max_degree < 3:
+        raise QdcError("confluence check needs max_degree >= 3")
+    try:
+        checked, ambiguous, failures = _walk_words(p, max_degree or 3, limit)
+    except RecursionError:
+        raise _too_deep(p) from None
+    if max_degree is None:  # the critical pairs are the words checked
+        checked = ambiguous
+    return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
 
 
 def _walk_words(p, max_degree, limit):
-    """(words checked, ambiguous words, failures) of the exhaustive check of
-    check_local_confluence, by a depth-first walk over the words.  Normal
-    forms are the fold's {node: coeff} dicts."""
+    """(words checked, ambiguous words, failures) of check_local_confluence
+    on the words of length 3..max_degree, by a depth-first walk over the
+    words.  Normal forms are the fold's {node: coeff} dicts."""
     rules = p.rule_by_pair
     tail = p._last
     names = [g.name for g in p.generators]

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .catalog import get_catalog
 from .kernel import (
     Element,
+    branches,
     check_local_confluence,
     format_element,
     graded_commutator,
@@ -39,12 +40,10 @@ def super_only(cat=None):
     return la.restricted_to(SUPER_GENS, "LieAlg_brackets")
 
 
-def verify_superalgebra(cat=None, confluence_degree=None):
+def verify_superalgebra(cat=None):
     """Bracket relations, the displayed consistency identities, and local
-    confluence of the combined coordinate/bracket/cross-rule system.
-
-    confluence_degree=None checks the critical pairs (diamond lemma); an
-    integer runs the exhaustive check to that word length instead."""
+    confluence of the combined coordinate/bracket/cross-rule system, decided
+    on its critical pairs (diamond lemma)."""
     cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
     out = []
@@ -54,7 +53,7 @@ def verify_superalgebra(cat=None, confluence_degree=None):
     out.extend(verify_family("consistency_s5", cat))
 
     def fn_confluence():
-        rep = check_local_confluence(la, confluence_degree)
+        rep = check_local_confluence(la)
         if rep.failures:
             w, p1, p2 = rep.failures[0]
             return (f"{len(rep.failures)} failing overlaps; first at "
@@ -62,11 +61,10 @@ def verify_superalgebra(cat=None, confluence_degree=None):
                     f"{format_element(p2, la)}")
         return None
 
-    scope = ("(critical pairs, diamond lemma)" if confluence_degree is None
-             else f"to degree {confluence_degree}")
     out.append(timed_check(
         "superalgebra.confluence",
-        f"combined bracket/cross-rule system locally confluent {scope}",
+        "combined bracket/cross-rule system locally confluent "
+        "(critical pairs, diamond lemma)",
         "(2)(43)(45)", fn_confluence))
     return out
 
@@ -96,19 +94,11 @@ def verify_cross_relations_consistency(cat=None):
     L*L'*g bracket-first and cross-relation-first and compare."""
     cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
-    from .kernel import _one_step
-
     out = []
-    rules = la.rule_by_pair
     for L, Lp in _BRACKET_PATTERNS:
         for g in BODY_GENS:
-            word = (L, Lp, g)
-            bracket_rule = rules[(L, Lp)]
-            cross_rule = rules[(Lp, g)]
-
-            def fn(word=word, bracket_rule=bracket_rule, cross_rule=cross_rule):
-                via_bracket = normalize(_one_step(word, 0, bracket_rule), la)
-                via_cross = normalize(_one_step(word, 1, cross_rule), la)
+            def fn(word=(L, Lp, g)):
+                via_bracket, via_cross = branches(word, la)
                 diff = via_bracket - via_cross
                 return None if diff.is_zero() else format_element(diff, la)
 

@@ -265,35 +265,28 @@ def _atom_str(node):
 # -- evaluation ---------------------------------------------------------------
 
 
-def eval_ast(node, p, resolve=None):
-    """Evaluate an AST to an Element over presentation p.
-
-    `resolve` optionally overrides name lookup (name -> Element); by default
-    names resolve to generators or defined composites of p.
-    """
+def eval_ast(node, p):
+    """Evaluate an AST to an Element over presentation p; a name is one of
+    its generators or defined composites."""
     if isinstance(node, Sum):
         out = Element.zero()
         for sign, term in node.terms:
-            val = eval_ast(term, p, resolve)
+            val = eval_ast(term, p)
             out = out + (val if sign > 0 else -val)
         return out
     if isinstance(node, Product):
         out = Element.unit()
         for f in node.factors:
-            out = out * eval_ast(f, p, resolve)
+            out = out * eval_ast(f, p)
         return out
     if isinstance(node, Power):
         # q^n, most of the catalog's powers: one scalar, no base to evaluate
         if isinstance(node.base, Name) and node.base.ident == "q":
             return Element.unit(LaurentScalar.q_power(node.exp))
-        return _power(eval_ast(node.base, p, resolve), node)
+        return _power(eval_ast(node.base, p), node)
     if isinstance(node, Name):
         if node.ident == "q":
             return Element.unit(LaurentScalar.q_power(1))
-        if resolve is not None:
-            got = resolve(node.ident)
-            if got is not None:
-                return got
         if node.ident in p.index:
             return Element.word((node.ident,))
         if node.ident in p.defined:
@@ -338,6 +331,6 @@ def _power(base, node):
     return out
 
 
-def parse_expression(text, p, resolve=None):
+def parse_expression(text, p):
     """Parse and evaluate in one go; the CLI entry point for expressions."""
-    return eval_ast(parse_ast(text), p, resolve)
+    return eval_ast(parse_ast(text), p)

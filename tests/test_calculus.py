@@ -2,10 +2,7 @@ import pytest
 
 from qdc.calculus import (
     Ansatz,
-    CoeffPoly,
-    _ab_conditions,
-    _ansatz_presentation,
-    _condition_residual,
+    _consistency_residuals,
     ansatz_checks,
     ansatz_residuals,
     alternative_branch,
@@ -20,7 +17,7 @@ from qdc.calculus import (
     verify_structure_equations,
 )
 from qdc.errors import UnknownFamilyError
-from qdc.kernel import Element, RewriteRule, normalize
+from qdc.kernel import Element, RewriteRule, format_element, normalize
 from qdc.parser import parse_expression
 from qdc.ring import ONE, ZERO, qp
 
@@ -53,11 +50,18 @@ def test_d_on_relations_suite(cat):
     assert all(c.passed for c in checks)
 
 
+# the five constraints, each scaled so its last word in the term order has
+# coefficient 1: F12 + q*F21 + 1, F11 + q*F22 - q, B - 1, F12*F22 and
+# F11*F22 - q*A*F22 as stated
+LINEAR_TEXTS = ["q^-1 + q^-1*F12 + F21", "-1 + q^-1*F11 + F22", "-1 + B"]
+QUADRATIC_TEXTS = ["-q*A*F22 + F11*F22", "F12*F22"]
+
+
 def test_solve_ansatz_constraints():
     rep = solve_ansatz()
-    texts = sorted(str(p) for p in rep.linear)
-    assert texts == sorted(["1*F12 + q*F21 + 1", "1*F11 + q*F22 + -q", "1*B + -1"])
-    assert len(rep.quadratic) == 2
+    p = rep.presentation
+    assert sorted(format_element(c, p) for c in rep.linear) == sorted(LINEAR_TEXTS)
+    assert sorted(format_element(c, p) for c in rep.quadratic) == sorted(QUADRATIC_TEXTS)
     assert rep.selected == "F22 = 0 with A = q^2"
 
 
@@ -77,19 +81,18 @@ def test_perturbed_control_fails():
 def test_symbolic_branch_with_free_parameters():
     # impose the linear constraints and F22 = 0, leaving A and F21 symbolic;
     # the residuals must vanish identically
-    const = CoeffPoly.const
-    q = const(qp(1))
-    coeffs = {
-        "A": CoeffPoly.var("A"),
-        "B": const(ONE),
-        "F11": q,
-        "F12": const(-ONE) - q * CoeffPoly.var("F21"),
-        "F21": CoeffPoly.var("F21"),
-        "F22": const(ZERO),
-    }
-    p = _ansatz_presentation(coeffs, const)
-    for name, kind, payload in _ab_conditions(const):
-        assert _condition_residual(kind, payload, p).is_zero(), name
+    p = solve_ansatz().presentation
+
+    def parse(text):
+        return parse_expression(text, p)
+
+    coeffs = {"A": parse("A"), "B": parse("1"), "F11": parse("q"),
+              "F12": parse("-1 - q*F21"), "F21": parse("F21"), "F22": parse("0")}
+    _, residuals = _consistency_residuals(coeffs)
+    assert len(residuals) == 4 and all(r.is_zero() for r in residuals)
+    # F12 off the constraint leaves a residual
+    coeffs["F12"] = parse("-q*F21")
+    assert not all(r.is_zero() for r in _consistency_residuals(coeffs)[1])
 
 
 def test_ansatz_checks_all_pass(cat):

@@ -96,9 +96,10 @@ def test_text_and_json_verdicts_agree(capsys):
 
 
 def test_numeric_flag(capsys):
-    assert main(["verify", "--suite", "forms", "--q", "3/2"]) == 0
-    out = capsys.readouterr().out
-    assert "numeric shadow" in out
+    for q in ("3/2", "-1"):
+        assert main(["verify", "--suite", "forms", "--q", q]) == 0
+        out = capsys.readouterr().out
+        assert f"numeric shadow at q = {q}" in out
 
 
 def test_numeric_zero_rejected(capsys):
@@ -167,7 +168,10 @@ def test_cli_bad_step_budget_exit_two(monkeypatch, capsys, raw):
         assert "QDC_STEP_BUDGET must be a positive integer" in err and repr(raw) in err
 
 
-@pytest.mark.parametrize("q", ["abc", "1/0"])
+# --q is the grammar's rational literal: a decimal, an exponent, or an
+# integer past the interpreter's digit limit is refused before it is computed
+@pytest.mark.parametrize("q", ["abc", "1/0", "0.5", "2*3", "1e5000", "1e9999999",
+                               pytest.param("1" * 5000, id="5000_digits")])
 def test_cli_malformed_q_exit_two(capsys, q):
     assert main(["verify", "--suite", "forms", "--q", q]) == 2
     err = capsys.readouterr().err.strip()
