@@ -292,12 +292,12 @@ def ansatz_checks(cat=None):
         sc = cat.scalar
         E = Element.word
         made = {
-            "a_Da": E(("a", "Da"), sc(ONE)) - E(("Da", "a"), sc(z.A)),
-            "a_Dbeta": E(("a", "Dbeta"), sc(ONE)) - E(("Dbeta", "a"), sc(z.F11))
+            "a_Da": E(("a", "Da")) - E(("Da", "a"), sc(z.A)),
+            "a_Dbeta": E(("a", "Dbeta")) - E(("Dbeta", "a"), sc(z.F11))
                        - E(("Da", "beta"), sc(z.F12)),
-            "beta_Da": E(("beta", "Da"), sc(ONE)) - E(("Da", "beta"), sc(z.F21))
+            "beta_Da": E(("beta", "Da")) - E(("Da", "beta"), sc(z.F21))
                        - E(("Dbeta", "a"), sc(z.F22)),
-            "beta_Dbeta": E(("beta", "Dbeta"), sc(ONE))
+            "beta_Dbeta": E(("beta", "Dbeta"))
                        - E(("Dbeta", "beta"), sc(z.B)),
         }
         for ident in omega.identities_in_family("dT_relations"):
@@ -453,7 +453,7 @@ def verify_localized_rule(rule, cat=None):
     if not touched:
         raise QdcError("verify_localized_rule needs a rule involving an inverse")
 
-    if _is_cancellation(rule, inverses, loc.scalar_one):
+    if _is_cancellation(rule, inverses):
         return True, "definitional cancellation"
 
     try:
@@ -465,11 +465,11 @@ def verify_localized_rule(rule, cat=None):
         uses_inverse = any(g in inverses for g in r.pattern) or any(
             g in inverses for w in r.replacement.terms for g in w
         )
-        if not uses_inverse or _is_cancellation(r, inverses, loc.scalar_one) or i < idx:
+        if not uses_inverse or _is_cancellation(r, inverses) or i < idx:
             if r.pattern != rule.pattern:
                 partial_rules.append(r)
     partial = Presentation("Omega_loc_partial", loc.generators, partial_rules,
-                           validate=False, scalar_one=loc.scalar_one)
+                           validate=False)
 
     left, right = _clearing_words(rule, inverses)
     lw = loc.word(left)
@@ -489,12 +489,12 @@ def verify_localized_rule(rule, cat=None):
     )
 
 
-def _is_cancellation(rule, inverses, one):
+def _is_cancellation(rule, inverses):
     if len(rule.pattern) != 2:
         return False
     x, y = rule.pattern
     pair = inverses.get(x) == y or inverses.get(y) == x
-    return pair and rule.replacement == Element.unit(one)
+    return pair and rule.replacement == Element.unit()
 
 
 # catalog -> {rule: CheckResult}: the inverse and central suites both report

@@ -15,7 +15,7 @@ from importlib import resources
 from .errors import CatalogFormatError, UnknownPresentationError
 from .kernel import Element, Generator, Identity, Presentation, RewriteRule, normalize
 from .parser import eval_ast, parse_ast
-from .ring import ONE, ZERO, _exact
+from .ring import ONE, ZERO, LaurentScalar
 
 _FILES = ("a_glq11.txt", "a_hat.txt", "omega.txt", "omega_loc.txt",
           "forms.txt", "lie_alg.txt", "planes.txt")
@@ -114,7 +114,7 @@ def _single_word(el, what):
     return word
 
 
-def _build(block, scalar_map=None, scalar_one=ONE):
+def _build(block, scalar_map=None):
     # Expressions are evaluated symbolically, against a bare-rules
     # presentation that holds the symbolic composites, and then mapped into
     # the catalog's scalars by `scalar_map`.
@@ -135,7 +135,7 @@ def _build(block, scalar_map=None, scalar_one=ONE):
         rules.append(RewriteRule(pattern, lift(ev(rhs_text)), eq=eq,
                                  localized=(kind == "lrule")))
 
-    p = Presentation(block.name, gens, rules, scalar_one=scalar_one)
+    p = Presentation(block.name, gens, rules)
 
     for name, expr_text, eq in block.define_lines:
         el = ev(expr_text)
@@ -154,27 +154,19 @@ class Catalog:
     """All presentations of the transcription, loaded and validated.
 
     `q0` substitutes an exact rational for q in every coefficient (the
-    numeric shadow mode); None keeps full symbolic scalars.  A symbolic
-    catalog's scalars are LaurentScalars; a shadow catalog's are plain
-    rationals, an int when the denominator is 1 and a Fraction otherwise,
-    from the rules to every element the suites build (scalar_one = 1).
-    The benchmark's verdict of `verify --suite all` is about 0.32 s at
-    q0 = 2, where a shadow of one-term constant LaurentScalars took 0.53 s;
-    the symbolic run, whose interned scalars memoise their arithmetic, takes
-    about 0.21 s (see the README for the machine).
+    numeric shadow mode); None keeps full symbolic scalars.  A shadow
+    catalog's scalars are constant LaurentScalars.
     """
 
     def __init__(self, q0=None):
         self.q0 = Fraction(q0) if q0 is not None else None
-        scalar_map, one = None, ONE
-        if self.q0 is not None:
-            scalar_map, one = self.scalar, 1
+        scalar_map = self.scalar if self.q0 is not None else None
         self.presentations = {}
         for fname in _FILES:
             for block in parse_document(_data_text(fname)):
                 if block.name in self.presentations:
                     raise CatalogFormatError(f"duplicate presentation {block.name}")
-                self.presentations[block.name] = _build(block, scalar_map, one)
+                self.presentations[block.name] = _build(block, scalar_map)
 
     def presentation(self, name):
         try:
@@ -186,10 +178,10 @@ class Catalog:
 
     def scalar(self, s):
         """Map a symbolic scalar into this catalog's scalars: itself, or its
-        value at q0 as an int or a Fraction."""
+        value at q0 as a constant scalar."""
         if self.q0 is None:
             return s
-        return _exact(s.eval_at(self.q0))
+        return LaurentScalar.from_fraction(s.eval_at(self.q0))
 
     def names(self):
         return sorted(self.presentations)

@@ -271,15 +271,18 @@ def _dispatch(args):
 
 def _rational(text):
     """--q read as the grammar's rational literal, such as 2, -1 or 3/2,
-    so an integer too long to read is refused before it is computed."""
+    so an integer too long to read is refused before it is computed.  The
+    error echoes at most the first 40 characters of the input."""
     why = "not a rational literal"
     try:
         value = _literal(parse_ast(text))
     except ParseError as exc:
         value, why = None, str(exc)
     if value is None:
+        shown = repr(text) if len(text) <= 40 else (
+            f"{text[:40]!r}... ({len(text)} characters)")
         raise QdcError(f"--q must be an exact rational such as 2, -1 or 3/2, "
-                       f"got {text!r} ({why})")
+                       f"got {shown} ({why})")
     return value
 
 

@@ -22,7 +22,7 @@ from .kernel import (
     tensor_word,
 )
 from .report import timed_check
-from .ring import ZERO
+from .ring import ONE, ZERO
 from .rmatrix import DT_NAMES, T_NAMES, name_matrix
 
 
@@ -48,12 +48,10 @@ class HopfData:
         self.cat = cat
         self.loc = cat.presentation("Omega_loc")
         self.square = tensor_power(self.loc, 2)
-        self.one = self.loc.scalar_one
-        self.zero = cat.scalar(ZERO)
         self.delta_images = self._build_delta()
         self.antipode_images = self._build_antipode()
 
-    def tensor(self, w1, w2, coeff=None):
+    def tensor(self, w1, w2, coeff=ONE):
         """The element w1 (x) w2 of the tensor square."""
         return self.square.word(tensor_word(w1, w2), coeff)
 
@@ -135,7 +133,7 @@ class HopfData:
         return _image(e, self.delta_image, self.square)
 
     def counit(self, e):
-        total = self.zero
+        total = ZERO
         for word, c in e.terms.items():
             vals = [counit_value(g) for g in word]
             if None in vals:
@@ -292,7 +290,7 @@ def verify_hopf_axioms(cat=None):
         for g, terms in stated.items():
             acc = Element.zero()
             for x, y, s in terms:
-                acc = acc + H.tensor((x,), (y,), H.one if s > 0 else -H.one)
+                acc = acc + H.tensor((x,), (y,), ONE if s > 0 else -ONE)
             if acc != H.delta_image(g):
                 return f"matrix-form expansion differs at {g}"
         return None

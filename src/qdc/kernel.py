@@ -15,14 +15,10 @@ graded_product joins two presentations with Koszul cross-commutation, and
 tensor_power builds the graded tensor square or cube of one presentation
 from renamed slot copies, so a tensor is an Element like any other.
 
-The scalar type is duck-typed: anything with +, -, *, unary - and truthiness
-(false iff zero) works, and a Presentation names its unit as scalar_one.
-The symbolic catalog uses LaurentScalar; the numeric shadow catalog
-(Catalog(q0)) uses plain rationals, int or Fraction, which format_element
-prints as the equal constant LaurentScalar.  The consistency ansatz needs no
-other coefficient type: its unknowns are generators that commute with every
-other one, so a polynomial in them is an element too.  One element never
-mixes scalar types.
+Every coefficient is a LaurentScalar; the numeric shadow catalog's
+(Catalog(q0)) are constant ones.  The consistency ansatz needs no other
+coefficient type: its unknowns are generators that commute with every other
+one, so a polynomial in them is an element too.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     MissingImageError,
@@ -175,11 +170,10 @@ class Presentation:
     """Ordered generators plus oriented rules; defines a normal form."""
 
     def __init__(self, name, generators, rules, defined=None, identities=None,
-                 validate=True, scalar_one=ONE):
+                 validate=True):
         self.name = name
         self.generators = list(generators)
         self.rules = list(rules)
-        self.scalar_one = scalar_one
         self.defined = dict(defined or {})
         self.identities = list(identities or [])
         self.index = {g.name: i for i, g in enumerate(self.generators)}
@@ -208,21 +202,19 @@ class Presentation:
 
     # -- basic helpers -----------------------------------------------------
 
-    def el(self, name, coeff=None):
+    def el(self, name, coeff=ONE):
         """Single-generator element, or a defined composite."""
-        if coeff is None:
-            coeff = self.scalar_one
         if name in self.index:
             return Element({(name,): coeff})
         if name in self.defined:
             return self.defined[name].scaled(coeff)
         raise QdcError(f"{self.name}: unknown generator or composite {name!r}")
 
-    def unit(self, coeff=None):
-        return Element.unit(self.scalar_one if coeff is None else coeff)
+    def unit(self, coeff=ONE):
+        return Element.unit(coeff)
 
-    def word(self, letters, coeff=None):
-        return Element.word(letters, self.scalar_one if coeff is None else coeff)
+    def word(self, letters, coeff=ONE):
+        return Element.word(letters, coeff)
 
     def word_key(self, word):
         idx = self.index
@@ -300,8 +292,7 @@ class Presentation:
             if set(r.pattern) <= keep
             and all(set(w) <= keep for w in r.replacement.terms)
         ]
-        return Presentation(new_name or f"{self.name}_sub", gens, rules,
-                            scalar_one=self.scalar_one)
+        return Presentation(new_name or f"{self.name}_sub", gens, rules)
 
 
 def graded_product(p1, p2, name=None):
@@ -315,13 +306,12 @@ def graded_product(p1, p2, name=None):
         raise QdcError(f"graded_product: generator name clash {sorted(overlap)}")
     gens = list(p1.generators) + list(p2.generators)
     rules = list(p1.rules) + list(p2.rules)
-    one = p1.scalar_one
     for g2 in p2.generators:
         for g1 in p1.generators:
-            sign = -one if (g1.parity and g2.parity) else one
+            sign = -ONE if (g1.parity and g2.parity) else ONE
             repl = Element.word((g1.name, g2.name), sign)
             rules.append(RewriteRule((g2.name, g1.name), repl, eq="(10)"))
-    return Presentation(name or f"{p1.name}*{p2.name}", gens, rules, scalar_one=one)
+    return Presentation(name or f"{p1.name}*{p2.name}", gens, rules)
 
 
 def tensor_power(p, n):
@@ -343,8 +333,7 @@ def tensor_power(p, n):
             Element({tuple(new[g] for g in w): c
                      for w, c in r.replacement.terms.items()}, _clean=True),
             r.eq, r.localized) for r in p.rules]
-        return Presentation(f"{p.name}[{k}]", gens, rules, validate=False,
-                            scalar_one=p.scalar_one)
+        return Presentation(f"{p.name}[{k}]", gens, rules, validate=False)
 
     out = slot(1)
     for k in range(2, n + 1):
@@ -694,7 +683,7 @@ def _walk_words(p, max_degree, limit):
             if not last:
                 extend(word, nf_g, nf, n, branches)
 
-    extend((), {0: p.scalar_one}, None, 0, [])
+    extend((), {0: ONE}, None, 0, [])
     failures.sort(key=lambda f: p.word_key(f[0]))
     return checked, ambiguous, failures
 
@@ -724,15 +713,13 @@ def format_element(e, p):
 
 
 def _term_text(c, w):
-    if type(c) in (int, Fraction):  # a numeric shadow's coefficient
-        c = LaurentScalar({0: c})
     word_txt = "*".join(w)
     if not w:
         s = str(c)
         if s.startswith("-") and " " not in s:
             return s[1:], True
         return (f"({s})" if " " in s else s), False
-    if isinstance(c, LaurentScalar) and c.is_unit():
+    if c.is_unit():
         ((k, r),) = c.coeffs.items()
         negative = r < 0
         mag = LaurentScalar({k: abs(r)})

@@ -68,7 +68,8 @@ def tokenize(text):
     pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
+    end = len(text.rstrip())  # trailing whitespace ends the token stream
+    while pos < end:
         if text[pos] == "\n":
             line += 1
             line_start = pos + 1
@@ -82,7 +83,7 @@ def tokenize(text):
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), line, col))
         pos = m.end()
-    tokens.append(("end", "", line, len(text) - line_start + 1))
+    tokens.append(("end", "", line, end - line_start + 1))
     return tokens
 
 

@@ -20,11 +20,8 @@ of times, and a repeated operation is a dictionary hit that returns the
 exact result computed the first time.  The intern table and the memos live
 as long as the process, like the normal-form memo of a Presentation.
 
-The symbolic catalog's scalars are LaurentScalars.  The numeric shadow
-catalog (catalog.Catalog(q0)) substitutes q0 for q once, when it loads, and
-from then on its scalars are the plain values, an int or a Fraction as
-_exact gives them.  LaurentScalar arithmetic takes only LaurentScalar
-operands, so the two kinds never meet in one sum or product.
+The numeric shadow catalog's (catalog.Catalog(q0)) scalars are constant
+LaurentScalars, the values at q0 of the symbolic ones.
 """
 
 from __future__ import annotations

@@ -138,10 +138,10 @@ def graded_kron(M, N, graded=True):
     return SuperMatrix(rows, row_par, col_par, (M.shift + N.shift) % 2)
 
 
-def identity_matrix(parities, one=ONE):
+def identity_matrix(parities):
     n = len(parities)
     return SuperMatrix(
-        [[Element.unit(one) if i == j else Element.zero() for j in range(n)]
+        [[Element.unit() if i == j else Element.zero() for j in range(n)]
          for i in range(n)],
         tuple(parities), tuple(parities), 0)
 
@@ -163,12 +163,11 @@ def r_hat(cat=None):
     (1,1), (1,2), (2,1), (2,2)."""
     sc = cat.scalar if cat is not None else (lambda s: s)
     qm = sc(qp(1) - qp(-1))
-    # a zero entry is left out of the matrix, whatever its scalar type
     return scalar_matrix(
         [
             [sc(qp(1)), ZERO, ZERO, ZERO],
-            [ZERO, qm, sc(ONE), ZERO],
-            [ZERO, sc(ONE), ZERO, ZERO],
+            [ZERO, qm, ONE, ZERO],
+            [ZERO, ONE, ZERO, ZERO],
             [ZERO, ZERO, ZERO, sc(-qp(-1))],
         ],
         _TENSOR_PAR,
@@ -180,7 +179,7 @@ def r_hat_inverse(cat=None):
     sc = cat.scalar if cat is not None else (lambda s: s)
     qm = sc(qp(1) - qp(-1))
     R = r_hat(cat)
-    I = identity_matrix(_TENSOR_PAR, sc(ONE))
+    I = identity_matrix(_TENSOR_PAR)
     return R - I.scaled(qm)
 
 
@@ -213,7 +212,7 @@ _RELATIONS = {
 def _entries(eq, p, cat):
     """The 16 unreduced entries of lhs - rhs of matrix relation eq over p,
     row by row."""
-    I2 = identity_matrix((0, 1), p.scalar_one)
+    I2 = identity_matrix((0, 1))
     R = r_hat(cat)
 
     def legs(names, shift):
@@ -257,7 +256,7 @@ def _free(p):
     forms = [Generator(n, p.element_parity(p.defined[n]))
              for row in W_NAMES for n in row if n in p.defined]
     return Presentation(f"{p.name}_free", p.generators + forms, [],
-                        validate=False, scalar_one=p.scalar_one)
+                        validate=False)
 
 
 def _degree2_basis(elements):
@@ -291,9 +290,8 @@ def verify_rtt_family(eq, cat=None):
                       for i in cat.find_family(family)[1])
         ]
         basis = _degree2_basis(entries + rels)
-        zero = cat.scalar(ZERO)
-        if not row_space_equal(elements_to_rows(entries, basis, zero),
-                               elements_to_rows(rels, basis, zero)):
+        if not row_space_equal(elements_to_rows(entries, basis, ZERO),
+                               elements_to_rows(rels, basis, ZERO)):
             return "degree-2 spans differ"
         return None
 
@@ -396,7 +394,7 @@ def check_hecke_braid(cat=None):
     rep = HeckeBraidReport()
     cat = cat or get_catalog()
     R = r_hat(cat)
-    I4 = identity_matrix(_TENSOR_PAR, cat.scalar(ONE))
+    I4 = identity_matrix(_TENSOR_PAR)
     qm = cat.scalar(qp(1) - qp(-1))
 
     RR = R @ R
@@ -413,11 +411,10 @@ def check_hecke_braid(cat=None):
     def fn_trace():
         # Hecke forces eigenvalues q and -q^-1; the trace fixes the
         # multiplicities at 2 and 2
-        zero = cat.scalar(ZERO)
-        tr = zero
+        tr = ZERO
         for i in range(4):
             e = R.entries[i][i]
-            tr = tr + (e.coeff(()) or zero)
+            tr = tr + (e.coeff(()) or ZERO)
         expect = cat.scalar((qp(1) + qp(1)) - (qp(-1) + qp(-1)))
         return None if tr == expect else f"trace {tr} != {expect}"
 
@@ -425,7 +422,7 @@ def check_hecke_braid(cat=None):
         "hecke.trace_multiplicities",
         "trace matches eigenvalue multiplicities (2, 2)", "Hecke", fn_trace))
 
-    I2 = identity_matrix((0, 1), cat.scalar(ONE))
+    I2 = identity_matrix((0, 1))
     for label, graded in (("graded", True), ("ungraded", False)):
         R12 = graded_kron(R, I2, graded=graded)
         R23 = graded_kron(I2, R, graded=graded)

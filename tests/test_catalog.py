@@ -14,7 +14,8 @@ from qdc.errors import UnknownPresentationError
 from qdc.hopf import counit
 from qdc.kernel import format_element, normalize
 from qdc.parser import parse_ast, print_ast
-from qdc.ring import ONE
+from qdc.kernel import Element
+from qdc.ring import ONE, LaurentScalar, lfrac, lint
 
 
 def test_presentation_shapes(cat):
@@ -98,13 +99,23 @@ def test_document_parser_rejects_garbage():
         parse_document("rule a -> b\n")
 
 
-def test_numeric_catalog_substitutes(cat_q2):
-    g = cat_q2.presentation("A_glq11")
-    r = g.rule_by_pair[("d", "a")]
+def _at(e, q0):
+    """The symbolic element e with q0 substituted in every coefficient."""
+    return Element({w: LaurentScalar.from_fraction(c.eval_at(q0))
+                    for w, c in e.terms.items()})
+
+
+def _is_constant(c):
+    return type(c) is LaurentScalar and set(c.coeffs) == {0}
+
+
+def test_numeric_catalog_substitutes(cat, cat_q2):
+    sym = cat.presentation("A_glq11").rule_by_pair[("d", "a")].replacement
+    r = cat_q2.presentation("A_glq11").rule_by_pair[("d", "a")]
     for c in r.replacement.terms.values():
-        # exact rationals only: neither a float nor a LaurentScalar
-        assert type(c) in (int, Fraction), type(c)
-    assert r.replacement.terms == {("a", "d"): 1, ("beta", "gamma"): Fraction(3, 2)}
+        assert _is_constant(c), c
+    assert r.replacement == _at(sym, 2)
+    assert r.replacement.terms == {("a", "d"): lint(1), ("beta", "gamma"): lfrac(3, 2)}
 
 
 def _shadow_elements(cat):
@@ -123,21 +134,20 @@ def _shadow_elements(cat):
 
 
 @pytest.mark.parametrize("q0", [2, Fraction(3, 2)])
-def test_shadow_catalog_is_exact_rationals(q0):
-    cat = get_catalog(q0)
+def test_shadow_catalog_is_exact_rationals(cat, q0):
+    # every shadow coefficient is a constant scalar, the value at q0 of the
+    # symbolic coefficient it shadows, down to the normal forms
     seen = 0
-    for name in cat.names():
-        assert cat.presentation(name).scalar_one == 1
-    for what, e in _shadow_elements(cat):
+    pairs = zip(_shadow_elements(get_catalog(q0)), _shadow_elements(cat), strict=True)
+    for (what, e), (_, sym) in pairs:
         for c in e.terms.values():
             seen += 1
-            assert type(c) in (int, Fraction), (what, type(c))
-            assert type(c) is int or c.denominator != 1, (what, c)
+            assert _is_constant(c), (what, c)
+        assert e == _at(sym, q0), what
     assert seen > 0
 
 
-# normal forms of lhs - 2*rhs of catalog identities in the shadow: texts of
-# the catalog whose shadow coefficients were constant LaurentScalars
+# normal forms of lhs - 2*rhs of catalog identities in the shadow
 _SHADOW_RESIDUALS = [
     (2, "Omega_loc", "a_u",
      "-1/2*a*d_inv*Dbeta - 1/2*beta*d_inv*Da + 1/4*beta*gamma*d_inv*d_inv*Dbeta"),

@@ -51,9 +51,11 @@ def test_cli_exit_one_on_failing_check(monkeypatch, capsys):
 
 
 def test_cli_normalize_output(capsys):
-    assert main(["normalize", "--presentation", "Omega", "d*a"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out == "a*d + (q - q^-1)*beta*gamma"
+    # trailing blanks, a newline among them, end the expression
+    for expression in ("d*a", "d*a ", "d*a \n"):
+        assert main(["normalize", "--presentation", "Omega", expression]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == "a*d + (q - q^-1)*beta*gamma"
 
 
 @pytest.mark.parametrize("expression", ["-q*a", "-a", "-1/2*d*a"])
@@ -96,8 +98,8 @@ def test_text_and_json_verdicts_agree(capsys):
 
 
 def test_numeric_flag(capsys):
-    for q in ("3/2", "-1"):
-        assert main(["verify", "--suite", "forms", "--q", q]) == 0
+    for raw, q in (("3/2", "3/2"), ("-1", "-1"), ("2 ", "2")):
+        assert main(["verify", "--suite", "forms", "--q", raw]) == 0
         out = capsys.readouterr().out
         assert f"numeric shadow at q = {q}" in out
 
@@ -169,13 +171,17 @@ def test_cli_bad_step_budget_exit_two(monkeypatch, capsys, raw):
 
 
 # --q is the grammar's rational literal: a decimal, an exponent, or an
-# integer past the interpreter's digit limit is refused before it is computed
+# integer past the interpreter's digit limit is refused before it is computed,
+# with a short message that still gives the reason
 @pytest.mark.parametrize("q", ["abc", "1/0", "0.5", "2*3", "1e5000", "1e9999999",
                                pytest.param("1" * 5000, id="5000_digits")])
 def test_cli_malformed_q_exit_two(capsys, q):
     assert main(["verify", "--suite", "forms", "--q", q]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "--q must be an exact rational" in err
+    assert len(err.encode()) < 300
+    if len(q) == 5000:
+        assert "digits, the interpreter's limit" in err and "5000 characters" in err
 
 
 # sha256 of the report of `verify --suite all`, every check's as_dict()
@@ -185,10 +191,12 @@ _REPORT_SHA256 = {
     None: "23b4ce98384db096cfedf1f7d3c6756d820f2a526535e9326a6657a8f06fe96d",
     2: "44311e3f4a56905b724f7bbbe9bc06e3b540f0f3282197988bf119924880025c",
     Fraction(3, 2): "9e181a2c67edfbc570d287444f43c2b58bcb424f6292fade95b79f4b0ab5a8ad",
+    Fraction(-3, 2): "2203d03acd3bbf195c22eace5cbdd4817354b6d76f01d6935cb61f6d200c5e7f",
 }
 
 
-@pytest.mark.parametrize("q0", list(_REPORT_SHA256), ids=["symbolic", "q2", "q3_2"])
+@pytest.mark.parametrize("q0", list(_REPORT_SHA256),
+                         ids=["symbolic", "q2", "q3_2", "q_neg3_2"])
 def test_full_report_is_pinned(q0):
     rows = []
     for c in run_suite("all", q0).checks:

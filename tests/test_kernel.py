@@ -334,7 +334,7 @@ def _slotwise_product(tensors, p, n):
     {legs: coefficient}, each product with the Koszul sign
     (-1)^(sum over j < i of p(a_i) p(x_j)) of (a_1 (x) ...)(x_1 (x) ...),
     then every slot normalized on its own in p."""
-    prod = {((),) * n: p.scalar_one}
+    prod = {((),) * n: ONE}
     for t in tensors:
         out = Element.zero()
         for a, c1 in prod.items():

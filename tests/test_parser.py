@@ -29,6 +29,16 @@ def test_grammar_exercise(cat):
     assert len(e.terms) == 1
 
 
+def test_trailing_whitespace_ends_the_input(cat):
+    om = cat.presentation("Omega")
+    want = parse_expression("d*a", om)
+    for text in ("d*a ", "d*a\n", "d*a \n\t"):
+        assert parse_expression(text, om) == want, repr(text)
+    with pytest.raises(ParseError) as err:
+        parse_expression("d* ", om)
+    assert (err.value.line, err.value.col) == (1, 3)
+
+
 def test_double_star_rejected(cat):
     om = cat.presentation("Omega")
     with pytest.raises(ParseError) as err:
