@@ -34,7 +34,7 @@ for k in ("w1", "u", "w2", "v"):
 # the commutation relations of coordinates with inverse entries and with the
 # one-forms are all theorems; each family reduces to zero residuals
 for family in ("T_inverse", "inverse_differential", "T_forms", "forms"):
-    checks = verify_family(family, cat)
+    checks = [c.run() for c in verify_family(family, cat)]
     print(f"family {family}: {sum(c.passed for c in checks)}/{len(checks)} hold")
 
 # d of a one-form composite equals its two-form expression
@@ -43,5 +43,5 @@ u, v = loc.defined["u"], loc.defined["v"]
 res = normalize(exterior_d(w1, cat, normalized=False) - (w1 * w1 - u * v), loc)
 print("\nd(w1) - (w1^2 - u v) reduces to:", format_element(res, loc))
 
-checks = verify_structure_equations(cat)
+checks = [c.run() for c in verify_structure_equations(cat)]
 print(f"structure equations: {sum(c.passed for c in checks)}/{len(checks)} hold")

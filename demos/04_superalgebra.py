@@ -33,11 +33,11 @@ e = parse_expression("nabla_p*nabla_p*a - q^2*a*nabla_p*nabla_p", la)
 print("np^2 a - q^2 a np^2 reduces to:", format_element(normalize(e, la), la))
 
 # two-way reductions of bracket-times-coordinate words agree
-checks = verify_cross_relations_consistency(cat)
+checks = [c.run() for c in verify_cross_relations_consistency(cat)]
 print(f"cross-relation consistency: {sum(c.passed for c in checks)}/{len(checks)}")
 
 # change of basis X = T1 + T2, Y = T1 - T2, reduced with the brackets alone
-checks = verify_xy_basis(cat)
+checks = [c.run() for c in verify_xy_basis(cat)]
 print(f"X/Y-basis relations: {sum(c.passed for c in checks)}/{len(checks)}")
 
 brackets = super_only(cat)
@@ -48,5 +48,5 @@ print("quadratic X/Y relation residual:",
       format_element(normalize(e, brackets), brackets))
 
 # at q = 1 the deformation terms vanish and the classical brackets remain
-checks = classical_limit_checks()
+checks = [c.run() for c in classical_limit_checks()]
 print(f"classical limit at q = 1: {sum(c.passed for c in checks)}/{len(checks)}")

@@ -40,7 +40,7 @@ for w, c in t.terms.items():
     acc = acc + antipode(W(w1), cat) * W(w2, c)
 print("m(S x id) delta(a) =", format_element(normalize(acc, loc), loc))
 
-checks = verify_hopf_axioms(cat)
+checks = [c.run() for c in verify_hopf_axioms(cat)]
 print(f"\nHopf axioms and homomorphism checks: "
       f"{sum(c.passed for c in checks)}/{len(checks)}")
 
@@ -51,5 +51,5 @@ for g in ("a", "Dgamma"):
     res = normalize(Dhat * loc.el(g) - loc.el(g) * Dhat, loc)
     print(f"[Dhat, {g}] =", format_element(res, loc))
 
-checks = verify_central_element(cat)
+checks = [c.run() for c in verify_central_element(cat)]
 print(f"centrality checks: {sum(c.passed for c in checks)}/{len(checks)}")

@@ -21,8 +21,8 @@ for row in R.entries:
     print("  ", [str(e.coeff(()) or 0) for e in row])
 
 rep = check_hecke_braid(cat)
-print(f"\nHecke + braid checks: {sum(c.passed for c in rep.checks)}"
-      f"/{len(rep.checks)}")
+checks = [c.run() for c in rep.checks]
+print(f"\nHecke + braid checks: {sum(c.passed for c in checks)}/{len(checks)}")
 print("braid relation holds under conventions:", rep.braid_conventions)
 print("(the R-matrix is parity-even, so the graded and ungraded tensor")
 print(" conventions coincide on it; both are reported)")
@@ -34,11 +34,11 @@ for eq, what in (("53", "coordinate relations"),
                  ("55", "differential relations"),
                  ("56", "coordinate/one-form relations"),
                  ("57", "one-form relations")):
-    checks = verify_rtt_family(eq, cat)
+    checks = [c.run() for c in verify_rtt_family(eq, cat)]
     print(f"matrix relation ({eq}) <-> {what}: "
           f"{sum(c.passed for c in checks)}/{len(checks)}")
 
-checks = verify_plane_covariance(cat)
+checks = [c.run() for c in verify_plane_covariance(cat)]
 print(f"\nsuperplane covariance: {sum(c.passed for c in checks)}/{len(checks)}")
 
 # a taste of the underlying computation: the transformed point of the plane

@@ -7,8 +7,8 @@ to residuals in the localized differential algebra and report exact zeros.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from weakref import WeakKeyDictionary
+from dataclasses import dataclass
+from functools import partial
 
 from .catalog import get_catalog
 from .errors import QdcError, UnknownFamilyError
@@ -22,9 +22,10 @@ from .kernel import (
     branches,
     format_element,
     normalize,
+    residual,
 )
 from .parser import parse_expression, print_ast
-from .report import timed_check
+from .report import Check
 from .ring import ONE, ZERO, LaurentScalar, qp
 from .rmatrix import W_NAMES, name_matrix
 
@@ -68,24 +69,18 @@ def d_squared_checks(cat=None, n_random=100, max_degree=5, seed=20260809):
     d, loc = exterior_derivation(cat)
     rng = random.Random(seed)
     names = [g.name for g in loc.generators]
-    out = []
 
-    def residual_for(word):
-        def fn():
-            once = apply_derivation(d, loc.word(word), loc, normalized=False)
-            twice = apply_derivation(d, once, loc)
-            return None if twice.is_zero() else format_element(twice, loc)
-        return fn
+    def fn(word):
+        once = apply_derivation(d, loc.word(word), loc, normalized=False)
+        return residual(apply_derivation(d, once, loc, normalized=False), loc)
 
-    for g in ("a", "beta", "gamma", "d", "Da", "Dbeta", "Dgamma", "Dd"):
-        out.append(timed_check(f"d_squared.gen_{g}", f"d(d({g})) = 0", "(12)",
-                               residual_for((g,))))
+    out = [Check(f"d_squared.gen_{g}", f"d(d({g})) = 0", "(12)", partial(fn, (g,)))
+           for g in ("a", "beta", "gamma", "d", "Da", "Dbeta", "Dgamma", "Dd")]
     for i in range(n_random):
         k = rng.randint(1, max_degree)
         word = tuple(rng.choice(names) for _ in range(k))
-        out.append(timed_check(f"d_squared.word_{i:03d}",
-                               f"d(d({'*'.join(word)})) = 0", "(12)",
-                               residual_for(word)))
+        out.append(Check(f"d_squared.word_{i:03d}", f"d(d({'*'.join(word)})) = 0",
+                         "(12)", partial(fn, word)))
     return out
 
 
@@ -95,20 +90,17 @@ def d_on_relations_checks(cat=None):
     cat = cat or get_catalog()
     d, loc = exterior_derivation(cat)
     out = []
-    for pname, eqtag in (("A_glq11", "(2)"), ("Omega", "(24)")):
+    for pname in ("A_glq11", "Omega"):
         p = cat.presentation(pname)
         for r in p.rules:
             if pname == "Omega" and not r.eq.startswith("(24"):
                 continue
             rel = p.word(r.pattern) - r.replacement
-
-            def fn(rel=rel):
-                res = apply_derivation(d, rel, loc)
-                return None if res.is_zero() else format_element(res, loc)
-
-            out.append(timed_check(
+            out.append(Check(
                 f"d_consistency.{pname}.{'_'.join(r.pattern)}",
-                f"d({'*'.join(r.pattern)} - ...) = 0", r.eq, fn))
+                f"d({'*'.join(r.pattern)} - ...) = 0", r.eq,
+                lambda rel=rel: residual(
+                    apply_derivation(d, rel, loc, normalized=False), loc)))
     return out
 
 
@@ -265,7 +257,6 @@ def ansatz_checks(cat=None):
     """Suite-facing wrapper: constraints match the stated ones, the selected
     branch reproduces the mixed relations, residuals behave."""
     cat = cat or get_catalog()
-    out = []
     rep = solve_ansatz()
     p = rep.presentation
 
@@ -277,13 +268,6 @@ def ansatz_checks(cat=None):
             return (f"missing {missing}, {extra} unexpected of "
                     f"{[format_element(c, p) for c in got]}")
         return None
-
-    out.append(timed_check("ansatz.linear_constraints",
-                           "linear consistency conditions as stated", "(22)",
-                           lambda: match(EXPECTED_LINEAR, rep.linear)))
-    out.append(timed_check("ansatz.quadratic_constraints",
-                           "quadratic consistency conditions as stated", "(23)",
-                           lambda: match(EXPECTED_QUADRATIC, rep.quadratic)))
 
     omega = cat.presentation("Omega")
 
@@ -307,10 +291,6 @@ def ansatz_checks(cat=None):
                 del made[ident.name]
         return None if not made else f"unmatched {sorted(made)}"
 
-    out.append(timed_check("ansatz.branch_reproduces_mixed_rules",
-                           "F22 = 0, A = q^2 branch gives the four stated "
-                           "mixed relations verbatim", "(24a)", fn_branch_rules))
-
     def residual_check(z, expect_zero):
         def fn():
             res = ansatz_residuals(z)
@@ -322,17 +302,41 @@ def ansatz_checks(cat=None):
             return None
         return fn
 
-    out.append(timed_check("ansatz.residuals_selected_branch",
-                           "all four residuals vanish on the selected branch",
-                           "(20)-(21)", residual_check(rep.branch_f22_zero, True)))
-    out.append(timed_check("ansatz.residuals_alternative_branch",
-                           "all four residuals vanish on the alternative branch",
-                           "(23)", residual_check(rep.branch_alternative, True)))
     control = Ansatz(A=ONE, B=ONE, F11=ONE, F12=ZERO, F21=ZERO, F22=ZERO)
-    out.append(timed_check("ansatz.residuals_perturbed_control",
-                           "perturbed coefficients leave a nonzero residual",
-                           "(22)", residual_check(control, False)))
-    return out
+    return [
+        Check("ansatz.linear_constraints", "linear consistency conditions as stated",
+              "(22)", lambda: match(EXPECTED_LINEAR, rep.linear)),
+        Check("ansatz.quadratic_constraints",
+              "quadratic consistency conditions as stated", "(23)",
+              lambda: match(EXPECTED_QUADRATIC, rep.quadratic)),
+        Check("ansatz.branch_reproduces_mixed_rules",
+              "F22 = 0, A = q^2 branch gives the four stated mixed relations "
+              "verbatim", "(24a)", fn_branch_rules),
+        Check("ansatz.residuals_selected_branch",
+              "all four residuals vanish on the selected branch", "(20)-(21)",
+              residual_check(rep.branch_f22_zero, True)),
+        Check("ansatz.residuals_alternative_branch",
+              "all four residuals vanish on the alternative branch", "(23)",
+              residual_check(rep.branch_alternative, True)),
+        Check("ansatz.residuals_perturbed_control",
+              "perturbed coefficients leave a nonzero residual", "(22)",
+              residual_check(control, False)),
+    ]
+
+
+def form_parity_checks(cat=None):
+    """The one-form composites w1 and w2 are odd, u and v even."""
+    cat = cat or get_catalog()
+    loc = cat.presentation("Omega_loc")
+
+    def fn(name, want):
+        got = loc.element_parity(normalize(loc.defined[name], loc))
+        return None if got == want else f"parity {got}, expected {want}"
+
+    return [Check(f"forms.parity_{name}",
+                  f"one-form composite {name} has parity {want}", "(32)",
+                  partial(fn, name, want))
+            for name, want in (("w1", 1), ("u", 0), ("w2", 1), ("v", 0))]
 
 
 # -- identity families ---------------------------------------------------------
@@ -346,17 +350,11 @@ def verify_family(family, cat=None):
         raise UnknownFamilyError(
             f"unknown family {family!r}; have {sorted(cat.all_families())}"
         )
-    out = []
-    for ident in idents:
-        desc = f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}" \
-            if ident.lhs_ast is not None else ident.name
-
-        def fn(ident=ident, p=p):
-            res = normalize(ident.lhs - ident.rhs, p)
-            return None if res.is_zero() else format_element(res, p)
-
-        out.append(timed_check(f"{family}.{ident.name}", desc, ident.eq, fn))
-    return out
+    return [Check(f"{family}.{ident.name}",
+                  f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}"
+                  if ident.lhs_ast is not None else ident.name,
+                  ident.eq, lambda ident=ident: residual(ident.lhs - ident.rhs, p))
+            for ident in idents]
 
 
 # -- structure equations --------------------------------------------------------
@@ -380,12 +378,10 @@ def verify_structure_equations(cat=None):
         "dv": (v, w2 * v - v * w1),
     }
     for name, (form, rhs) in layer1.items():
-        def fn(form=form, rhs=rhs):
-            res = exterior_d(form, cat, normalized=False) - rhs
-            res = normalize(res, loc)
-            return None if res.is_zero() else format_element(res, loc)
-        out.append(timed_check(f"structure.leibniz_{name}",
-                               f"{name} from the graded Leibniz rule", "(39)", fn))
+        out.append(Check(
+            f"structure.leibniz_{name}", f"{name} from the graded Leibniz rule",
+            "(39)", lambda form=form, rhs=rhs: residual(
+                exterior_d(form, cat, normalized=False) - rhs, loc)))
 
     # layer 2: the matrix identity dW = s3*W*s3*W, entrywise over the forms;
     # s3*W*s3 is W with its odd-index entries negated
@@ -398,11 +394,10 @@ def verify_structure_equations(cat=None):
     ]
     for i in range(2):
         for j in range(2):
-            def fn(i=i, j=j):
-                res = normalize(stated[i][j] - rhs_matrix[i][j], forms)
-                return None if res.is_zero() else format_element(res, forms)
-            out.append(timed_check(f"structure.matrix_{i+1}{j+1}",
-                                   "structure equation matrix entry", "(38)", fn))
+            out.append(Check(
+                f"structure.matrix_{i+1}{j+1}", "structure equation matrix entry",
+                "(38)", lambda i=i, j=j: residual(
+                    stated[i][j] - rhs_matrix[i][j], forms)))
 
     # layer 3: reduce the two-forms with the one-form relations
     out.extend(verify_family("cartan_maurer", cat))
@@ -468,14 +463,14 @@ def verify_localized_rule(rule, cat=None):
         if not uses_inverse or _is_cancellation(r, inverses) or i < idx:
             if r.pattern != rule.pattern:
                 partial_rules.append(r)
-    partial = Presentation("Omega_loc_partial", loc.generators, partial_rules,
-                           validate=False)
+    established = Presentation("Omega_loc_partial", loc.generators,
+                               partial_rules, validate=False)
 
     left, right = _clearing_words(rule, inverses)
     lw = loc.word(left)
     rw = loc.word(right)
-    lhs = normalize(lw * loc.word(rule.pattern) * rw, partial)
-    rhs = normalize(lw * rule.replacement * rw, partial)
+    lhs = normalize(lw * loc.word(rule.pattern) * rw, established)
+    rhs = normalize(lw * rule.replacement * rw, established)
     if lhs == rhs:
         return True, "cleared and reduced to a common form"
     leftover = any(
@@ -484,8 +479,8 @@ def verify_localized_rule(rule, cat=None):
     if leftover:
         return False, "uncleared inverse after reduction; rule rejected"
     return False, (
-        f"cleared forms differ: {format_element(lhs, partial)} vs "
-        f"{format_element(rhs, partial)}"
+        f"cleared forms differ: {format_element(lhs, established)} vs "
+        f"{format_element(rhs, established)}"
     )
 
 
@@ -497,19 +492,12 @@ def _is_cancellation(rule, inverses):
     return pair and rule.replacement == Element.unit()
 
 
-# catalog -> {rule: CheckResult}: the inverse and central suites both report
-# the clearing checks of the rules that involve Dgamma_inv
-_localized_results = WeakKeyDictionary()
-
-
 def localized_rule_checks(cat=None, only_dgamma=False):
     """The clearing check of every localized rule that involves an inverse,
-    or only of those involving Dgamma_inv.  Each check runs once per catalog;
-    every call returns fresh copies of the results."""
+    or only of those involving Dgamma_inv."""
     cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
     inverses = _inverse_names(loc)
-    done = _localized_results.setdefault(cat, {})
     out = []
     for r in loc.rules:
         involved = {g for g in r.pattern if g in inverses}
@@ -518,14 +506,11 @@ def localized_rule_checks(cat=None, only_dgamma=False):
             continue
         if only_dgamma and "Dgamma_inv" not in involved:
             continue
-        check = done.get(r)
-        if check is None:
-            def fn(r=r):
-                ok, why = verify_localized_rule(r, cat)
-                return None if ok else why
+        def fn(r=r):
+            ok, why = verify_localized_rule(r, cat)
+            return None if ok else why
 
-            check = done[r] = timed_check(
-                f"localized.{'_'.join(r.pattern)}",
-                f"clearing check for {'*'.join(r.pattern)} -> ...", r.eq, fn)
-        out.append(replace(check))
+        out.append(Check(f"localized.{'_'.join(r.pattern)}",
+                         f"clearing check for {'*'.join(r.pattern)} -> ...",
+                         r.eq, fn))
     return out

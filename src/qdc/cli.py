@@ -9,77 +9,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import calculus, hopf, liealg, rmatrix
 from .catalog import get_catalog
 from .errors import ParseError, QdcError, UnknownSuiteError
 from .kernel import check_local_confluence, format_element, normalize, step_budget
 from .parser import _literal, parse_ast, parse_expression
-from .report import SuiteReport, timed_check
+from .report import Check, SuiteReport
 
 # exhaustive degree for a presentation with localized rules (Omega_loc)
 _LOCALIZED_CONFLUENCE_DEGREE = 4
 
 
-def _suite_relations(cat):
-    out = []
-    out.extend(calculus.verify_family("relations_2", cat))
-    out.extend(calculus.verify_family("relations_17", cat))
-    out.extend(calculus.verify_family("dT_relations", cat))
-    out.extend(calculus.d_on_relations_checks(cat))
-    out.extend(calculus.d_squared_checks(cat))
-    return out
-
-
-def _suite_inverse(cat):
-    out = []
-    out.extend(calculus.verify_family("T_unit", cat))
-    out.extend(calculus.verify_family("T_inverse", cat))
-    out.extend(calculus.verify_family("inverse_differential", cat))
-    out.extend(calculus.localized_rule_checks(cat))
-    return out
-
-
-def _suite_forms(cat):
-    out = []
-    loc = cat.presentation("Omega_loc")
-    for name, want in (("w1", 1), ("u", 0), ("w2", 1), ("v", 0)):
-        def fn(name=name, want=want):
-            got = loc.element_parity(normalize(loc.defined[name], loc))
-            return None if got == want else f"parity {got}, expected {want}"
-        out.append(timed_check(f"forms.parity_{name}",
-                               f"one-form composite {name} has parity {want}",
-                               "(32)", fn))
-    out.extend(calculus.verify_family("T_forms", cat))
-    out.extend(calculus.verify_family("forms", cat))
-    out.extend(calculus.verify_family("forms_to_dT", cat))
-    return out
-
-
-def _suite_superalgebra(cat):
-    out = []
-    out.extend(liealg.verify_superalgebra(cat))
-    out.extend(liealg.verify_xy_basis(cat))
-    out.extend(liealg.verify_cross_relations_consistency(cat))
-    out.extend(liealg.classical_limit_checks())
-    return out
-
-
-def _suite_central(cat):
-    out = []
-    out.extend(hopf.verify_central_element(cat))
-    out.extend(calculus.localized_rule_checks(cat, only_dgamma=True))
-    return out
-
-
-def _suite_rmatrix(cat):
-    out = list(rmatrix.check_hecke_braid(cat).checks)
-    for eq in ("53", "54", "55", "56", "57"):
-        out.extend(rmatrix.verify_rtt_family(eq, cat))
-    return out
-
-
-def _suite_confluence(cat):
+def _confluence_checks(cat):
     """Local confluence of every catalog presentation.
 
     A presentation whose rules all decrease the deglex order is checked on
@@ -123,36 +66,69 @@ def _suite_confluence(cat):
                 return f"{len(rep.failures)} failing overlaps, first at {'*'.join(w)}"
             return None
 
-        out.append(timed_check(f"confluence.{name}", desc, "diamond", fn))
+        out.append(Check(f"confluence.{name}", desc, "diamond", fn))
     return out
 
 
+def _families(cat, *names):
+    return [c for f in names for c in calculus.verify_family(f, cat)]
+
+
+# suite name -> the function from a catalog to the suite's unrun Checks
 SUITES = {
-    "relations": _suite_relations,
+    "relations": lambda cat: [
+        *_families(cat, "relations_2", "relations_17", "dT_relations"),
+        *calculus.d_on_relations_checks(cat),
+        *calculus.d_squared_checks(cat),
+    ],
     "ansatz": calculus.ansatz_checks,
-    "inverse": _suite_inverse,
-    "forms": _suite_forms,
+    "inverse": lambda cat: [
+        *_families(cat, "T_unit", "T_inverse", "inverse_differential"),
+        *calculus.localized_rule_checks(cat),
+    ],
+    "forms": lambda cat: [
+        *calculus.form_parity_checks(cat),
+        *_families(cat, "T_forms", "forms", "forms_to_dT"),
+    ],
     "structure": calculus.verify_structure_equations,
-    "superalgebra": _suite_superalgebra,
+    "superalgebra": lambda cat: [
+        *liealg.verify_superalgebra(cat),
+        *liealg.verify_xy_basis(cat),
+        *liealg.verify_cross_relations_consistency(cat),
+        *liealg.classical_limit_checks(),
+    ],
     "hopf": hopf.verify_hopf_axioms,
-    "central": _suite_central,
-    "rmatrix": _suite_rmatrix,
+    "central": lambda cat: [
+        *hopf.verify_central_element(cat),
+        *calculus.localized_rule_checks(cat, only_dgamma=True),
+    ],
+    "rmatrix": lambda cat: [
+        *rmatrix.check_hecke_braid(cat).checks,
+        *(c for eq in ("53", "54", "55", "56", "57")
+          for c in rmatrix.verify_rtt_family(eq, cat)),
+    ],
     "plane": rmatrix.verify_plane_covariance,
-    "confluence": _suite_confluence,
+    "confluence": _confluence_checks,
 }
 
 
 def run_suite(name, q0=None):
-    """Execute a named suite; returns the (order-stable) SuiteReport."""
+    """Run a named suite, or "all" of them, and return its SuiteReport,
+    sorted by id.  A check that several suites list runs once per call and
+    is reported in each of them, as a copy."""
     if name != "all" and name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; have {['all', *SUITES]}"
         )
     cat = get_catalog(q0)
     report = SuiteReport(name)
-    suites = SUITES if name == "all" else (name,)
-    for s in suites:
-        report.checks.extend(SUITES[s](cat))
+    results = {}
+    for s in SUITES if name == "all" else (name,):
+        for check in SUITES[s](cat):
+            if check.id in results:
+                report.checks.append(replace(results[check.id]))
+            else:
+                report.checks.append(results.setdefault(check.id, check.run()))
     report = report.sorted()
     if q0 is not None:
         for c in report.checks:

@@ -17,11 +17,12 @@ from .kernel import (
     Element,
     format_element,
     normalize,
+    residual,
     tensor_legs,
     tensor_power,
     tensor_word,
 )
-from .report import timed_check
+from .report import Check
 from .ring import ONE, ZERO
 from .rmatrix import DT_NAMES, T_NAMES, name_matrix
 
@@ -213,9 +214,9 @@ def verify_hopf_axioms(cat=None):
             t = H.coproduct(E((g,)))
             diff = _image(t, delta_left, cube) - _image(t, delta_right, cube)
             return None if diff.is_zero() else f"{len(diff.terms)} unmatched triple terms"
-        out.append(timed_check(f"hopf.coassociativity_{g}",
-                               f"(delta (x) id) delta({g}) = (id (x) delta) delta({g})",
-                               "(6)", fn_coassoc))
+        out.append(Check(f"hopf.coassociativity_{g}",
+                         f"(delta (x) id) delta({g}) = (id (x) delta) delta({g})",
+                         "(6)", fn_coassoc))
 
     def legs(t):
         for w, c in t.terms.items():
@@ -236,8 +237,8 @@ def verify_hopf_axioms(cat=None):
             if normalize(right - want, loc):
                 bad.append("right")
             return None if not bad else f"counit law fails on {bad}"
-        out.append(timed_check(f"hopf.counit_law_{g}",
-                               f"counit laws on {g}", "(7)", fn_counit))
+        out.append(Check(f"hopf.counit_law_{g}", f"counit laws on {g}", "(7)",
+                         fn_counit))
 
     for g in _OMEGA_GENS:
         def fn_antipode(g=g):
@@ -254,8 +255,8 @@ def verify_hopf_axioms(cat=None):
             if normalize(right - want, loc):
                 bad.append("m(id x S)")
             return None if not bad else f"antipode law fails on {bad}"
-        out.append(timed_check(f"hopf.antipode_law_{g}",
-                               f"antipode laws on {g}", "(8)", fn_antipode))
+        out.append(Check(f"hopf.antipode_law_{g}", f"antipode laws on {g}", "(8)",
+                         fn_antipode))
 
     # coproduct preserves every relation (homomorphism property)
     for pname in ("A_glq11", "A_hat", "Omega"):
@@ -269,7 +270,7 @@ def verify_hopf_axioms(cat=None):
                 t = H.coproduct(rel)
                 return None if t.is_zero() else format_element(t, H.square)[:160]
 
-            out.append(timed_check(
+            out.append(Check(
                 f"hopf.coproduct_preserves.{pname}.{'_'.join(r.pattern)}",
                 f"coproduct of the {pname} relation at {'*'.join(r.pattern)} "
                 f"vanishes in the tensor square", r.eq, fn_hom))
@@ -295,9 +296,9 @@ def verify_hopf_axioms(cat=None):
                 return f"matrix-form expansion differs at {g}"
         return None
 
-    out.append(timed_check("hopf.matrix_coproduct_expansion",
-                           "explicit differential coproducts match the "
-                           "matrix form", "(25)(26)", fn_expansion))
+    out.append(Check("hopf.matrix_coproduct_expansion",
+                     "explicit differential coproducts match the matrix form",
+                     "(25)(26)", fn_expansion))
     return out
 
 
@@ -306,14 +307,8 @@ def verify_central_element(cat=None):
     cat = cat or get_catalog()
     from .calculus import verify_family
 
-    out = verify_family("central", cat)
     loc = cat.presentation("Omega_loc")
-
-    def fn_unit():
-        res = normalize(loc.unit() * loc.el("a")
-                        - loc.el("a") * loc.unit(), loc)
-        return None if res.is_zero() else format_element(res, loc)
-
-    out.append(timed_check("central.unit_commutes",
-                           "the unit commutes with a", "trivial", fn_unit))
-    return out
+    return [*verify_family("central", cat),
+            Check("central.unit_commutes", "the unit commutes with a", "trivial",
+                  lambda: residual(loc.unit() * loc.el("a")
+                                   - loc.el("a") * loc.unit(), loc))]

@@ -712,6 +712,13 @@ def format_element(e, p):
     return " ".join(parts)
 
 
+def residual(e, p):
+    """None when e normalizes to 0 in p, else the text of its normal form:
+    the verdict of every zero check."""
+    r = normalize(e, p)
+    return None if r.is_zero() else format_element(r, p)
+
+
 def _term_text(c, w):
     word_txt = "*".join(w)
     if not w:

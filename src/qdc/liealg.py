@@ -8,6 +8,8 @@ the two reduction orders on every bracket-times-parameter word.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .catalog import get_catalog
 from .kernel import (
     Element,
@@ -15,9 +17,9 @@ from .kernel import (
     check_local_confluence,
     format_element,
     graded_commutator,
-    normalize,
+    residual,
 )
-from .report import timed_check
+from .report import Check
 from .ring import ONE, LaurentScalar
 
 SUPER_GENS = ("T1", "T2", "nabla_p", "nabla_m")
@@ -61,11 +63,10 @@ def verify_superalgebra(cat=None):
                     f"{format_element(p2, la)}")
         return None
 
-    out.append(timed_check(
-        "superalgebra.confluence",
-        "combined bracket/cross-rule system locally confluent "
-        "(critical pairs, diamond lemma)",
-        "(2)(43)(45)", fn_confluence))
+    out.append(Check("superalgebra.confluence",
+                     "combined bracket/cross-rule system locally confluent "
+                     "(critical pairs, diamond lemma)", "(2)(43)(45)",
+                     fn_confluence))
     return out
 
 
@@ -75,18 +76,13 @@ def verify_xy_basis(cat=None):
     cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
     brackets = super_only(cat)
-    out = []
     from .parser import print_ast
 
-    for ident in la.identities_in_family("xy_basis"):
-        desc = f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}"
-
-        def fn(ident=ident):
-            res = normalize(ident.lhs - ident.rhs, brackets)
-            return None if res.is_zero() else format_element(res, brackets)
-
-        out.append(timed_check(f"xy_basis.{ident.name}", desc, ident.eq, fn))
-    return out
+    return [Check(f"xy_basis.{ident.name}",
+                  f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}",
+                  ident.eq,
+                  lambda ident=ident: residual(ident.lhs - ident.rhs, brackets))
+            for ident in la.identities_in_family("xy_basis")]
 
 
 def verify_cross_relations_consistency(cat=None):
@@ -94,18 +90,15 @@ def verify_cross_relations_consistency(cat=None):
     L*L'*g bracket-first and cross-relation-first and compare."""
     cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
-    out = []
-    for L, Lp in _BRACKET_PATTERNS:
-        for g in BODY_GENS:
-            def fn(word=(L, Lp, g)):
-                via_bracket, via_cross = branches(word, la)
-                diff = via_bracket - via_cross
-                return None if diff.is_zero() else format_element(diff, la)
 
-            out.append(timed_check(
-                f"cross_consistency.{L}_{Lp}_{g}",
-                f"{L}*{Lp}*{g}: bracket-first vs cross-first", "(43)(45)", fn))
-    return out
+    def fn(word):
+        via_bracket, via_cross = branches(word, la)
+        return residual(via_bracket - via_cross, la)
+
+    return [Check(f"cross_consistency.{L}_{Lp}_{g}",
+                  f"{L}*{Lp}*{g}: bracket-first vs cross-first", "(43)(45)",
+                  partial(fn, (L, Lp, g)))
+            for L, Lp in _BRACKET_PATTERNS for g in BODY_GENS]
 
 
 def classical_limit_checks():
@@ -131,14 +124,13 @@ def classical_limit_checks():
         ("nabla_m", "nabla_m"): Element.zero(),
         ("nabla_m", "nabla_p"): E(("T1",)) + E(("T2",)),
     }
-    out = []
-    for (x, y), want in expected.items():
-        def fn(x=x, y=y, want=want):
-            diff = graded_commutator(la.el(x), la.el(y), la) - want
-            at_one = Element({w: LaurentScalar.from_fraction(c.eval_at(1))
-                              for w, c in diff.terms.items()})
-            return None if at_one.is_zero() else format_element(at_one, la)
-        out.append(timed_check(f"classical_limit.{x}_{y}",
-                               f"bracket of {x}, {y} at q = 1 is undeformed",
-                               "(43)", fn))
-    return out
+
+    def fn(x, y, want):
+        diff = graded_commutator(la.el(x), la.el(y), la) - want
+        return residual(Element({w: LaurentScalar.from_fraction(c.eval_at(1))
+                                 for w, c in diff.terms.items()}), la)
+
+    return [Check(f"classical_limit.{x}_{y}",
+                  f"bracket of {x}, {y} at q = 1 is undeformed", "(43)",
+                  partial(fn, x, y, want))
+            for (x, y), want in expected.items()]

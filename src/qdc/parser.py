@@ -26,9 +26,11 @@ from .errors import ParseError, UnknownGeneratorError
 from .kernel import Element
 from .ring import LaurentScalar
 
+# blanks other than a newline, then one token; a newline is a token of its
+# own, so that tokenize counts every line
 _TOKEN = re.compile(
-    r"\s*(?:(?P<rat>\d+/\d+)|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()]))"
+    r"[^\S\n]*(?:(?P<newline>\n)|(?P<rat>\d+/\d+)|(?P<int>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
 
 
@@ -70,19 +72,18 @@ def tokenize(text):
     line_start = 0
     end = len(text.rstrip())  # trailing whitespace ends the token stream
     while pos < end:
-        if text[pos] == "\n":
-            line += 1
-            line_start = pos + 1
-            pos += 1
-            continue
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             col = pos - line_start + 1
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        col = m.start(m.lastgroup) - line_start + 1
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), line, col))
         pos = m.end()
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = pos
+            continue
+        col = m.start(kind) - line_start + 1
+        tokens.append((kind, m.group(kind), line, col))
     tokens.append(("end", "", line, end - line_start + 1))
     return tokens
 

@@ -1,9 +1,16 @@
-"""Check results and suite reports, with the published JSON shape."""
+"""Checks, their results and suite reports, with the published JSON shape.
+
+A check is a value: a Check holds its id, description, equation tag and a
+function that has not run yet.  Producers in calculus, liealg, hopf and
+rmatrix return lists of Checks, cli.SUITES assembles them into suites, and
+cli.run_suite runs each distinct id once and collects the CheckResults in a
+SuiteReport."""
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -31,17 +38,28 @@ class CheckResult:
         }
 
 
-def timed_check(check_id, description, paper_eq, fn):
-    """Run fn() -> residual text or None; build a CheckResult from it."""
-    t0 = time.perf_counter()
-    try:
-        residual = fn()
-        status = "pass" if residual is None else "fail"
-    except Exception as exc:  # a crashed check is an error, not a silent skip
-        residual = f"{type(exc).__name__}: {exc}"
-        status = "error"
-    ms = (time.perf_counter() - t0) * 1000.0
-    return CheckResult(check_id, description, paper_eq, status, residual, ms)
+@dataclass(frozen=True)
+class Check:
+    """A check that has not run yet: fn() returns None when the claim holds,
+    and otherwise the text of its residual."""
+
+    id: str
+    description: str
+    paper_eq: str
+    fn: Callable[[], str | None]
+
+    def run(self):
+        """Call fn once, timed; an exception becomes an error row."""
+        t0 = time.perf_counter()
+        try:
+            residual = self.fn()
+            status = "pass" if residual is None else "fail"
+        except Exception as exc:  # a crashed check is an error, not a silent skip
+            residual = f"{type(exc).__name__}: {exc}"
+            status = "error"
+        ms = (time.perf_counter() - t0) * 1000.0
+        return CheckResult(self.id, self.description, self.paper_eq, status,
+                           residual, ms)
 
 
 @dataclass

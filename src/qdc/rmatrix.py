@@ -13,6 +13,7 @@ family are both purely quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .catalog import get_catalog
 from .errors import QdcError
@@ -20,13 +21,12 @@ from .kernel import (
     Element,
     Generator,
     Presentation,
-    format_element,
     graded_product,
-    normalize,
+    residual,
 )
 from .linalg import elements_to_rows, row_space_equal
 from .parser import eval_ast
-from .report import timed_check
+from .report import Check
 from .ring import ONE, ZERO, qp
 
 # -- supermatrices --------------------------------------------------------------
@@ -242,14 +242,6 @@ def _entries(eq, p, cat):
     return [e for row in diff.entries for e in row]
 
 
-def _zero_check(check_id, description, paper_eq, e, p):
-    """The check that e normalizes to 0 in p; its residual is the normal form."""
-    def fn():
-        r = normalize(e, p)
-        return None if r.is_zero() else format_element(r, p)
-    return timed_check(check_id, description, paper_eq, fn)
-
-
 def _free(p):
     """p without rules, and with the one-form composites it defines as
     letters of their own parity."""
@@ -276,10 +268,9 @@ def verify_rtt_family(eq, cat=None):
     out = []
     for k, e in enumerate(_entries(eq, p, cat)):
         i, j = divmod(k, 4)
-        out.append(_zero_check(
-            f"rtt{eq}.entry_{i+1}_{j+1}",
-            f"matrix relation entry ({i+1},{j+1}) reduces to zero",
-            f"({eq})", e, p))
+        out.append(Check(f"rtt{eq}.entry_{i+1}_{j+1}",
+                         f"matrix relation entry ({i+1},{j+1}) reduces to zero",
+                         f"({eq})", partial(residual, e, p)))
 
     def fn_span():
         free = _free(p)
@@ -295,10 +286,9 @@ def verify_rtt_family(eq, cat=None):
             return "degree-2 spans differ"
         return None
 
-    out.append(timed_check(
-        f"rtt{eq}.spanning",
-        f"entry equations span the {family} relations at degree 2",
-        f"({eq})", fn_span))
+    out.append(Check(f"rtt{eq}.spanning",
+                     f"entry equations span the {family} relations at degree 2",
+                     f"({eq})", fn_span))
     return out
 
 
@@ -352,18 +342,18 @@ def verify_plane_covariance(cat=None):
         M = name_matrix(combined, mat_names, shift)
         img = (M @ _point(combined, coords)).validate_parities(combined)
         for rel_name, e in rels(img.entries[0][0], img.entries[1][0]):
-            out.append(_zero_check(f"plane.{name}.{rel_name}",
-                                   f"{name}: transformed point satisfies "
-                                   f"{rel_name}", eqtag, e, combined))
+            out.append(Check(f"plane.{name}.{rel_name}",
+                             f"{name}: transformed point satisfies {rel_name}",
+                             eqtag, partial(residual, e, combined)))
 
     # the plane relations in R-matrix form (50): X (x) X = q^-1 R (X (x) X)
     R = r_hat(cat)
     XX = graded_kron(_point(aq, ("x", "theta")), _point(aq, ("x", "theta")))
     diff = XX - (R @ XX).scaled(sc(qp(-1)))
     for i, (e,) in enumerate(diff.entries):
-        out.append(_zero_check(f"plane.rmatrix_form.component_{i+1}",
-                               "plane relations written through the R-matrix",
-                               "(50)", e, aq))
+        out.append(Check(f"plane.rmatrix_form.component_{i+1}",
+                         "plane relations written through the R-matrix", "(50)",
+                         partial(residual, e, aq)))
 
     # the mixed coordinate/differential components (52):
     # (-1)^p(i) x_i dx_j = q R (dX (x) X), component 2i + j
@@ -372,9 +362,9 @@ def verify_plane_covariance(cat=None):
     diff = (graded_kron(X.signed(include_shift=False), dX)
             - (R @ graded_kron(dX, X)).scaled(sc(qp(1))))
     for i, (e,) in enumerate(diff.entries):
-        out.append(_zero_check(f"plane.mixed.component_{i+1}",
-                               "mixed coordinate-differential component",
-                               "(52)", e, pd))
+        out.append(Check(f"plane.mixed.component_{i+1}",
+                         "mixed coordinate-differential component", "(52)",
+                         partial(residual, e, pd)))
     return out
 
 
@@ -404,9 +394,8 @@ def check_hecke_braid(cat=None):
             def fn(i=i, j=j):
                 res = RR.entries[i][j] - want.entries[i][j]
                 return None if res.is_zero() else repr(res)
-            rep.checks.append(timed_check(
-                f"hecke.entry_{i+1}_{j+1}",
-                "Hecke relation entry", "Hecke", fn))
+            rep.checks.append(Check(f"hecke.entry_{i+1}_{j+1}",
+                                    "Hecke relation entry", "Hecke", fn))
 
     def fn_trace():
         # Hecke forces eigenvalues q and -q^-1; the trace fixes the
@@ -418,9 +407,9 @@ def check_hecke_braid(cat=None):
         expect = cat.scalar((qp(1) + qp(1)) - (qp(-1) + qp(-1)))
         return None if tr == expect else f"trace {tr} != {expect}"
 
-    rep.checks.append(timed_check(
-        "hecke.trace_multiplicities",
-        "trace matches eigenvalue multiplicities (2, 2)", "Hecke", fn_trace))
+    rep.checks.append(Check("hecke.trace_multiplicities",
+                            "trace matches eigenvalue multiplicities (2, 2)",
+                            "Hecke", fn_trace))
 
     I2 = identity_matrix((0, 1))
     for label, graded in (("graded", True), ("ungraded", False)):
@@ -440,7 +429,7 @@ def check_hecke_braid(cat=None):
             return None
         return f"braid fails under the graded convention; holds for {rep.braid_conventions}"
 
-    rep.checks.append(timed_check(
-        "braid.graded_tensor_cube",
-        "braid relation on the graded tensor cube", "braid", fn_braid))
+    rep.checks.append(Check("braid.graded_tensor_cube",
+                            "braid relation on the graded tensor cube", "braid",
+                            fn_braid))
     return rep

@@ -32,7 +32,7 @@ def _report(n, name, ok):
 
 
 def _all_pass(checks):
-    bad = [c for c in checks if not c.passed]
+    bad = [r for r in (c.run() for c in checks) if not r.passed]
     if bad:
         for c in bad[:6]:
             print(f"  failing: {c.id}: {c.residual}")

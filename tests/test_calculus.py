@@ -39,13 +39,13 @@ def test_d_kills_coordinate_relation(cat):
 
 
 def test_d_squared_suite(cat):
-    checks = d_squared_checks(cat)
+    checks = [c.run() for c in d_squared_checks(cat)]
     assert len(checks) == 108
     assert all(c.passed for c in checks)
 
 
 def test_d_on_relations_suite(cat):
-    checks = d_on_relations_checks(cat)
+    checks = [c.run() for c in d_on_relations_checks(cat)]
     assert len(checks) == 8 + 16
     assert all(c.passed for c in checks)
 
@@ -96,14 +96,14 @@ def test_symbolic_branch_with_free_parameters():
 
 
 def test_ansatz_checks_all_pass(cat):
-    checks = ansatz_checks(cat)
+    checks = [c.run() for c in ansatz_checks(cat)]
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
 
 def test_family_counts(cat):
     for family, count in (("T_inverse", 16), ("inverse_differential", 16),
                           ("T_forms", 16), ("forms", 8), ("forms_to_dT", 4)):
-        checks = verify_family(family, cat)
+        checks = [c.run() for c in verify_family(family, cat)]
         assert len(checks) == count, family
         assert all(c.passed for c in checks), family
 
@@ -127,7 +127,7 @@ def test_unknown_family(cat):
 
 
 def test_structure_equations(cat):
-    checks = verify_structure_equations(cat)
+    checks = [c.run() for c in verify_structure_equations(cat)]
     assert len(checks) == 12
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
@@ -146,7 +146,7 @@ def test_structure_examples(cat):
 
 
 def test_localized_rules_all_validate(cat):
-    checks = localized_rule_checks(cat)
+    checks = [c.run() for c in localized_rule_checks(cat)]
     assert len(checks) == 30
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 

@@ -10,7 +10,7 @@ import pytest
 
 from qdc.cli import SUITES, main, run_suite
 from qdc.errors import UnknownSuiteError
-from qdc.report import JSON_SCHEMA, CheckResult, SuiteReport
+from qdc.report import JSON_SCHEMA, Check, CheckResult, SuiteReport
 
 
 def test_run_suite_relations_passes():
@@ -44,10 +44,18 @@ def test_cli_unknown_presentation_exit_two(capsys):
 
 def test_cli_exit_one_on_failing_check(monkeypatch, capsys):
     def failing_suite(cat):
-        return [CheckResult("forced.failure", "forced", "", "fail", "x", 0.0)]
+        return [Check("forced.failure", "forced", "", lambda: "x"),
+                Check("forced.raise", "raises", "", lambda: 1 / 0)]
 
     monkeypatch.setitem(SUITES, "forced", failing_suite)
     assert main(["verify", "--suite", "forced"]) == 1
+    capsys.readouterr()
+    assert main(["verify", "--suite", "forced", "--format", "json"]) == 1
+    rows = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert (rows["forced.failure"]["status"], rows["forced.failure"]["residual"]) \
+        == ("fail", "x")
+    assert (rows["forced.raise"]["status"], rows["forced.raise"]["residual"]) \
+        == ("error", "ZeroDivisionError: division by zero")
 
 
 def test_cli_normalize_output(capsys):
@@ -206,3 +214,49 @@ def test_full_report_is_pinned(q0):
     assert len(rows) == 552
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == _REPORT_SHA256[q0]
+
+
+# sha256 of the json list of ids, in report order, of each suite run alone,
+# so a check that moved from one suite to another shows
+_SUITE_IDS_SHA256 = {
+    "relations": (164, "ba5a02fc21640cee13cab350fdc61b23737396ff2a9a2e7ca9fad221cd7041b3"),
+    "ansatz": (6, "08cf79a88542157aec2b33502b482207a701f92ba4af70435333a7bd7b871e4f"),
+    "inverse": (70, "27fd53bf04dfd7e9786ad3ab66f1733dd6deba540575783f3662b58a7fabf861"),
+    "forms": (32, "a18536e9b177aee6c6a8b57e5064eec2a354411600c4659d4675f762bbca582e"),
+    "structure": (12, "95baf8bff2140a6a38c3172469e520408d2b62aa4aa020406260b141bfa34a58"),
+    "superalgebra": (63, "57ab046f3392b364a2f53de7c4adb42c59702905a9e66032b9a8ff479f7d7bce"),
+    "hopf": (57, "c2f0599b026bb478008f00a29ca8e904a474b56a3b485b2d402a3ecf2600681a"),
+    "central": (20, "eec2ca8c9557a3e2dbc40406f812133b233177f25e9f2c3eb521ec661e8135b0"),
+    "rmatrix": (103, "5b0493afa08c5cd2b91428e93534068a2896920cf915f91de7eedac286335b92"),
+    "plane": (16, "47f5f9f2a2bccd521fc85664cbe801d36638a4dfc44b88004be4455ce66adf49"),
+    "confluence": (9, "bd0a1f2f513fedde3e8e2faff839ded87341b1edabc6fc403dc372fbba5e0d18"),
+}
+
+
+def test_suite_membership_is_pinned():
+    assert list(SUITES) == list(_SUITE_IDS_SHA256)
+    for name, (count, want) in _SUITE_IDS_SHA256.items():
+        ids = [c.id for c in run_suite(name).checks]
+        assert len(ids) == count, name
+        assert hashlib.sha256(json.dumps(ids).encode()).hexdigest() == want, name
+
+
+def test_shared_checks_run_once_per_call(monkeypatch):
+    # the inverse and central suites both list the clearing checks of the
+    # 11 rules that involve Dgamma_inv: 41 rows from 30 rules
+    from qdc import calculus
+
+    calls = []
+    real = calculus.verify_localized_rule
+
+    def counted(rule, cat=None):
+        calls.append(rule)
+        return real(rule, cat)
+
+    monkeypatch.setattr(calculus, "verify_localized_rule", counted)
+    for _ in range(2):
+        calls.clear()
+        rows = [c for c in run_suite("all").checks if c.id.startswith("localized.")]
+        assert len(calls) == 30 and len(set(calls)) == 30
+        assert len(rows) == 41
+        assert len({id(c) for c in rows}) == 41

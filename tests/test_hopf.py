@@ -95,7 +95,7 @@ def test_antipode_of_inverse_is_inverse_of_antipode(cat):
 
 
 def test_hopf_axioms_all_pass(cat):
-    checks = verify_hopf_axioms(cat)
+    checks = [c.run() for c in verify_hopf_axioms(cat)]
     assert len(checks) == 8 * 3 + 32 + 1
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
@@ -144,7 +144,7 @@ def test_counit_multiplicative_random(cat):
 
 
 def test_central_element(cat):
-    checks = verify_central_element(cat)
+    checks = [c.run() for c in verify_central_element(cat)]
     assert len(checks) == 9
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 

@@ -35,7 +35,7 @@ def test_commutator_action_identity(cat):
 
 
 def test_superalgebra_suite(cat):
-    checks = verify_superalgebra(cat)
+    checks = [c.run() for c in verify_superalgebra(cat)]
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
     # 8 bracket relations + 6 displayed consistency identities + confluence
     assert len(checks) == 15
@@ -48,7 +48,7 @@ def test_overlap_T2_np_a(cat):
 
 
 def test_xy_basis(cat):
-    checks = verify_xy_basis(cat)
+    checks = [c.run() for c in verify_xy_basis(cat)]
     assert len(checks) == 8
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
@@ -83,7 +83,7 @@ def test_xy_quadratic_without_half_fails(cat):
 
 
 def test_cross_relations_consistency(cat):
-    checks = verify_cross_relations_consistency(cat)
+    checks = [c.run() for c in verify_cross_relations_consistency(cat)]
     assert len(checks) == 32
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
@@ -117,7 +117,7 @@ def test_printed_cross_rule_signs_fail_confluence(cat):
 
 
 def test_classical_limit(cat):
-    checks = classical_limit_checks()
+    checks = [c.run() for c in classical_limit_checks()]
     assert len(checks) == 8
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 

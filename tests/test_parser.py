@@ -97,7 +97,7 @@ def test_literal_powers_exact_or_refused(cat):
 def test_negative_power_error_has_the_atoms_position(cat):
     om = cat.presentation("Omega")
     for text, where in (("(a)^-1", (1, 1)), ("d + (a*d)^-2", (1, 5)),
-                        ("a +\n  (d)^-1", (2, 3))):
+                        ("a +\n  (d)^-1", (2, 3)), ("a + \n  (d)^-1", (2, 3))):
         with pytest.raises(ParseError, match="negative exponent") as err:
             parse_expression(text, om)
         assert (err.value.line, err.value.col) == where, text

@@ -101,8 +101,8 @@ def test_graded_kron_koszul_property():
 
 def test_hecke_and_braid(cat):
     rep = check_hecke_braid(cat)
-    assert all(c.passed for c in rep.checks), \
-        [c.id for c in rep.checks if not c.passed]
+    checks = [c.run() for c in rep.checks]
+    assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
     assert "graded" in rep.braid_conventions
 
 
@@ -120,7 +120,7 @@ def test_hecke_spectrum_shadow():
 
 def test_rtt_families_pass(cat):
     for eq in ("53", "54", "55", "56", "57"):
-        checks = verify_rtt_family(eq, cat)
+        checks = [c.run() for c in verify_rtt_family(eq, cat)]
         assert len(checks) == 17
         assert all(c.passed for c in checks), \
             (eq, [c.id for c in checks if not c.passed])
@@ -150,7 +150,7 @@ def test_rtt_spanning_negative_control(eq, family, name, rhs):
         dataclasses.replace(i, rhs_ast=parse_ast(rhs)) if i.name == name else i
         for i in p.identities
     ]
-    checks = {c.id: c for c in verify_rtt_family(eq, fresh)}
+    checks = {c.id: c.run() for c in verify_rtt_family(eq, fresh)}
     span = checks.pop(f"rtt{eq}.spanning")
     assert (span.status, span.residual) == ("fail", "degree-2 spans differ")
     assert len(checks) == 16
@@ -163,7 +163,7 @@ def test_rtt_unknown_tag(cat):
 
 
 def test_plane_covariance(cat):
-    checks = verify_plane_covariance(cat)
+    checks = [c.run() for c in verify_plane_covariance(cat)]
     assert len(checks) == 16
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
