@@ -10,13 +10,13 @@ Run:  python demos/03_cartan_maurer.py
 
 from qdc import format_element, normalize
 from qdc.calculus import exterior_d, verify_family, verify_structure_equations
-from qdc.catalog import get_catalog, maurer_forms, superinverse_entries
+from qdc.catalog import get_catalog
 from qdc.parser import parse_expression
 
 cat = get_catalog()
 loc = cat.presentation("Omega_loc")
 
-inv = superinverse_entries()
+inv = loc.defined
 print("inverse supermatrix entries (normal forms):")
 for k in ("iA", "iB", "iC", "iD"):
     print(f"  {k} =", format_element(normalize(inv[k], loc), loc))
@@ -26,10 +26,8 @@ row1 = parse_expression("a*iA + beta*iC", loc)
 print("\na*iA + beta*iC reduces to:", format_element(normalize(row1, loc), loc))
 
 print("\none-form composites:")
-forms = maurer_forms()
 for k in ("w1", "u", "w2", "v"):
-    raw, nf = forms[k]
-    print(f"  {k} =", format_element(nf, loc))
+    print(f"  {k} =", format_element(normalize(loc.defined[k], loc), loc))
 
 # the commutation relations of coordinates with inverse entries and with the
 # one-forms are all theorems; each family reduces to zero residuals
@@ -40,7 +38,7 @@ for family in ("T_inverse", "inverse_differential", "T_forms", "forms"):
 # d of a one-form composite equals its two-form expression
 w1 = loc.defined["w1"]
 u, v = loc.defined["u"], loc.defined["v"]
-res = normalize(exterior_d(w1, cat, normalized=False) - (w1 * w1 - u * v), loc)
+res = normalize(exterior_d(w1, cat) - (w1 * w1 - u * v), loc)
 print("\nd(w1) - (w1^2 - u v) reduces to:", format_element(res, loc))
 
 checks = [c.run() for c in verify_structure_equations(cat)]

@@ -5,39 +5,34 @@ Run:  python demos/05_hopf_structure.py
 
 from qdc import Element, format_element, normalize
 from qdc.catalog import get_catalog
-from qdc.hopf import (
-    antipode,
-    coproduct,
-    counit,
-    hopf_data,
-    verify_central_element,
-    verify_hopf_axioms,
-)
+from qdc.hopf import HopfData, verify_central_element, verify_hopf_axioms
 from qdc.kernel import tensor_legs
 
 cat = get_catalog()
 loc = cat.presentation("Omega_loc")
+# coproduct, counit and antipode on this catalog's Omega_loc
+H = HopfData(cat)
 # the tensor square: slot k holds the letters k:a, k:beta, ...
-square = hopf_data(cat).square
+square = H.square
 W = Element.word
 
-print("coproduct of a:", format_element(coproduct(W(("a",)), cat), square))
-print("coproduct of Da:", format_element(coproduct(W(("Da",)), cat), square))
+print("coproduct of a:", format_element(H.coproduct(W(("a",))), square))
+print("coproduct of Da:", format_element(H.coproduct(W(("Da",))), square))
 print("coproduct of a_inv (geometric series):",
-      format_element(coproduct(W(("a_inv",)), cat), square))
+      format_element(H.coproduct(W(("a_inv",))), square))
 
-print("\ncounit: eps(a) =", counit(W(("a",)), cat),
-      "| eps(Da) =", counit(W(("Da",)), cat))
+print("\ncounit: eps(a) =", H.counit(W(("a",))),
+      "| eps(Da) =", H.counit(W(("Da",))))
 
-print("\nantipode of a:", format_element(antipode(W(("a",)), cat), loc))
-print("antipode of Da:", format_element(antipode(W(("Da",)), cat), loc))
+print("\nantipode of a:", format_element(H.antipode(W(("a",))), loc))
+print("antipode of Da:", format_element(H.antipode(W(("Da",))), loc))
 
 # the antipode law on a: multiply the two tensor legs of the coproduct
-t = coproduct(W(("a",)), cat)
+t = H.coproduct(W(("a",)))
 acc = Element.zero()
 for w, c in t.terms.items():
     w1, w2 = tensor_legs(w, 2)
-    acc = acc + antipode(W(w1), cat) * W(w2, c)
+    acc = acc + H.antipode(W(w1)) * W(w2, c)
 print("m(S x id) delta(a) =", format_element(normalize(acc, loc), loc))
 
 checks = [c.run() for c in verify_hopf_axioms(cat)]

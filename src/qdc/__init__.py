@@ -8,7 +8,6 @@ from .kernel import (
     Generator,
     Presentation,
     RewriteRule,
-    DerivationSpec,
     normalize,
     apply_derivation,
     graded_commutator,
@@ -17,13 +16,13 @@ from .kernel import (
     format_element,
 )
 from .parser import parse_expression, parse_ast, print_ast
-from .catalog import get_catalog, presentation, superinverse_entries, maurer_forms
+from .catalog import get_catalog
 
 __all__ = [
     "LaurentScalar", "ONE", "ZERO", "Q", "QINV", "qp", "lint", "lfrac",
-    "Element", "Generator", "Presentation", "RewriteRule", "DerivationSpec",
+    "Element", "Generator", "Presentation", "RewriteRule",
     "normalize", "apply_derivation", "graded_commutator",
     "check_local_confluence", "graded_product", "format_element",
     "parse_expression", "parse_ast", "print_ast",
-    "get_catalog", "presentation", "superinverse_entries", "maurer_forms",
+    "get_catalog",
 ]

@@ -10,10 +10,8 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .catalog import get_catalog
-from .errors import QdcError, UnknownFamilyError
+from .errors import QdcError
 from .kernel import (
-    DerivationSpec,
     Element,
     Generator,
     Presentation,
@@ -32,13 +30,12 @@ from .rmatrix import W_NAMES, name_matrix
 # -- exterior differential ----------------------------------------------------
 
 
-def exterior_derivation(cat=None):
+def exterior_derivation(cat):
     """Images of the localized generators under the exterior differential.
 
     On formal inverses the image is forced by the Leibniz rule applied to
     g*g_inv = 1, giving d(g_inv) = -g_inv*(dg)*g_inv.
     """
-    cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
     E = loc.word
     images = {
@@ -54,40 +51,45 @@ def exterior_derivation(cat=None):
         "d_inv": -E(("d_inv", "Dd", "d_inv")),
         "Dgamma_inv": Element.zero(),
     }
-    return DerivationSpec(images), loc
+    return images, loc
 
 
-def exterior_d(e, cat=None, p=None, normalized=True):
-    """Exterior differential of an element of the localized algebra."""
+def exterior_d(e, cat):
+    """Exterior differential of an element of the localized algebra,
+    unreduced."""
     d, loc = exterior_derivation(cat)
-    return apply_derivation(d, e, p or loc, normalized=normalized)
+    return apply_derivation(d, e, loc)
 
 
-def d_squared_checks(cat=None, n_random=100, max_degree=5, seed=20260809):
+# the d^2 = 0 sample: how many random words, their longest length, the seed
+_D_SQUARED_WORDS = 100
+_D_SQUARED_MAX_DEGREE = 5
+_D_SQUARED_SEED = 20260809
+
+
+def d_squared_checks(cat):
     """d^2 = 0 on every generator and on random words."""
-    cat = cat or get_catalog()
     d, loc = exterior_derivation(cat)
-    rng = random.Random(seed)
+    rng = random.Random(_D_SQUARED_SEED)
     names = [g.name for g in loc.generators]
 
     def fn(word):
-        once = apply_derivation(d, loc.word(word), loc, normalized=False)
-        return residual(apply_derivation(d, once, loc, normalized=False), loc)
+        once = apply_derivation(d, loc.word(word), loc)
+        return residual(apply_derivation(d, once, loc), loc)
 
     out = [Check(f"d_squared.gen_{g}", f"d(d({g})) = 0", "(12)", partial(fn, (g,)))
            for g in ("a", "beta", "gamma", "d", "Da", "Dbeta", "Dgamma", "Dd")]
-    for i in range(n_random):
-        k = rng.randint(1, max_degree)
+    for i in range(_D_SQUARED_WORDS):
+        k = rng.randint(1, _D_SQUARED_MAX_DEGREE)
         word = tuple(rng.choice(names) for _ in range(k))
         out.append(Check(f"d_squared.word_{i:03d}", f"d(d({'*'.join(word)})) = 0",
                          "(12)", partial(fn, word)))
     return out
 
 
-def d_on_relations_checks(cat=None):
+def d_on_relations_checks(cat):
     """d applied to every coordinate relation and every mixed relation
     reduces to zero: the consistency statements behind the calculus."""
-    cat = cat or get_catalog()
     d, loc = exterior_derivation(cat)
     out = []
     for pname in ("A_glq11", "Omega"):
@@ -99,8 +101,7 @@ def d_on_relations_checks(cat=None):
             out.append(Check(
                 f"d_consistency.{pname}.{'_'.join(r.pattern)}",
                 f"d({'*'.join(r.pattern)} - ...) = 0", r.eq,
-                lambda rel=rel: residual(
-                    apply_derivation(d, rel, loc, normalized=False), loc)))
+                lambda rel=rel: residual(apply_derivation(d, rel, loc), loc)))
     return out
 
 
@@ -222,6 +223,8 @@ EXPECTED_QUADRATIC = ("F12*F22", "F11*F22 - q*A*F22")
 def solve_ansatz():
     """Reduce the consistency conditions with the unknowns as generators and
     read off the constraint polynomials and the two solution branches.
+    Symbolic by design, so it takes no catalog: the constraints are
+    polynomials in q.
 
     A residual's normal words are a product of unknowns times a word of the
     block; the constraint of block word w is the sum of the residual's terms
@@ -253,10 +256,9 @@ def solve_ansatz():
     )
 
 
-def ansatz_checks(cat=None):
+def ansatz_checks(cat):
     """Suite-facing wrapper: constraints match the stated ones, the selected
     branch reproduces the mixed relations, residuals behave."""
-    cat = cat or get_catalog()
     rep = solve_ansatz()
     p = rep.presentation
 
@@ -268,8 +270,6 @@ def ansatz_checks(cat=None):
             return (f"missing {missing}, {extra} unexpected of "
                     f"{[format_element(c, p) for c in got]}")
         return None
-
-    omega = cat.presentation("Omega")
 
     def fn_branch_rules():
         z = rep.branch_f22_zero
@@ -284,7 +284,7 @@ def ansatz_checks(cat=None):
             "beta_Dbeta": E(("beta", "Dbeta"))
                        - E(("Dbeta", "beta"), sc(z.B)),
         }
-        for ident in omega.identities_in_family("dT_relations"):
+        for ident in cat.family("dT_relations")[1]:
             if ident.name in made:
                 if made[ident.name] != ident.lhs - ident.rhs:
                     return f"branch rule {ident.name} differs from the stated relation"
@@ -324,9 +324,8 @@ def ansatz_checks(cat=None):
     ]
 
 
-def form_parity_checks(cat=None):
+def form_parity_checks(cat):
     """The one-form composites w1 and w2 are odd, u and v even."""
-    cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
 
     def fn(name, want):
@@ -342,14 +341,9 @@ def form_parity_checks(cat=None):
 # -- identity families ---------------------------------------------------------
 
 
-def verify_family(family, cat=None):
+def verify_family(family, cat):
     """Reduce every identity of the named family to its residual."""
-    cat = cat or get_catalog()
-    p, idents = cat.find_family(family)
-    if p is None:
-        raise UnknownFamilyError(
-            f"unknown family {family!r}; have {sorted(cat.all_families())}"
-        )
+    p, idents = cat.family(family)
     return [Check(f"{family}.{ident.name}",
                   f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}"
                   if ident.lhs_ast is not None else ident.name,
@@ -360,11 +354,10 @@ def verify_family(family, cat=None):
 # -- structure equations --------------------------------------------------------
 
 
-def verify_structure_equations(cat=None):
+def verify_structure_equations(cat):
     """Three layers: the two-form differentials of the one-form composites,
     the matrix form of the structure equation, and the reduced Cartan-Maurer
     matrix obtained from the one-form commutation relations."""
-    cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
     forms = cat.presentation("Forms")
     w1, u, w2, v = (loc.defined[k] for k in ("w1", "u", "w2", "v"))
@@ -381,7 +374,7 @@ def verify_structure_equations(cat=None):
         out.append(Check(
             f"structure.leibniz_{name}", f"{name} from the graded Leibniz rule",
             "(39)", lambda form=form, rhs=rhs: residual(
-                exterior_d(form, cat, normalized=False) - rhs, loc)))
+                exterior_d(form, cat) - rhs, loc)))
 
     # layer 2: the matrix identity dW = s3*W*s3*W, entrywise over the forms;
     # s3*W*s3 is W with its odd-index entries negated
@@ -429,7 +422,7 @@ def _clearing_words(rule, inverses):
     return tuple(reversed(lead)), tuple(trail)
 
 
-def verify_localized_rule(rule, cat=None):
+def verify_localized_rule(rule, cat):
     """Validate a localized rule by clearing its inverses and reducing both
     sides in a system of already-established rules.
 
@@ -440,7 +433,6 @@ def verify_localized_rule(rule, cat=None):
     the catalog document; the rule passes exactly when the two normal forms
     agree.
     """
-    cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
     inverses = _inverse_names(loc)
     touched = [g for g in rule.pattern if g in inverses]
@@ -492,10 +484,9 @@ def _is_cancellation(rule, inverses):
     return pair and rule.replacement == Element.unit()
 
 
-def localized_rule_checks(cat=None, only_dgamma=False):
+def localized_rule_checks(cat, only_dgamma=False):
     """The clearing check of every localized rule that involves an inverse,
     or only of those involving Dgamma_inv."""
-    cat = cat or get_catalog()
     loc = cat.presentation("Omega_loc")
     inverses = _inverse_names(loc)
     out = []

@@ -5,15 +5,22 @@ define, or expected identity, so the transcription can be reviewed line by
 line against its source equations.  Loading validates orientation and parity
 of every rule; the documents round-trip bit-exactly through the expression
 parser (enforced in the test suite).
+
+Each identity family lives in one presentation, and each identity name once
+in its family: a document that repeats either is refused at load.
+`Catalog.families` maps every family to its presentation, and
+`Catalog.family` reads a family's identities from that presentation when it
+is asked.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
-from .errors import CatalogFormatError, UnknownPresentationError
-from .kernel import Element, Generator, Identity, Presentation, RewriteRule, normalize
+from .errors import CatalogFormatError, UnknownFamilyError, UnknownPresentationError
+from .kernel import Element, Generator, Identity, Presentation, RewriteRule
 from .parser import eval_ast, parse_ast
 from .ring import ONE, ZERO, LaurentScalar
 
@@ -142,7 +149,12 @@ def _build(block, scalar_map=None):
         stub.defined[name] = el
         p.defined[name] = lift(el)
 
+    seen = set()
     for family, ident, lhs_text, rhs_text, eq in block.identity_lines:
+        if (family, ident) in seen:
+            raise CatalogFormatError(
+                f"{block.name}: duplicate identity {ident!r} in family {family!r}")
+        seen.add((family, ident))
         lhs_ast, rhs_ast = parse_ast(lhs_text), parse_ast(rhs_text)
         lhs, rhs = eval_ast(lhs_ast, stub), eval_ast(rhs_ast, stub)
         p.identities.append(Identity(family, ident, lift(lhs), lift(rhs), eq=eq,
@@ -162,11 +174,18 @@ class Catalog:
         self.q0 = Fraction(q0) if q0 is not None else None
         scalar_map = self.scalar if self.q0 is not None else None
         self.presentations = {}
+        self.families = {}
         for fname in _FILES:
             for block in parse_document(_data_text(fname)):
                 if block.name in self.presentations:
                     raise CatalogFormatError(f"duplicate presentation {block.name}")
-                self.presentations[block.name] = _build(block, scalar_map)
+                p = self.presentations[block.name] = _build(block, scalar_map)
+                for ident in p.identities:
+                    other = self.families.setdefault(ident.family, p)
+                    if other is not p:
+                        raise CatalogFormatError(
+                            f"family {ident.family!r} is in both {other.name} "
+                            f"and {p.name}")
 
     def presentation(self, name):
         try:
@@ -186,61 +205,30 @@ class Catalog:
     def names(self):
         return sorted(self.presentations)
 
-    # -- named composites ----------------------------------------------------
-
-    def superinverse_entries(self):
-        """The four entries of the inverse supermatrix, as named composites."""
-        loc = self.presentation("Omega_loc")
-        return {k: loc.defined[k] for k in ("iA", "iB", "iC", "iD")}
-
-    def maurer_forms(self):
-        """The four one-form composites, raw and in normal form."""
-        loc = self.presentation("Omega_loc")
-        out = {}
-        for k in ("w1", "u", "w2", "v"):
-            raw = loc.defined[k]
-            out[k] = (raw, normalize(raw, loc))
-        return out
-
-    def find_family(self, family):
-        """(presentation, identities) for a named identity family."""
-        for p in self.presentations.values():
-            idents = p.identities_in_family(family)
-            if idents:
-                return p, idents
-        return None, []
-
-    def all_families(self):
-        out = {}
-        for pname in sorted(self.presentations):
-            for fam in self.presentations[pname].families():
-                out[fam] = pname
-        return out
+    def family(self, name):
+        """(presentation, its identities in the named family), read from
+        the presentation's identities now."""
+        try:
+            p = self.families[name]
+        except KeyError:
+            raise UnknownFamilyError(
+                f"unknown family {name!r}; have {sorted(self.families)}"
+            ) from None
+        return p, [ident for ident in p.identities if ident.family == name]
 
     def coverage_audit(self):
         """Relation families whose rule/identity count disagrees with the
         transcription table; must come back empty."""
-        counts = {}
+        # rule patterns are unique in a presentation, identity names in a family
+        counts = Counter()
         for p in self.presentations.values():
-            seen_keys = set()
-            for r in p.rules:
-                key = ("rule", r.eq, r.pattern)
-                if r.eq in _EXPECTED_COUNTS and key not in seen_keys:
-                    seen_keys.add(key)
-            for i in p.identities:
-                if i.eq in _EXPECTED_COUNTS:
-                    seen_keys.add(("ident", i.eq, i.family, i.name))
-            for key in seen_keys:
-                eq = key[1]
-                counts.setdefault((p.name, eq, key[0]), 0)
-                counts[(p.name, eq, key[0])] += 1
+            counts.update((p.name, r.eq, "rule") for r in p.rules)
+            counts.update((p.name, i.eq, "ident") for i in p.identities)
         problems = []
         # every equation family must be fully transcribed somewhere
         for eq, want in _EXPECTED_COUNTS.items():
-            got = max(
-                [n for (pname, tag, kind), n in counts.items() if tag == eq],
-                default=0,
-            )
+            got = max((n for (_, tag, _), n in counts.items() if tag == eq),
+                      default=0)
             if got < want:
                 problems.append(f"{eq}: expected {want} entries, best block has {got}")
         return problems
@@ -254,18 +242,6 @@ def get_catalog(q0=None):
     if key not in _CACHE:
         _CACHE[key] = Catalog(q0=key)
     return _CACHE[key]
-
-
-def presentation(name, q0=None):
-    return get_catalog(q0).presentation(name)
-
-
-def superinverse_entries(q0=None):
-    return get_catalog(q0).superinverse_entries()
-
-
-def maurer_forms(q0=None):
-    return get_catalog(q0).maurer_forms()
 
 
 def roundtrip_lines():

@@ -103,7 +103,7 @@ SUITES = {
         *calculus.localized_rule_checks(cat, only_dgamma=True),
     ],
     "rmatrix": lambda cat: [
-        *rmatrix.check_hecke_braid(cat).checks,
+        *rmatrix.check_hecke_braid(cat),
         *(c for eq in ("53", "54", "55", "56", "57")
           for c in rmatrix.verify_rtt_family(eq, cat)),
     ],
@@ -239,8 +239,8 @@ def _dispatch(args):
             print(f"  {n}: {len(p.generators)} generators, {len(p.rules)} rules")
         print("suites:", ", ".join(["all", *SUITES]))
         print("identity families:")
-        for fam, pname in sorted(cat.all_families().items()):
-            print(f"  {fam} ({pname})")
+        for fam in sorted(cat.families):
+            print(f"  {fam} ({cat.families[fam].name})")
         return 0
     return 2
 

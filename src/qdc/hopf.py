@@ -7,11 +7,15 @@ Element.  The coproduct is the algebra map given on the generators: the
 images of a word's letters are multiplied, then normalized.  The counit and
 antipode act on the localized algebra, and the axioms are verified by exact
 reduction in the square or the cube.
+
+`HopfData(cat)` is the entry point: it builds the three maps on one
+catalog's Omega_loc, symbolic or numeric shadow, and `verify_hopf_axioms`
+builds one for the checks it returns.
 """
 
 from __future__ import annotations
 
-from .catalog import counit_value, get_catalog
+from .catalog import counit_value
 from .errors import UnsupportedHopfImageError
 from .kernel import (
     Element,
@@ -46,7 +50,6 @@ class HopfData:
     """Coproduct, counit and antipode images on the localized generators."""
 
     def __init__(self, cat):
-        self.cat = cat
         self.loc = cat.presentation("Omega_loc")
         self.square = tensor_power(self.loc, 2)
         self.delta_images = self._build_delta()
@@ -157,40 +160,16 @@ class HopfData:
                       self.loc)
 
 
-_DATA_CACHE = {}
-
-
-def hopf_data(cat=None):
-    cat = cat or get_catalog()
-    key = cat.q0
-    if key not in _DATA_CACHE or _DATA_CACHE[key].cat is not cat:
-        _DATA_CACHE[key] = HopfData(cat)
-    return _DATA_CACHE[key]
-
-
-def coproduct(e, cat=None):
-    return hopf_data(cat).coproduct(e)
-
-
-def counit(e, cat=None):
-    return hopf_data(cat).counit(e)
-
-
-def antipode(e, cat=None):
-    return hopf_data(cat).antipode(e)
-
-
 # -- axiom verification --------------------------------------------------------
 
 _OMEGA_GENS = ("a", "beta", "gamma", "d", "Da", "Dbeta", "Dgamma", "Dd")
 
 
-def verify_hopf_axioms(cat=None):
+def verify_hopf_axioms(cat):
     """Coassociativity, the counit laws, the antipode laws, the homomorphism
     property of the coproduct on every relation, and the agreement of the
     explicit differential coproducts with the matrix form."""
-    cat = cat or get_catalog()
-    H = hopf_data(cat)
+    H = HopfData(cat)
     loc = H.loc
     cube = tensor_power(loc, 3)
     out = []
@@ -302,9 +281,8 @@ def verify_hopf_axioms(cat=None):
     return out
 
 
-def verify_central_element(cat=None):
+def verify_central_element(cat):
     """The quotient of differentials commutes with all eight generators."""
-    cat = cat or get_catalog()
     from .calculus import verify_family
 
     loc = cat.presentation("Omega_loc")

@@ -235,16 +235,6 @@ class Presentation:
             )
         return parities.pop()
 
-    def identities_in_family(self, family):
-        return [ident for ident in self.identities if ident.family == family]
-
-    def families(self):
-        seen = []
-        for ident in self.identities:
-            if ident.family not in seen:
-                seen.append(ident.family)
-        return seen
-
     # -- validation --------------------------------------------------------
 
     def validate(self):
@@ -498,34 +488,24 @@ def _too_deep(p):
 # -- derivations -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DerivationSpec:
-    """Images of generators under an odd graded derivation."""
-
-    images: dict
-    parity: int = 1
-
-    def image(self, g):
-        try:
-            return self.images[g]
-        except KeyError:
-            raise MissingImageError(f"derivation has no image for {g!r}") from None
-
-
-def apply_derivation(d, e, p, normalized=True):
-    """Graded Leibniz extension of d over each word, left to right."""
+def apply_derivation(images, e, p):
+    """Graded Leibniz extension of an odd derivation, given by the images of
+    the generators, over each word, left to right; unreduced."""
     out = Element.zero()
     for word, c in e.terms.items():
         sign = 1
         for i, g in enumerate(word):
-            img = d.image(g)
+            try:
+                img = images[g]
+            except KeyError:
+                raise MissingImageError(f"derivation has no image for {g!r}") from None
             if img:
                 left = Element.word(word[:i], c if sign > 0 else -c)
                 right = p.word(word[i + 1 :])
                 out = out + left * img * right
             if p.parity_of[g]:
                 sign = -sign
-    return normalize(out, p) if normalized else out
+    return out
 
 
 def graded_commutator(e1, e2, p):

@@ -35,18 +35,16 @@ _BRACKET_PATTERNS = (
 )
 
 
-def super_only(cat=None):
+def super_only(cat):
     """The bracket relations alone, with the group parameters removed."""
-    cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
     return la.restricted_to(SUPER_GENS, "LieAlg_brackets")
 
 
-def verify_superalgebra(cat=None):
+def verify_superalgebra(cat):
     """Bracket relations, the displayed consistency identities, and local
     confluence of the combined coordinate/bracket/cross-rule system, decided
     on its critical pairs (diamond lemma)."""
-    cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
     out = []
     from .calculus import verify_family
@@ -70,11 +68,9 @@ def verify_superalgebra(cat=None):
     return out
 
 
-def verify_xy_basis(cat=None):
+def verify_xy_basis(cat):
     """The relations in the X = T1 + T2, Y = T1 - T2 basis, reduced using
     only the bracket relations."""
-    cat = cat or get_catalog()
-    la = cat.presentation("LieAlg")
     brackets = super_only(cat)
     from .parser import print_ast
 
@@ -82,13 +78,12 @@ def verify_xy_basis(cat=None):
                   f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}",
                   ident.eq,
                   lambda ident=ident: residual(ident.lhs - ident.rhs, brackets))
-            for ident in la.identities_in_family("xy_basis")]
+            for ident in cat.family("xy_basis")[1]]
 
 
-def verify_cross_relations_consistency(cat=None):
+def verify_cross_relations_consistency(cat):
     """For every bracket pattern (L, L') and every group parameter g, reduce
     L*L'*g bracket-first and cross-relation-first and compare."""
-    cat = cat or get_catalog()
     la = cat.presentation("LieAlg")
 
     def fn(word):
@@ -103,7 +98,8 @@ def verify_cross_relations_consistency(cat=None):
 
 def classical_limit_checks():
     """At q = 1 every deformation term of the brackets vanishes and the
-    undeformed superalgebra remains.
+    undeformed superalgebra remains.  Symbolic by design, so it takes no
+    catalog and reads the symbolic one in every run.
 
     Each bracket is reduced in the symbolic LieAlg, and the coefficients of
     its difference from the undeformed bracket are then evaluated at q = 1.

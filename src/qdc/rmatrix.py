@@ -12,10 +12,9 @@ family are both purely quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
-from .catalog import get_catalog
 from .errors import QdcError
 from .kernel import (
     Element,
@@ -112,7 +111,7 @@ class SuperMatrix:
         return SuperMatrix(out, self.row_parity, self.col_parity, self.shift)
 
 
-def graded_kron(M, N, graded=True):
+def graded_kron(M, N):
     """Tensor product of supermatrices with the Koszul sign
     (-1)^((row_N(k) + col_N(l)) * col_M(j)) on entry ((i,k),(j,l)), so that
     matrix multiplication of the results reproduces the graded product."""
@@ -129,11 +128,8 @@ def graded_kron(M, N, graded=True):
             for j in range(len(M.entries[0])):
                 for l in range(len(N.entries[0])):
                     e = M.entries[i][j] * N.entries[k][l]
-                    if graded:
-                        s = (N.row_parity[k] + N.col_parity[l]) * M.col_parity[j]
-                        if s % 2:
-                            e = -e
-                    row.append(e)
+                    s = (N.row_parity[k] + N.col_parity[l]) * M.col_parity[j]
+                    row.append(-e if s % 2 else e)
             rows.append(row)
     return SuperMatrix(rows, row_par, col_par, (M.shift + N.shift) % 2)
 
@@ -158,10 +154,10 @@ def scalar_matrix(rows, parities):
 _TENSOR_PAR = (0, 1, 1, 0)
 
 
-def r_hat(cat=None):
+def r_hat(cat):
     """The braid-form R-matrix on the graded tensor square, basis ordered
-    (1,1), (1,2), (2,1), (2,2)."""
-    sc = cat.scalar if cat is not None else (lambda s: s)
+    (1,1), (1,2), (2,1), (2,2), over the catalog's scalars."""
+    sc = cat.scalar
     qm = sc(qp(1) - qp(-1))
     return scalar_matrix(
         [
@@ -174,10 +170,9 @@ def r_hat(cat=None):
     )
 
 
-def r_hat_inverse(cat=None):
+def r_hat_inverse(cat):
     """R^-1 = R - (q - q^-1) I, from the Hecke relation."""
-    sc = cat.scalar if cat is not None else (lambda s: s)
-    qm = sc(qp(1) - qp(-1))
+    qm = cat.scalar(qp(1) - qp(-1))
     R = r_hat(cat)
     I = identity_matrix(_TENSOR_PAR)
     return R - I.scaled(qm)
@@ -258,9 +253,8 @@ def _degree2_basis(elements):
     return words
 
 
-def verify_rtt_family(eq, cat=None):
+def verify_rtt_family(eq, cat):
     """Membership and spanning checks for one matrix relation tag."""
-    cat = cat or get_catalog()
     if eq not in _RELATIONS:
         raise QdcError(f"unknown matrix relation tag {eq!r}; use 53..57")
     pname, family = _RELATIONS[eq]
@@ -278,7 +272,7 @@ def verify_rtt_family(eq, cat=None):
         rels = [
             Element({w: cat.scalar(c) for w, c in e.terms.items()})
             for e in (eval_ast(i.lhs_ast, free) - eval_ast(i.rhs_ast, free)
-                      for i in cat.find_family(family)[1])
+                      for i in cat.family(family)[1])
         ]
         basis = _degree2_basis(entries + rels)
         if not row_space_equal(elements_to_rows(entries, basis, ZERO),
@@ -302,11 +296,10 @@ def _point(p, coords, shift=0):
     return SuperMatrix([[p.el(c)] for c in coords], (0, 1), (col,), shift)
 
 
-def verify_plane_covariance(cat=None):
+def verify_plane_covariance(cat):
     """Covariance of the superplane and its dual under the supergroup and its
     differentials, the R-matrix form of the plane relations, and the mixed
     coordinate/differential relation."""
-    cat = cat or get_catalog()
     sc = cat.scalar
     out = []
 
@@ -371,31 +364,25 @@ def verify_plane_covariance(cat=None):
 # -- Hecke and braid ------------------------------------------------------------------
 
 
-@dataclass
-class HeckeBraidReport:
-    checks: list = field(default_factory=list)
-    braid_conventions: list = field(default_factory=list)
-
-
-def check_hecke_braid(cat=None):
+def check_hecke_braid(cat):
     """The quadratic Hecke relation, the eigenvalue multiplicities it forces,
-    and the braid relation on the graded tensor cube; reports which tensor
-    sign convention satisfies the braid identity."""
-    rep = HeckeBraidReport()
-    cat = cat or get_catalog()
+    and the braid relation on the graded tensor cube.  R-hat and the
+    identity are parity-even, so every Koszul sign in R12 and R23 is +1 and
+    the ungraded tensor product gives the same matrices."""
     R = r_hat(cat)
     I4 = identity_matrix(_TENSOR_PAR)
     qm = cat.scalar(qp(1) - qp(-1))
 
     RR = R @ R
     want = R.scaled(qm) + I4
+    out = []
     for i in range(4):
         for j in range(4):
             def fn(i=i, j=j):
                 res = RR.entries[i][j] - want.entries[i][j]
                 return None if res.is_zero() else repr(res)
-            rep.checks.append(Check(f"hecke.entry_{i+1}_{j+1}",
-                                    "Hecke relation entry", "Hecke", fn))
+            out.append(Check(f"hecke.entry_{i+1}_{j+1}",
+                             "Hecke relation entry", "Hecke", fn))
 
     def fn_trace():
         # Hecke forces eigenvalues q and -q^-1; the trace fixes the
@@ -407,29 +394,17 @@ def check_hecke_braid(cat=None):
         expect = cat.scalar((qp(1) + qp(1)) - (qp(-1) + qp(-1)))
         return None if tr == expect else f"trace {tr} != {expect}"
 
-    rep.checks.append(Check("hecke.trace_multiplicities",
-                            "trace matches eigenvalue multiplicities (2, 2)",
-                            "Hecke", fn_trace))
+    out.append(Check("hecke.trace_multiplicities",
+                     "trace matches eigenvalue multiplicities (2, 2)",
+                     "Hecke", fn_trace))
 
     I2 = identity_matrix((0, 1))
-    for label, graded in (("graded", True), ("ungraded", False)):
-        R12 = graded_kron(R, I2, graded=graded)
-        R23 = graded_kron(I2, R, graded=graded)
-        lhs = R12 @ R23 @ R12
-        rhs = R23 @ R12 @ R23
-        ok = all(
-            (lhs.entries[i][j] - rhs.entries[i][j]).is_zero()
-            for i in range(8) for j in range(8)
-        )
-        if ok:
-            rep.braid_conventions.append(label)
-
-    def fn_braid():
-        if "graded" in rep.braid_conventions:
-            return None
-        return f"braid fails under the graded convention; holds for {rep.braid_conventions}"
-
-    rep.checks.append(Check("braid.graded_tensor_cube",
-                            "braid relation on the graded tensor cube", "braid",
-                            fn_braid))
-    return rep
+    R12, R23 = graded_kron(R, I2), graded_kron(I2, R)
+    lhs = R12 @ R23 @ R12
+    rhs = R23 @ R12 @ R23
+    holds = all((lhs.entries[i][j] - rhs.entries[i][j]).is_zero()
+                for i in range(8) for j in range(8))
+    out.append(Check("braid.graded_tensor_cube",
+                     "braid relation on the graded tensor cube", "braid",
+                     lambda: None if holds else "braid relation fails"))
+    return out

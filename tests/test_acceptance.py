@@ -77,7 +77,7 @@ def test_criterion_2_ansatz(cat):
 def test_criterion_3_differential_consistency(cat):
     from qdc.calculus import d_on_relations_checks, d_squared_checks
 
-    d2 = d_squared_checks(cat, n_random=100, max_degree=5)
+    d2 = d_squared_checks(cat)
     drel = [c for c in d_on_relations_checks(cat) if ".A_glq11." in c.id]
     ok = len(d2) == 108 and _all_pass(d2)
     ok = ok and len(drel) == 8 and _all_pass(drel)
@@ -137,7 +137,7 @@ def test_criterion_9_rmatrix(cat):
         ok = ok and _all_pass(verify_rtt_family(eq, cat))
     ok = ok and _all_pass(verify_plane_covariance(cat))
     hb = check_hecke_braid(cat)
-    ok = ok and _all_pass(hb.checks) and "graded" in hb.braid_conventions
+    ok = ok and _all_pass(hb) and any(c.id == "braid.graded_tensor_cube" for c in hb)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 20.0
     print(f"  r-matrix wall time {elapsed:.2f}s (< 20s)")

@@ -3,15 +3,15 @@ from fractions import Fraction
 import pytest
 
 from qdc.catalog import (
+    Catalog,
+    _build,
     counit_audit,
     get_catalog,
-    maurer_forms,
     parse_document,
     roundtrip_lines,
-    superinverse_entries,
 )
-from qdc.errors import UnknownPresentationError
-from qdc.hopf import counit
+from qdc.errors import CatalogFormatError, UnknownPresentationError
+from qdc.hopf import HopfData
 from qdc.kernel import format_element, normalize
 from qdc.parser import parse_ast, print_ast
 from qdc.kernel import Element
@@ -39,7 +39,7 @@ def test_unknown_presentation(cat):
 
 def test_superinverse_row_products(cat):
     loc = cat.presentation("Omega_loc")
-    inv = superinverse_entries()
+    inv = loc.defined
     assert normalize(loc.el("a") * inv["iA"] + loc.el("beta") * inv["iC"], loc) \
         == loc.unit()
     assert normalize(loc.el("gamma") * inv["iA"] + loc.el("d") * inv["iC"], loc) \
@@ -47,21 +47,52 @@ def test_superinverse_row_products(cat):
 
 
 def test_superinverse_counit_image(cat):
-    inv = superinverse_entries()
-    assert counit(inv["iA"], cat) == ONE
+    inv = cat.presentation("Omega_loc").defined
+    assert HopfData(cat).counit(inv["iA"]) == ONE
 
 
 def test_maurer_forms(cat):
     loc = cat.presentation("Omega_loc")
-    forms = maurer_forms()
-    raw_w1, nf_w1 = forms["w1"]
+    raw_w1 = loc.defined["w1"]
+    nf_w1 = normalize(raw_w1, loc)
     assert loc.element_parity(nf_w1) == 1
-    assert loc.element_parity(forms["u"][1]) == 0
+    assert loc.element_parity(normalize(loc.defined["u"], loc)) == 0
     assert normalize(raw_w1 * raw_w1, loc).is_zero()
 
 
 def test_coverage_audit_empty(cat):
     assert cat.coverage_audit() == []
+
+
+def test_coverage_audit_reports_a_short_family():
+    fresh = Catalog()
+    la = fresh.presentation("LieAlg")
+    la.rules.remove(next(r for r in la.rules if r.eq == "(45)"))
+    assert fresh.coverage_audit() == ["(45): expected 16 entries, best block has 15"]
+
+    fresh = Catalog()
+    loc = fresh.presentation("Omega_loc")
+    loc.identities.remove(next(i for i in loc.identities if i.eq == "(33)"))
+    assert [p.split(":")[0] for p in fresh.coverage_audit()] == ["(33)"]
+
+
+def test_duplicate_identity_name_is_refused():
+    (block,) = parse_document("presentation X\n"
+                              "identity fam one : 1 = 1\n"
+                              "identity fam one : 1 = 1 + 1\n")
+    with pytest.raises(CatalogFormatError, match="'one' in family 'fam'"):
+        _build(block)
+
+
+def test_family_in_two_presentations_is_refused(monkeypatch):
+    import qdc.catalog
+
+    doc = ("presentation X\nidentity fam one : 1 = 1\n"
+           "presentation Y\nidentity fam two : 1 = 1\n")
+    monkeypatch.setattr(qdc.catalog, "_FILES", ("doc.txt",))
+    monkeypatch.setattr(qdc.catalog, "_data_text", lambda fname: doc)
+    with pytest.raises(CatalogFormatError, match="'fam' is in both X and Y"):
+        Catalog()
 
 
 def test_counit_audit_empty(cat):

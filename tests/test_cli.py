@@ -87,6 +87,10 @@ def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "Omega_loc" in out and "suites:" in out
+    # the whole listing, presentations, suites and families, byte for byte
+    assert len(out.encode()) == 851
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b3b5133d46fc47f3ea97614eedb5d05eb0aab351b8548ae7c76f8870922fcd17")
 
 
 def test_json_report_validates_against_schema(capsys):
