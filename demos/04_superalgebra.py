@@ -48,5 +48,5 @@ print("quadratic X/Y relation residual:",
       format_element(normalize(e, brackets), brackets))
 
 # at q = 1 the deformation terms vanish and the classical brackets remain
-checks = [c.run() for c in classical_limit_checks()]
+checks = [c.run() for c in classical_limit_checks(cat)]
 print(f"classical limit at q = 1: {sum(c.passed for c in checks)}/{len(checks)}")

@@ -119,10 +119,6 @@ class Ansatz:
     F21: LaurentScalar
     F22: LaurentScalar
 
-    def as_dict(self):
-        return {"A": self.A, "B": self.B, "F11": self.F11,
-                "F12": self.F12, "F21": self.F21, "F22": self.F22}
-
 
 def paper_branch():
     """The selected solution: F22 = 0, A = q^2, reproducing the mixed rules."""
@@ -193,7 +189,7 @@ def _consistency_residuals(coeffs):
 def ansatz_residuals(z):
     """Residuals of the four consistency conditions at concrete coefficients;
     all zero exactly when the candidate rules define a consistent calculus."""
-    coeffs = {u: Element.unit(c) for u, c in z.as_dict().items()}
+    coeffs = {u: Element.unit(c) for u, c in vars(z).items()}
     return _consistency_residuals(coeffs)[1]
 
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import CatalogFormatError, UnknownFamilyError, UnknownPresentationError
-from .kernel import Element, Generator, Identity, Presentation, RewriteRule
-from .parser import eval_ast, parse_ast
+from .kernel import Generator, Identity, Presentation, RewriteRule
+from .parser import eval_ast, parse_ast, parse_expression
 from .ring import ONE, ZERO, LaurentScalar
 
 _FILES = ("a_glq11.txt", "a_hat.txt", "omega.txt", "omega_loc.txt",
@@ -121,34 +121,19 @@ def _single_word(el, what):
     return word
 
 
-def _build(block, scalar_map=None):
-    # Expressions are evaluated symbolically, against a bare-rules
-    # presentation that holds the symbolic composites, and then mapped into
-    # the catalog's scalars by `scalar_map`.
-    gens = block.generators
-    stub = Presentation(block.name, gens, [], validate=False)
-
-    def lift(el):
-        if scalar_map is None:
-            return el
-        return Element({w: scalar_map(c) for w, c in el.terms.items()})
-
-    def ev(text):
-        return eval_ast(parse_ast(text), stub)
-
+def _build(block):
+    # rules are read against the bare generators, composites and identities
+    # against the presentation they belong to
+    stub = Presentation(block.name, block.generators, [], validate=False)
     rules = []
     for kind, lhs_text, rhs_text, eq in block.rule_lines:
-        pattern = _single_word(ev(lhs_text), f"{block.name} rule pattern {lhs_text!r}")
-        rules.append(RewriteRule(pattern, lift(ev(rhs_text)), eq=eq,
+        pattern = _single_word(parse_expression(lhs_text, stub),
+                               f"{block.name} rule pattern {lhs_text!r}")
+        rules.append(RewriteRule(pattern, parse_expression(rhs_text, stub), eq=eq,
                                  localized=(kind == "lrule")))
-
-    p = Presentation(block.name, gens, rules)
-
+    p = Presentation(block.name, block.generators, rules)
     for name, expr_text, eq in block.define_lines:
-        el = ev(expr_text)
-        stub.defined[name] = el
-        p.defined[name] = lift(el)
-
+        p.defined[name] = parse_expression(expr_text, p)
     seen = set()
     for family, ident, lhs_text, rhs_text, eq in block.identity_lines:
         if (family, ident) in seen:
@@ -156,8 +141,8 @@ def _build(block, scalar_map=None):
                 f"{block.name}: duplicate identity {ident!r} in family {family!r}")
         seen.add((family, ident))
         lhs_ast, rhs_ast = parse_ast(lhs_text), parse_ast(rhs_text)
-        lhs, rhs = eval_ast(lhs_ast, stub), eval_ast(rhs_ast, stub)
-        p.identities.append(Identity(family, ident, lift(lhs), lift(rhs), eq=eq,
+        p.identities.append(Identity(family, ident, eval_ast(lhs_ast, p),
+                                     eval_ast(rhs_ast, p), eq=eq,
                                      lhs_ast=lhs_ast, rhs_ast=rhs_ast))
     return p
 
@@ -165,27 +150,37 @@ def _build(block, scalar_map=None):
 class Catalog:
     """All presentations of the transcription, loaded and validated.
 
-    `q0` substitutes an exact rational for q in every coefficient (the
-    numeric shadow mode); None keeps full symbolic scalars.  A shadow
-    catalog's scalars are constant LaurentScalars.
+    A catalog loaded from the documents is symbolic; `at(q0)` maps it to its
+    numeric shadow at an exact rational q0, whose scalars are constants.
+    `symbolic` is the catalog a shadow maps, and a symbolic catalog itself.
     """
 
-    def __init__(self, q0=None):
-        self.q0 = Fraction(q0) if q0 is not None else None
-        scalar_map = self.scalar if self.q0 is not None else None
+    def __init__(self):
+        self.q0 = None
+        self.symbolic = self
         self.presentations = {}
         self.families = {}
         for fname in _FILES:
             for block in parse_document(_data_text(fname)):
                 if block.name in self.presentations:
                     raise CatalogFormatError(f"duplicate presentation {block.name}")
-                p = self.presentations[block.name] = _build(block, scalar_map)
+                p = self.presentations[block.name] = _build(block)
                 for ident in p.identities:
                     other = self.families.setdefault(ident.family, p)
                     if other is not p:
                         raise CatalogFormatError(
                             f"family {ident.family!r} is in both {other.name} "
                             f"and {p.name}")
+
+    def at(self, q0):
+        """The numeric shadow at q0: the symbolic catalog with every
+        coefficient mapped by `scalar`."""
+        sym, shadow = self.symbolic, Catalog.__new__(Catalog)
+        shadow.q0, shadow.symbolic, shadow._values = Fraction(q0), sym, {}
+        shadow.presentations = {n: p.mapped(shadow.scalar)
+                                for n, p in sym.presentations.items()}
+        shadow.families = {f: shadow.presentations[p.name] for f, p in sym.families.items()}
+        return shadow
 
     def presentation(self, name):
         try:
@@ -197,10 +192,13 @@ class Catalog:
 
     def scalar(self, s):
         """Map a symbolic scalar into this catalog's scalars: itself, or its
-        value at q0 as a constant scalar."""
+        value at q0 as a constant scalar, evaluated once per scalar."""
         if self.q0 is None:
             return s
-        return LaurentScalar.from_fraction(s.eval_at(self.q0))
+        value = self._values.get(s)
+        if value is None:
+            value = self._values[s] = LaurentScalar.from_fraction(s.eval_at(self.q0))
+        return value
 
     def names(self):
         return sorted(self.presentations)
@@ -238,9 +236,10 @@ _CACHE = {}
 
 
 def get_catalog(q0=None):
+    """The symbolic catalog, or its shadow at q0; each built once per process."""
     key = Fraction(q0) if q0 is not None else None
     if key not in _CACHE:
-        _CACHE[key] = Catalog(q0=key)
+        _CACHE[key] = Catalog() if key is None else get_catalog().at(key)
     return _CACHE[key]
 
 
@@ -269,11 +268,12 @@ def counit_value(gname):
     return None
 
 
-def counit_audit():
-    """Rules on which the counit assignment fails to be a scalar identity."""
+def counit_audit(cat):
+    """Rules of cat on which the counit assignment fails to be a scalar
+    identity."""
     bad = []
     for pname in ("A_glq11", "A_hat", "Omega", "Omega_loc"):
-        p = get_catalog().presentation(pname)
+        p = cat.presentation(pname)
         for r in p.rules:
             vals = [counit_value(g) for g in r.pattern]
             if None in vals:

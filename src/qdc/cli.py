@@ -95,7 +95,7 @@ SUITES = {
         *liealg.verify_superalgebra(cat),
         *liealg.verify_xy_basis(cat),
         *liealg.verify_cross_relations_consistency(cat),
-        *liealg.classical_limit_checks(),
+        *liealg.classical_limit_checks(cat),
     ],
     "hopf": hopf.verify_hopf_axioms,
     "central": lambda cat: [

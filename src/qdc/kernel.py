@@ -16,7 +16,7 @@ tensor_power builds the graded tensor square or cube of one presentation
 from renamed slot copies, so a tensor is an Element like any other.
 
 Every coefficient is a LaurentScalar; the numeric shadow catalog's
-(Catalog(q0)) are constant ones.  The consistency ansatz needs no other
+(Catalog.at(q0)) are constant ones.  The consistency ansatz needs no other
 coefficient type: its unknowns are generators that commute with every other
 one, so a polynomial in them is an element too.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     MissingImageError,
@@ -121,6 +121,10 @@ class Element:
         if not coeff:
             return Element.zero()
         return Element({w: coeff * c for w, c in self.terms.items()})
+
+    def mapped(self, f):
+        """f applied to every coefficient, vanishing terms dropped."""
+        return Element({w: f(c) for w, c in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -283,6 +287,15 @@ class Presentation:
             and all(set(w) <= keep for w in r.replacement.terms)
         ]
         return Presentation(new_name or f"{self.name}_sub", gens, rules)
+
+    def mapped(self, f):
+        """f applied to every coefficient; the words, and so validity, stay."""
+        rules = [replace(r, replacement=r.replacement.mapped(f)) for r in self.rules]
+        identities = [replace(i, lhs=i.lhs.mapped(f), rhs=i.rhs.mapped(f))
+                      for i in self.identities]
+        return Presentation(self.name, self.generators, rules,
+                            {k: e.mapped(f) for k, e in self.defined.items()},
+                            identities, validate=False)
 
 
 def graded_product(p1, p2, name=None):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import partial
 
-from .catalog import get_catalog
 from .kernel import (
     Element,
     branches,
@@ -96,17 +95,17 @@ def verify_cross_relations_consistency(cat):
             for L, Lp in _BRACKET_PATTERNS for g in BODY_GENS]
 
 
-def classical_limit_checks():
+def classical_limit_checks(cat):
     """At q = 1 every deformation term of the brackets vanishes and the
-    undeformed superalgebra remains.  Symbolic by design, so it takes no
-    catalog and reads the symbolic one in every run.
+    undeformed superalgebra remains.  Symbolic by design, so it reads the
+    symbolic LieAlg of cat, also in a numeric shadow run.
 
     Each bracket is reduced in the symbolic LieAlg, and the coefficients of
     its difference from the undeformed bracket are then evaluated at q = 1.
     That is exactly the reduction in a catalog built at q = 1: evaluation at
     q = 1 is a ring map, and which rule normalize applies where depends on
     the words only, never on a coefficient, so the two commute."""
-    la = get_catalog().presentation("LieAlg")
+    la = cat.symbolic.presentation("LieAlg")
     E = la.word
     # undeformed brackets: [T1, np] = -np, [T2, np] = np, [T1, nm] = nm,
     # [T2, nm] = -nm, [T1, T2] = 0, np^2 = nm^2 = 0, {nm, np} = T1 + T2
@@ -123,8 +122,7 @@ def classical_limit_checks():
 
     def fn(x, y, want):
         diff = graded_commutator(la.el(x), la.el(y), la) - want
-        return residual(Element({w: LaurentScalar.from_fraction(c.eval_at(1))
-                                 for w, c in diff.terms.items()}), la)
+        return residual(diff.mapped(lambda c: LaurentScalar.from_fraction(c.eval_at(1))), la)
 
     return [Check(f"classical_limit.{x}_{y}",
                   f"bracket of {x}, {y} at q = 1 is undeformed", "(43)",

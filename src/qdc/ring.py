@@ -20,7 +20,7 @@ of times, and a repeated operation is a dictionary hit that returns the
 exact result computed the first time.  The intern table and the memos live
 as long as the process, like the normal-form memo of a Presentation.
 
-The numeric shadow catalog's (catalog.Catalog(q0)) scalars are constant
+The numeric shadow catalog's (catalog.Catalog.at(q0)) scalars are constant
 LaurentScalars, the values at q0 of the symbolic ones.
 """
 
@@ -56,10 +56,6 @@ class LaurentScalar:
         return LaurentScalar, (self.coeffs,)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n):
-        return cls({0: n})
 
     @classmethod
     def from_fraction(cls, f):
@@ -245,7 +241,7 @@ def qp(k):
 
 def lint(n):
     """The constant scalar n."""
-    return LaurentScalar.from_int(n)
+    return LaurentScalar.from_fraction(n)
 
 
 def lfrac(num, den=1):

@@ -269,11 +269,8 @@ def verify_rtt_family(eq, cat):
     def fn_span():
         free = _free(p)
         entries = _entries(eq, free, cat)
-        rels = [
-            Element({w: cat.scalar(c) for w, c in e.terms.items()})
-            for e in (eval_ast(i.lhs_ast, free) - eval_ast(i.rhs_ast, free)
-                      for i in cat.family(family)[1])
-        ]
+        rels = [(eval_ast(i.lhs_ast, free) - eval_ast(i.rhs_ast, free)).mapped(cat.scalar)
+                for i in cat.family(family)[1]]
         basis = _degree2_basis(entries + rels)
         if not row_space_equal(elements_to_rows(entries, basis, ZERO),
                                elements_to_rows(rels, basis, ZERO)):

@@ -109,7 +109,7 @@ def test_criterion_6_superalgebra(cat):
     ok = ok and check_local_confluence(cat.presentation("LieAlg"), 4).ok
     ok = ok and _all_pass(verify_xy_basis(cat))
     ok = ok and _all_pass(verify_cross_relations_consistency(cat))
-    ok = ok and _all_pass(classical_limit_checks())
+    ok = ok and _all_pass(classical_limit_checks(cat))
     _report(6, "quantum superalgebra", ok)
 
 

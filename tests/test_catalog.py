@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -96,7 +97,7 @@ def test_family_in_two_presentations_is_refused(monkeypatch):
 
 
 def test_counit_audit_empty(cat):
-    assert counit_audit() == []
+    assert counit_audit(cat) == []
 
 
 def test_identity_parity_balance(cat):
@@ -195,3 +196,53 @@ def test_shadow_residual_text(q0, pname, ident, text):
     p = get_catalog(q0).presentation(pname)
     (i,) = [i for i in p.identities if i.name == ident]
     assert format_element(normalize(i.lhs - i.rhs - i.rhs, p), p) == text
+
+
+@pytest.mark.parametrize("q0", [2, Fraction(3, 2), 1])
+def test_shadow_is_the_symbolic_catalog_mapped(cat, q0):
+    # same words, tags, flags, composites, identities and family index; each
+    # coefficient is its symbolic one at q0, vanishing terms dropped
+    shadow = get_catalog(q0)
+    assert shadow.symbolic is cat and shadow.q0 == q0
+    assert shadow.names() == cat.names()
+    assert ({f: p.name for f, p in shadow.families.items()}
+            == {f: p.name for f, p in cat.families.items()})
+    for name in cat.names():
+        sym, p = cat.presentation(name), shadow.presentation(name)
+        assert p.generators == sym.generators, name
+        assert ([(r.pattern, r.eq, r.localized) for r in p.rules]
+                == [(r.pattern, r.eq, r.localized) for r in sym.rules]), name
+        for r, rs in zip(p.rules, sym.rules):
+            assert r.replacement == _at(rs.replacement, q0), (name, r.pattern)
+        assert list(p.defined) == list(sym.defined), name
+        for k, e in p.defined.items():
+            assert e == _at(sym.defined[k], q0), (name, k)
+        assert ([(i.family, i.name, i.eq, i.lhs_ast, i.rhs_ast) for i in p.identities]
+                == [(i.family, i.name, i.eq, i.lhs_ast, i.rhs_ast)
+                    for i in sym.identities]), name
+        for i, si in zip(p.identities, sym.identities):
+            assert (i.lhs, i.rhs) == (_at(si.lhs, q0), _at(si.rhs, q0)), (name, i.name)
+
+
+def test_documents_are_evaluated_once_per_process(monkeypatch):
+    # the shadow maps the symbolic catalog, and the shadow run's classical
+    # limit reads that same symbolic catalog, so no block is built twice
+    import qdc.catalog
+    from qdc.cli import run_suite
+
+    built = Counter()
+    build = qdc.catalog._build
+
+    def counting_build(block):
+        built[block.name] += 1
+        return build(block)
+
+    monkeypatch.setattr(qdc.catalog, "_build", counting_build)
+    monkeypatch.setattr(qdc.catalog, "_CACHE", {})
+    get_catalog(2)
+    assert run_suite("all", 2).ok
+    assert run_suite("superalgebra", 2).ok
+    blocks = [b.name for f in qdc.catalog._FILES
+              for b in parse_document(qdc.catalog._data_text(f))]
+    assert built == Counter(blocks)
+    assert set(built.values()) == {1}

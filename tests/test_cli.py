@@ -118,6 +118,7 @@ def test_numeric_flag(capsys):
 
 def test_numeric_zero_rejected(capsys):
     assert main(["verify", "--suite", "forms", "--q", "0"]) == 2
+    assert "q = 0 is outside the coefficient ring" in capsys.readouterr().err
 
 
 def test_step_budget_env(monkeypatch):

@@ -117,7 +117,7 @@ def test_printed_cross_rule_signs_fail_confluence(cat):
 
 
 def test_classical_limit(cat):
-    checks = [c.run() for c in classical_limit_checks()]
+    checks = [c.run() for c in classical_limit_checks(cat)]
     assert len(checks) == 8
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
