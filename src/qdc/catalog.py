@@ -6,6 +6,12 @@ line against its source equations.  Loading validates orientation and parity
 of every rule; the documents round-trip bit-exactly through the expression
 parser (enforced in the test suite).
 
+A block states each relation once.  The line `rules from <Block>` appends
+the rules of an earlier block, as that block loaded them, to the rules
+read so far; `rules from <Block> old=new ...` appends them with each
+generator `old` renamed `new`.  The block that takes them validates them
+against its own generators, like its own rules.
+
 Each identity family lives in one presentation, and each identity name once
 in its family: a document that repeats either is refused at load.
 `Catalog.families` maps every family to its presentation, and
@@ -44,7 +50,8 @@ class _Block:
     def __init__(self, name):
         self.name = name
         self.generators = []
-        self.rule_lines = []   # (kind, lhs_text, rhs_text, eq)
+        # (kind, lhs_text, rhs_text, eq), or ("from", block name, renames)
+        self.rule_lines = []
         self.define_lines = []  # (name, expr_text, eq)
         self.identity_lines = []  # (family, ident, lhs_text, rhs_text, eq)
 
@@ -89,6 +96,14 @@ def parse_document(text):
             if not arrow:
                 raise CatalogFormatError(f"rule line missing '->': {line!r}")
             cur.rule_lines.append((head, lhs.strip(), rhs.strip(), eq))
+        elif head == "rules":
+            parts = rest.split()
+            pairs = [part.partition("=") for part in parts[2:]]
+            names = {old: new for old, _, new in pairs}
+            if (len(parts) < 2 or parts[0] != "from" or len(names) < len(pairs)
+                    or not all(old and eqsign and new for old, eqsign, new in pairs)):
+                raise CatalogFormatError(f"bad rules line: {line!r}")
+            cur.rule_lines.append(("from", parts[1], names))
         elif head == "define":
             body, eq = _split_eq(rest)
             name, eqsign, expr = body.partition("=")
@@ -121,12 +136,37 @@ def _single_word(el, what):
     return word
 
 
-def _build(block):
+def _rules_from(block, built, source, names):
+    """The rules of the presentation `source`, built earlier, renamed."""
+    src = built.get(source)
+    if src is None:
+        raise CatalogFormatError(
+            f"{block.name}: rules from {source!r}, which is not an earlier presentation")
+    lacking = set(names) - set(src.index)
+    if lacking:
+        raise CatalogFormatError(
+            f"{block.name}: rules from {source} renames {sorted(lacking)}, "
+            f"which {source} lacks")
+    foreign = {names.get(g, g) for g in src.index} - {g.name for g in block.generators}
+    if foreign:
+        raise CatalogFormatError(
+            f"{block.name}: rules from {source} use {sorted(foreign)}, "
+            f"which {block.name} lacks")
+    return [r.renamed(names) for r in src.rules]
+
+
+def _build(block, built):
+    """The presentation of one block; `built` maps the names of the blocks
+    built before it to their presentations, for `rules from`."""
     # rules are read against the bare generators, composites and identities
     # against the presentation they belong to
     stub = Presentation(block.name, block.generators, [], validate=False)
     rules = []
-    for kind, lhs_text, rhs_text, eq in block.rule_lines:
+    for line in block.rule_lines:
+        if line[0] == "from":
+            rules.extend(_rules_from(block, built, *line[1:]))
+            continue
+        kind, lhs_text, rhs_text, eq = line
         pattern = _single_word(parse_expression(lhs_text, stub),
                                f"{block.name} rule pattern {lhs_text!r}")
         rules.append(RewriteRule(pattern, parse_expression(rhs_text, stub), eq=eq,
@@ -164,7 +204,7 @@ class Catalog:
             for block in parse_document(_data_text(fname)):
                 if block.name in self.presentations:
                     raise CatalogFormatError(f"duplicate presentation {block.name}")
-                p = self.presentations[block.name] = _build(block)
+                p = self.presentations[block.name] = _build(block, self.presentations)
                 for ident in p.identities:
                     other = self.families.setdefault(ident.family, p)
                     if other is not p:
@@ -248,9 +288,10 @@ def roundtrip_lines():
     out = []
     for fname in _FILES:
         for block in parse_document(_data_text(fname)):
-            for _, lhs, rhs, _eq in block.rule_lines:
-                out.append((fname, lhs))
-                out.append((fname, rhs))
+            for line in block.rule_lines:
+                if line[0] != "from":
+                    out.append((fname, line[1]))
+                    out.append((fname, line[2]))
             for _, expr, _eq in block.define_lines:
                 out.append((fname, expr))
             for _, _, lhs, rhs, _eq in block.identity_lines:

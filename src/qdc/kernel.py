@@ -158,6 +158,17 @@ class RewriteRule:
     eq: str = ""
     localized: bool = False
 
+    def renamed(self, names):
+        """This rule with each letter g written names.get(g, g)."""
+        def word(w):
+            return tuple(names.get(g, g) for g in w)
+
+        terms = {}
+        for w, c in self.replacement.terms.items():
+            _accumulate(terms, {word(w): c})
+        return replace(self, pattern=word(self.pattern),
+                       replacement=Element(terms, _clean=True))
+
 
 @dataclass(frozen=True)
 class Identity:
@@ -331,12 +342,8 @@ def tensor_power(p, n):
         new = {g.name: f"{k}:{g.name}" for g in p.generators}
         gens = [Generator(new[g.name], g.parity, new.get(g.inverse_of))
                 for g in p.generators]
-        rules = [RewriteRule(
-            tuple(new[g] for g in r.pattern),
-            Element({tuple(new[g] for g in w): c
-                     for w, c in r.replacement.terms.items()}, _clean=True),
-            r.eq, r.localized) for r in p.rules]
-        return Presentation(f"{p.name}[{k}]", gens, rules, validate=False)
+        return Presentation(f"{p.name}[{k}]", gens,
+                            [r.renamed(new) for r in p.rules], validate=False)
 
     out = slot(1)
     for k in range(2, n + 1):

@@ -41,10 +41,6 @@ def row_space_equal(rows_a, rows_b):
     return ra == rb == rank(list(rows_a) + list(rows_b))
 
 
-def span_contains(rows, vec):
-    return rank(rows) == rank(list(rows) + [vec])
-
-
 def elements_to_rows(elements, word_basis, zero):
     """Coefficient rows of elements over an ordered word basis; raises when an
     element has support outside the basis."""

@@ -1,11 +1,17 @@
+import hashlib
+import json
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import qdc.catalog
 from qdc.catalog import (
+    _FILES,
     Catalog,
     _build,
+    _data_text,
     counit_audit,
     get_catalog,
     parse_document,
@@ -16,7 +22,7 @@ from qdc.hopf import HopfData
 from qdc.kernel import format_element, normalize
 from qdc.parser import parse_ast, print_ast
 from qdc.kernel import Element
-from qdc.ring import ONE, LaurentScalar, lfrac, lint
+from qdc.ring import ONE, LaurentScalar, lfrac, lint, qp
 
 
 def test_presentation_shapes(cat):
@@ -82,18 +88,64 @@ def test_duplicate_identity_name_is_refused():
                               "identity fam one : 1 = 1\n"
                               "identity fam one : 1 = 1 + 1\n")
     with pytest.raises(CatalogFormatError, match="'one' in family 'fam'"):
-        _build(block)
+        _build(block, {})
+
+
+def test_no_rule_line_is_written_twice():
+    # a block that needs another block's relations takes them by `rules from`
+    lines = Counter(line for fname in _FILES
+                    for block in parse_document(_data_text(fname))
+                    for line in block.rule_lines if line[0] != "from")
+    assert [line for line, n in lines.items() if n > 1] == []
+
+
+_Y = "presentation Y\ngenerator a parity 0\ngenerator b parity 0\nrule b*a -> q*a*b @eq (9)\n"
+
+
+def _load(monkeypatch, doc):
+    monkeypatch.setattr(qdc.catalog, "_FILES", ("doc.txt",))
+    monkeypatch.setattr(qdc.catalog, "_data_text", lambda fname: doc)
+    return Catalog()
+
+
+def test_rules_from_copies_and_renames(monkeypatch):
+    cat = _load(monkeypatch, _Y + "presentation X\ngenerator x parity 0\n"
+                "generator y parity 0\ngenerator z parity 0\n"
+                "rules from Y a=x b=y\nrule z*x -> x*z\nrules from Y b=z a=y\n")
+    assert [(r.pattern, r.replacement, r.eq) for r in cat.presentation("X").rules] == [
+        (("y", "x"), Element.word(("x", "y"), qp(1)), "(9)"),
+        (("z", "x"), Element.word(("x", "z")), ""),
+        (("z", "y"), Element.word(("y", "z"), qp(1)), "(9)"),
+    ]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("presentation X\ngenerator a parity 0\nrules from Nowhere\n",
+     "X: rules from 'Nowhere', which is not an earlier presentation"),
+    ("presentation X\ngenerator a parity 0\ngenerator b parity 0\nrules from Y\n" + _Y,
+     "X: rules from 'Y', which is not an earlier presentation"),
+    (_Y + "presentation X\ngenerator a parity 0\ngenerator b parity 0\n"
+     "rules from Y z=a\n", "X: rules from Y renames ['z'], which Y lacks"),
+    (_Y + "presentation X\ngenerator a parity 0\ngenerator b parity 0\n"
+     "rules from Y b=c\n", "X: rules from Y use ['c'], which X lacks"),
+    (_Y + "presentation X\ngenerator a parity 0\nrules from Y\n",
+     "X: rules from Y use ['b'], which X lacks"),
+    (_Y + "presentation X\nrules of Y\n", "bad rules line"),
+    (_Y + "presentation X\nrules from\n", "bad rules line"),
+    (_Y + "presentation X\nrules from Y a=\n", "bad rules line"),
+    (_Y + "presentation X\nrules from Y a\n", "bad rules line"),
+    (_Y + "presentation X\nrules from Y a=b a=c\n", "bad rules line"),
+])
+def test_rules_from_refusals(monkeypatch, doc, message):
+    with pytest.raises(CatalogFormatError, match=re.escape(message)):
+        _load(monkeypatch, doc)
 
 
 def test_family_in_two_presentations_is_refused(monkeypatch):
-    import qdc.catalog
-
     doc = ("presentation X\nidentity fam one : 1 = 1\n"
            "presentation Y\nidentity fam two : 1 = 1\n")
-    monkeypatch.setattr(qdc.catalog, "_FILES", ("doc.txt",))
-    monkeypatch.setattr(qdc.catalog, "_data_text", lambda fname: doc)
     with pytest.raises(CatalogFormatError, match="'fam' is in both X and Y"):
-        Catalog()
+        _load(monkeypatch, doc)
 
 
 def test_counit_audit_empty(cat):
@@ -227,22 +279,56 @@ def test_shadow_is_the_symbolic_catalog_mapped(cat, q0):
 def test_documents_are_evaluated_once_per_process(monkeypatch):
     # the shadow maps the symbolic catalog, and the shadow run's classical
     # limit reads that same symbolic catalog, so no block is built twice
-    import qdc.catalog
     from qdc.cli import run_suite
 
     built = Counter()
     build = qdc.catalog._build
 
-    def counting_build(block):
+    def counting_build(block, presentations):
         built[block.name] += 1
-        return build(block)
+        return build(block, presentations)
 
     monkeypatch.setattr(qdc.catalog, "_build", counting_build)
     monkeypatch.setattr(qdc.catalog, "_CACHE", {})
     get_catalog(2)
     assert run_suite("all", 2).ok
     assert run_suite("superalgebra", 2).ok
-    blocks = [b.name for f in qdc.catalog._FILES
-              for b in parse_document(qdc.catalog._data_text(f))]
+    blocks = [b.name for f in _FILES for b in parse_document(_data_text(f))]
     assert built == Counter(blocks)
     assert set(built.values()) == {1}
+
+
+def _canonical_dump(p):
+    """The loaded presentation as text: generators in order, rules by their
+    pattern's term order, composites by name and identities in order."""
+    def text(e):
+        return format_element(e, p)
+
+    return json.dumps({
+        "generators": [[g.name, g.parity, g.inverse_of] for g in p.generators],
+        "rules": [[list(r.pattern), text(r.replacement), r.eq, r.localized]
+                  for r in sorted(p.rules, key=lambda r: p.word_key(r.pattern))],
+        "composites": [[k, text(p.defined[k])] for k in sorted(p.defined)],
+        "identities": [[i.family, i.name, i.eq, text(i.lhs), text(i.rhs)]
+                       for i in p.identities],
+    })
+
+
+# sha256 of _canonical_dump of every presentation of the symbolic catalog
+_CATALOG_SHA256 = {
+    "A_glq11": "78283ace8d6df493378b10f5698f6f5fe269e0f7ae4a5883efcf50d44fb115ea",
+    "A_hat": "233ff0323edb578d6c58e85a34eb8cf1b95522561120da86895ef65931d72806",
+    "A_q": "d8013fc94f639a22629623557a6ac615c9febd99daa049fa8c004fd12866ef74",
+    "A_q_dual": "0d0b7d9cd7f5b4b855f10502935f3319582c190aa5c8faaa07267d937a79230c",
+    "Forms": "69615b098603ee371295245f6f1903b55c6de93b8e083dfa5dad0a4f04f5a7d3",
+    "LieAlg": "de3a4e6b39e0e4c4098ca52c744bfe081bc63d37f079a0bec93720e4a331383a",
+    "Omega": "098a5a799cbe477268feb3c76024dcef32474a39107f66f6256b666accf34534",
+    "Omega_loc": "a8c7bf2397bba3fc756b4830bdf70866db081b5460a6ec1c924673f6fa72d1a5",
+    "Planes_diff": "2bc13f5b4c4c609fe014dac4413265c97f985d2b26b4ad193f7b20435a752dd5",
+}
+
+
+def test_loaded_catalog_is_pinned(cat):
+    digests = {name: hashlib.sha256(_canonical_dump(cat.presentation(name)).encode())
+               .hexdigest() for name in cat.names()}
+    assert digests == _CATALOG_SHA256

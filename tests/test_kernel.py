@@ -382,6 +382,16 @@ def test_tensor_power_matches_slotwise_normalization(cat):
                 assert tensor_word(*tensor_legs(w, n)) == w
 
 
+def test_renamed_rule_keeps_tag_flag_and_coefficients():
+    rule = RewriteRule(("b", "a"), W(("a", "b"), qp(1)) + W(("b", "c"), lint(2)),
+                       eq="(9)", localized=True)
+    assert rule.renamed({"b": "y"}) == RewriteRule(
+        ("y", "a"), W(("a", "y"), qp(1)) + W(("y", "c"), lint(2)), "(9)", True)
+    # words that a renaming makes equal add up, and a zero sum drops out
+    merged = RewriteRule(("c", "a"), W(("a", "b")) - W(("a", "c")))
+    assert merged.renamed({"c": "b"}).replacement.is_zero()
+
+
 def _rewrite_once(word, i, rule):
     """word with the rule's pattern at position i replaced, unreduced."""
     return W(word[:i]) * rule.replacement * W(word[i + 2:])

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from qdc.catalog import Catalog
+from qdc.calculus import verify_family
+from qdc.catalog import Catalog, get_catalog
 from qdc.errors import QdcError
 from qdc.kernel import Element
-from qdc.linalg import elements_to_rows, rank, row_space_equal, span_contains
+from qdc.linalg import elements_to_rows, rank, row_space_equal
 from qdc.parser import parse_ast
 from qdc.ring import ONE, ZERO, LaurentScalar, lint, qp
 from qdc.rmatrix import (
@@ -133,7 +134,7 @@ def test_rtt53_span_contains_coordinate_relation(cat):
     basis = _degree2_basis(entries + [rel])
     rows = elements_to_rows(entries, basis, ZERO)
     vec = elements_to_rows([rel], basis, ZERO)[0]
-    assert span_contains(rows, vec)
+    assert rank(rows) == rank(rows + [vec])
 
 
 @pytest.mark.parametrize("eq, family, name, rhs", [
@@ -188,6 +189,16 @@ def test_plane_rmatrix_component(cat):
     comp = (x * th - (x * th).scaled(qp(-1) * (qp(1) - qp(-1)))
             - (th * x).scaled(qp(-1)))
     assert normalize(comp, aq).is_zero()
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q2"])
+@pytest.mark.parametrize("family, count",
+                         [("plane_Aq", 2), ("plane_Aq_dual", 2), ("plane_mixed", 4)])
+def test_plane_families_pass(family, count, q0):
+    # eqs. (46), (47) and (52), which no suite runs
+    checks = [c.run() for c in verify_family(family, get_catalog(q0))]
+    assert len(checks) == count
+    assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
 
 def test_linalg_rank_basics():
