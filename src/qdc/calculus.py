@@ -37,7 +37,7 @@ def exterior_derivation(cat):
     g*g_inv = 1, giving d(g_inv) = -g_inv*(dg)*g_inv.
     """
     loc = cat.presentation("Omega_loc")
-    E = loc.word
+    E = Element.word
     images = {
         "a": E(("Da",)),
         "beta": E(("Dbeta",)),
@@ -74,7 +74,7 @@ def d_squared_checks(cat):
     names = [g.name for g in loc.generators]
 
     def fn(word):
-        once = apply_derivation(d, loc.word(word), loc)
+        once = apply_derivation(d, Element.word(word), loc)
         return residual(apply_derivation(d, once, loc), loc)
 
     out = [Check(f"d_squared.gen_{g}", f"d(d({g})) = 0", "(12)", partial(fn, (g,)))
@@ -97,7 +97,7 @@ def d_on_relations_checks(cat):
         for r in p.rules:
             if pname == "Omega" and not r.eq.startswith("(24"):
                 continue
-            rel = p.word(r.pattern) - r.replacement
+            rel = Element.word(r.pattern) - r.replacement
             out.append(Check(
                 f"d_consistency.{pname}.{'_'.join(r.pattern)}",
                 f"d({'*'.join(r.pattern)} - ...) = 0", r.eq,
@@ -455,9 +455,9 @@ def verify_localized_rule(rule, cat):
                                partial_rules, validate=False)
 
     left, right = _clearing_words(rule, inverses)
-    lw = loc.word(left)
-    rw = loc.word(right)
-    lhs = normalize(lw * loc.word(rule.pattern) * rw, established)
+    lw = Element.word(left)
+    rw = Element.word(right)
+    lhs = normalize(lw * Element.word(rule.pattern) * rw, established)
     rhs = normalize(lw * rule.replacement * rw, established)
     if lhs == rhs:
         return True, "cleared and reduced to a common form"

@@ -28,7 +28,7 @@ from importlib import resources
 from .errors import CatalogFormatError, UnknownFamilyError, UnknownPresentationError
 from .kernel import Generator, Identity, Presentation, RewriteRule
 from .parser import eval_ast, parse_ast, parse_expression
-from .ring import ONE, ZERO, LaurentScalar
+from .ring import ONE, LaurentScalar
 
 _FILES = ("a_glq11.txt", "a_hat.txt", "omega.txt", "omega_loc.txt",
           "forms.txt", "lie_alg.txt", "planes.txt")
@@ -298,36 +298,3 @@ def roundtrip_lines():
                 out.append((fname, lhs))
                 out.append((fname, rhs))
     return out
-
-
-def counit_value(gname):
-    """Counit of a localized generator, 1 or 0; None when undefined."""
-    if gname in ("a", "d", "a_inv", "d_inv"):
-        return 1
-    if gname in ("beta", "gamma", "Da", "Dbeta", "Dgamma", "Dd"):
-        return 0
-    return None
-
-
-def counit_audit(cat):
-    """Rules of cat on which the counit assignment fails to be a scalar
-    identity."""
-    bad = []
-    for pname in ("A_glq11", "A_hat", "Omega", "Omega_loc"):
-        p = cat.presentation(pname)
-        for r in p.rules:
-            vals = [counit_value(g) for g in r.pattern]
-            if None in vals:
-                continue  # Dgamma_inv has no counit (0 is not invertible)
-            lhs = ONE if all(vals) else ZERO
-            rhs = ZERO
-            for w, c in r.replacement.terms.items():
-                word_vals = [counit_value(g) for g in w]
-                if None in word_vals:
-                    break
-                if all(word_vals):
-                    rhs = rhs + c
-            else:
-                if lhs != rhs:
-                    bad.append((pname, r.pattern))
-    return bad

@@ -93,7 +93,7 @@ SUITES = {
     "structure": calculus.verify_structure_equations,
     "superalgebra": lambda cat: [
         *liealg.verify_superalgebra(cat),
-        *liealg.verify_xy_basis(cat),
+        *_families(cat, "xy_basis"),
         *liealg.verify_cross_relations_consistency(cat),
         *liealg.classical_limit_checks(cat),
     ],

@@ -225,12 +225,6 @@ class Presentation:
             return self.defined[name].scaled(coeff)
         raise QdcError(f"{self.name}: unknown generator or composite {name!r}")
 
-    def unit(self, coeff=ONE):
-        return Element.unit(coeff)
-
-    def word(self, letters, coeff=ONE):
-        return Element.word(letters, coeff)
-
     def word_key(self, word):
         idx = self.index
         return (len(word), tuple(idx[g] for g in word))
@@ -286,18 +280,6 @@ class Presentation:
         return missing
 
     # -- derived presentations ---------------------------------------------
-
-    def restricted_to(self, names, new_name=None):
-        """Sub-presentation on a generator subset, keeping rules that fit."""
-        keep = set(names)
-        gens = [g for g in self.generators if g.name in keep]
-        rules = [
-            r
-            for r in self.rules
-            if set(r.pattern) <= keep
-            and all(set(w) <= keep for w in r.replacement.terms)
-        ]
-        return Presentation(new_name or f"{self.name}_sub", gens, rules)
 
     def mapped(self, f):
         """f applied to every coefficient; the words, and so validity, stay."""
@@ -476,17 +458,17 @@ def _element(p, terms):
     return Element({words[n] or _word(p, n): c for n, c in terms.items()}, _clean=True)
 
 
-def normalize(e, p, budget=None):
+def normalize(e, p):
     """Normal form under leftmost rule application; linear and idempotent.
 
     Each word is folded left to right: a normal word times one generator g
     can only have its redex at (last letter, g), and leftmost rewriting of
     w*g first takes w to its normal form, so the fold gives exactly the
     leftmost normal form, confluent presentation or not.  One budget step
-    is one rule applied to such a product; products are memoised per
-    presentation.
+    is one rule applied to such a product, QDC_STEP_BUDGET steps per call
+    (step_budget); products are memoised per presentation.
     """
-    b = _Budget(budget if budget is not None else step_budget())
+    b = _Budget(step_budget())
     acc = {}
     try:
         for word, c in e.terms.items():
@@ -521,7 +503,7 @@ def apply_derivation(images, e, p):
                 raise MissingImageError(f"derivation has no image for {g!r}") from None
             if img:
                 left = Element.word(word[:i], c if sign > 0 else -c)
-                right = p.word(word[i + 1 :])
+                right = Element.word(word[i + 1 :])
                 out = out + left * img * right
             if p.parity_of[g]:
                 sign = -sign
@@ -574,7 +556,7 @@ def branches(word, p):
     return out
 
 
-def check_local_confluence(p, max_degree=None, budget=None):
+def check_local_confluence(p, max_degree=None):
     """Diamond check: every checked word that admits two distinct first
     reductions must reach one normal form both ways.
 
@@ -611,9 +593,11 @@ def check_local_confluence(p, max_degree=None, budget=None):
 
     A word fails when a branch differs from N(w); the failure is (w, N(w),
     the first such branch in redex order), and failures are listed in term
-    order.  Each fold call gets its own budget of the given size.
+    order.  Each fold call gets its own step budget.  The walk takes one
+    stack frame per letter, so a max_degree deeper than the recursion limit
+    leaves room for is refused before it starts.
     """
-    limit = budget if budget is not None else step_budget()
+    limit = step_budget()
     if max_degree is None:
         localized = [r.pattern for r in p.rules if r.localized]
         if localized:
@@ -625,6 +609,11 @@ def check_local_confluence(p, max_degree=None, budget=None):
         p.validate()
     elif max_degree < 3:
         raise QdcError("confluence check needs max_degree >= 3")
+    elif not _stack_holds(max_degree + 1):  # the walk and its last fold
+        raise QdcError(
+            f"{p.name}: max_degree {max_degree} is out of reach: the word walk "
+            f"takes one stack frame per letter, more than the Python recursion "
+            f"limit ({sys.getrecursionlimit()}) leaves free")
     try:
         checked, ambiguous, failures = _walk_words(p, max_degree or 3, limit)
     except RecursionError:
@@ -634,6 +623,14 @@ def check_local_confluence(p, max_degree=None, budget=None):
     return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
 
 
+def _stack_holds(depth):
+    """Whether `depth` more nested calls fit under the recursion limit."""
+    try:
+        return depth <= 0 or _stack_holds(depth - 1)
+    except RecursionError:
+        return False
+
+
 def _walk_words(p, max_degree, limit):
     """(words checked, ambiguous words, failures) of check_local_confluence
     on the words of length 3..max_degree, by a depth-first walk over the
@@ -641,7 +638,6 @@ def _walk_words(p, max_degree, limit):
     rules = p.rule_by_pair
     tail = p._last
     names = [g.name for g in p.generators]
-    checked = sum(len(names) ** n for n in range(3, max_degree + 1))
     ambiguous = 0
     failures = []
 
@@ -684,6 +680,7 @@ def _walk_words(p, max_degree, limit):
                 extend(word, nf_g, nf, n, branches)
 
     extend((), {0: ONE}, None, 0, [])
+    checked = sum(len(names) ** n for n in range(3, max_degree + 1))
     failures.sort(key=lambda f: p.word_key(f[0]))
     return checked, ambiguous, failures
 

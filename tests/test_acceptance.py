@@ -21,7 +21,6 @@ from qdc.liealg import (
     classical_limit_checks,
     verify_cross_relations_consistency,
     verify_superalgebra,
-    verify_xy_basis,
 )
 from qdc.rmatrix import check_hecke_braid, verify_plane_covariance, verify_rtt_family
 
@@ -107,7 +106,7 @@ def test_criterion_5_structure_equations(cat):
 def test_criterion_6_superalgebra(cat):
     ok = _all_pass(verify_superalgebra(cat))
     ok = ok and check_local_confluence(cat.presentation("LieAlg"), 4).ok
-    ok = ok and _all_pass(verify_xy_basis(cat))
+    ok = ok and _all_pass(verify_family("xy_basis", cat))
     ok = ok and _all_pass(verify_cross_relations_consistency(cat))
     ok = ok and _all_pass(classical_limit_checks(cat))
     _report(6, "quantum superalgebra", ok)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +82,20 @@ def test_cli_confluence(capsys):
     assert main(["confluence", "--presentation", "A_glq11", "--max-degree", "3"]) == 0
     out = capsys.readouterr().out
     assert "0 failing overlaps" in out
+
+
+@pytest.mark.parametrize("degree", [1200, 100000])
+def test_cli_confluence_degree_out_of_reach(capsys, degree):
+    # refused before the walk, naming the degree and the recursion limit
+    # rather than blaming a generator moving left
+    start = time.perf_counter()
+    assert main(["confluence", "--presentation", "Omega",
+                 "--max-degree", str(degree)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == (f"error: Omega: max_degree {degree} is out of reach: the word "
+                   f"walk takes one stack frame per letter, more than the Python "
+                   f"recursion limit ({sys.getrecursionlimit()}) leaves free\n")
 
 
 def test_cli_list(capsys):

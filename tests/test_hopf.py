@@ -3,8 +3,9 @@ import random
 import pytest
 
 from qdc.errors import UnsupportedHopfImageError
+from qdc.catalog import get_catalog
 from qdc.hopf import HopfData, verify_central_element, verify_hopf_axioms
-from qdc.kernel import Element, normalize, tensor_legs, tensor_word
+from qdc.kernel import Element, RewriteRule, normalize, tensor_legs, tensor_word
 from qdc.parser import parse_expression
 from qdc.ring import ONE, ZERO, lint, qp
 
@@ -61,6 +62,37 @@ def test_counit_values(cat, H):
     rel = parse_expression("a*d - d*a - (q - q^-1)*gamma*beta",
                            cat.presentation("Omega_loc"))
     assert H.counit(rel) == ZERO
+
+
+def _counit_defects(H, rules):
+    """(patterns of the rules whose counit of pattern - replacement is not 0,
+    the errors of the rules with a letter that has no counit)."""
+    bad, skipped = [], []
+    for r in rules:
+        try:
+            if H.counit(W(r.pattern) - r.replacement):
+                bad.append(r.pattern)
+        except UnsupportedHopfImageError as exc:
+            skipped.append(str(exc))
+    return bad, skipped
+
+
+def test_counit_vanishes_on_every_relation():
+    # the counit is an algebra map: it sends each rule's two sides to one
+    # scalar, symbolically and in the shadow at q = 2
+    for cat in (get_catalog(), get_catalog(2)):
+        rules = [r for name in ("A_glq11", "A_hat", "Omega", "Omega_loc")
+                 for r in cat.presentation(name).rules]
+        bad, skipped = _counit_defects(HopfData(cat), rules)
+        assert bad == []
+        assert (len(rules) - len(skipped), len(skipped)) == (99, 11)
+        # 0 is not invertible, so Dgamma_inv has no counit
+        assert set(skipped) == {"counit of Dgamma_inv is not defined"}
+
+
+def test_counit_flags_a_false_relation(H):
+    wrong = RewriteRule(("d", "a"), W(("a", "d"), lint(2)))
+    assert _counit_defects(H, [wrong]) == ([("d", "a")], [])
 
 
 def test_antipode_of_a(cat, H):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -233,11 +234,12 @@ def test_graded_commutator_rejects_mixed(cat):
         graded_commutator(la.el("a") + la.el("beta"), la.el("a"), la)
 
 
-def test_step_budget(cat):
+def test_step_budget(cat, monkeypatch):
     p = cat.presentation("Omega")
     long_word = ("Dd",) * 1 + ("d", "gamma", "beta", "a") * 2
+    monkeypatch.setenv("QDC_STEP_BUDGET", "2")
     with pytest.raises(ReductionBudgetError):
-        normalize(W(long_word), p, budget=2)
+        normalize(W(long_word), p)
 
 
 def _leftmost_nf(e, p):
@@ -344,7 +346,7 @@ def _slotwise_product(tensors, p, n):
         prod = out.terms
     ref = Element.zero()
     for legs, c in prod.items():
-        slots = [normalize(p.word(leg), p).terms.items() for leg in legs]
+        slots = [normalize(W(leg), p).terms.items() for leg in legs]
         for combo in itertools.product(*slots):
             coeff = c
             for _, ck in combo:
@@ -494,20 +496,36 @@ def test_walk_matches_per_word_check_on_negative_controls(cat):
         assert not _assert_walk_matches(p, degree).ok, (p.name, degree)
 
 
-def test_walk_budget_and_recursion_limit():
+def test_walk_budget_and_recursion_limit(monkeypatch):
     # x*y and y*x rewrite to each other, so folding x*y never ends
     gens = [Generator("x", 0), Generator("y", 0)]
     loop = Presentation("loop", gens, [RewriteRule(("x", "y"), W(("y", "x"))),
                                        RewriteRule(("y", "x"), W(("x", "y")))],
                         validate=False)
+    monkeypatch.setenv("QDC_STEP_BUDGET", "100")
     with pytest.raises(ReductionBudgetError):
-        check_local_confluence(loop, 3, budget=100)
+        check_local_confluence(loop, 3)
     # with a larger budget the recursion limit comes first: the same error
     # as normalize gives, not a RecursionError
+    monkeypatch.setenv("QDC_STEP_BUDGET", "1000")
     with pytest.raises(QdcError) as by_normalize:
-        normalize(W(("x", "y")), loop, budget=1000)
+        normalize(W(("x", "y")), loop)
     with pytest.raises(QdcError) as by_walk:
-        check_local_confluence(loop, 3, budget=1000)
+        check_local_confluence(loop, 3)
     assert type(by_walk.value) is type(by_normalize.value) is QdcError
     assert str(by_walk.value) == str(by_normalize.value)
     assert "recursion limit" in str(by_walk.value)
+
+
+def test_walk_depth_is_refused_before_walking():
+    # one letter, no rules: the walk over x^3..x^n is a single path, so it
+    # reaches the largest degree it accepts, and one more is refused
+    line = Presentation("line", [Generator("x", 0)], [])
+    for degree in range(sys.getrecursionlimit(), 3, -1):
+        try:
+            rep = check_local_confluence(line, degree)
+            break
+        except QdcError as exc:
+            assert f"max_degree {degree} is out of reach" in str(exc)
+    assert rep.ok and rep.words_checked == degree - 2
+    assert degree > sys.getrecursionlimit() // 2

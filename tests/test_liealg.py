@@ -1,5 +1,6 @@
 import random
 
+from qdc.calculus import verify_family
 from qdc.catalog import get_catalog
 from qdc.kernel import (
     Element,
@@ -10,11 +11,10 @@ from qdc.kernel import (
 )
 from qdc.liealg import (
     _BRACKET_PATTERNS,
+    SUPER_GENS,
     classical_limit_checks,
-    super_only,
     verify_cross_relations_consistency,
     verify_superalgebra,
-    verify_xy_basis,
 )
 from qdc.parser import parse_expression
 from qdc.ring import LaurentScalar
@@ -48,36 +48,51 @@ def test_overlap_T2_np_a(cat):
 
 
 def test_xy_basis(cat):
-    checks = [c.run() for c in verify_xy_basis(cat)]
+    checks = [c.run() for c in verify_family("xy_basis", cat)]
     assert len(checks) == 8
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
 
+def test_bracket_rules_stay_in_the_superalgebra(cat):
+    # why xy_basis reduces in the full LieAlg: its words lie in SUPER_GENS,
+    # where only the bracket rules fire, and those never leave SUPER_GENS
+    la = cat.presentation("LieAlg")
+    inside = set(SUPER_GENS)
+    brackets = [r for r in la.rules if set(r.pattern) <= inside]
+    assert {r.pattern for r in brackets} == set(_BRACKET_PATTERNS)
+    for r in brackets:
+        for w in r.replacement.terms:
+            assert set(w) <= inside, (r.pattern, w)
+    p, idents = cat.family("xy_basis")
+    assert p is la
+    for ident in idents:
+        for w in (*ident.lhs.terms, *ident.rhs.terms):
+            assert set(w) <= inside, (ident.name, w)
+
+
 def test_xy_examples(cat):
-    brackets = super_only(cat)
     la = cat.presentation("LieAlg")
 
     def ev(text):
         return parse_expression(text, la)
 
-    assert normalize(ev("X*nabla_p - nabla_p*X"), brackets).is_zero()
+    assert normalize(ev("X*nabla_p - nabla_p*X"), la).is_zero()
     e = ev("Y*nabla_p - nabla_p*Y + 2*q^2*nabla_p - (q^2 - 1)*(X - Y)*nabla_p")
-    assert normalize(e, brackets).is_zero()
+    assert normalize(e, la).is_zero()
     e = ev("nabla_p*nabla_m + q^2*nabla_m*nabla_p - q^2*X"
            " - 1/2*(1 - q^2)*(X*X - X*Y)")
-    assert normalize(e, brackets).is_zero()
+    assert normalize(e, la).is_zero()
 
 
 def test_xy_quadratic_without_half_fails(cat):
     # the same relation with the coefficient as printed (no 1/2) leaves the
     # residual (q^2 - 1)(T1*T2 + T2*T2): the change of basis halves the
     # quadratic, so the printed coefficient contradicts the bracket algebra
-    brackets = super_only(cat)
     la = cat.presentation("LieAlg")
     e = parse_expression(
         "nabla_p*nabla_m + q^2*nabla_m*nabla_p - q^2*X - (1 - q^2)*(X*X - X*Y)",
         la)
-    res = normalize(e, brackets)
+    res = normalize(e, la)
     want = parse_expression("(q^2 - 1)*T1*T2 + (q^2 - 1)*T2*T2", la)
     assert res == want
 
@@ -140,7 +155,7 @@ def test_classical_limit_commutes_with_normalize(cat):
     for _ in range(60):
         word = tuple(rng.choice(names) for _ in range(rng.randint(1, 5)))
         coeff = LaurentScalar({rng.randint(-2, 2): rng.randint(1, 5)})
-        e = la.word(word, coeff)
+        e = Element.word(word, coeff)
         want = normalize(at_one(e), la1)
         assert at_one(normalize(e, la)) == want, word
 
