@@ -7,8 +7,9 @@ to residuals in the localized differential algebra and report exact zeros.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from itertools import takewhile
 
 from .errors import QdcError
 from .kernel import (
@@ -25,7 +26,7 @@ from .kernel import (
 from .parser import parse_expression, print_ast
 from .report import Check
 from .ring import ONE, ZERO, LaurentScalar, qp
-from .rmatrix import W_NAMES, name_matrix
+from .rmatrix import OMEGA_NAMES, W_NAMES, name_matrix
 
 # -- exterior differential ----------------------------------------------------
 
@@ -78,7 +79,7 @@ def d_squared_checks(cat):
         return residual(apply_derivation(d, once, loc), loc)
 
     out = [Check(f"d_squared.gen_{g}", f"d(d({g})) = 0", "(12)", partial(fn, (g,)))
-           for g in ("a", "beta", "gamma", "d", "Da", "Dbeta", "Dgamma", "Dd")]
+           for g in OMEGA_NAMES]
     for i in range(_D_SQUARED_WORDS):
         k = rng.randint(1, _D_SQUARED_MAX_DEGREE)
         word = tuple(rng.choice(names) for _ in range(k))
@@ -87,22 +88,24 @@ def d_squared_checks(cat):
     return out
 
 
+def relations(cat, *names):
+    """(presentation name, rule, pattern - replacement) for every rule of the
+    named presentations; of Omega only the mixed relations (24), because its
+    other rules are those of A_glq11 and A_hat again."""
+    for pname in names:
+        for r in cat.presentation(pname).rules:
+            if pname != "Omega" or r.eq.startswith("(24"):
+                yield pname, r, Element.word(r.pattern) - r.replacement
+
+
 def d_on_relations_checks(cat):
     """d applied to every coordinate relation and every mixed relation
     reduces to zero: the consistency statements behind the calculus."""
     d, loc = exterior_derivation(cat)
-    out = []
-    for pname in ("A_glq11", "Omega"):
-        p = cat.presentation(pname)
-        for r in p.rules:
-            if pname == "Omega" and not r.eq.startswith("(24"):
-                continue
-            rel = Element.word(r.pattern) - r.replacement
-            out.append(Check(
-                f"d_consistency.{pname}.{'_'.join(r.pattern)}",
-                f"d({'*'.join(r.pattern)} - ...) = 0", r.eq,
-                lambda rel=rel: residual(apply_derivation(d, rel, loc), loc)))
-    return out
+    return [Check(f"d_consistency.{pname}.{'_'.join(r.pattern)}",
+                  f"d({'*'.join(r.pattern)} - ...) = 0", r.eq,
+                  lambda rel=rel: residual(apply_derivation(d, rel, loc), loc))
+            for pname, r, rel in relations(cat, "A_glq11", "Omega")]
 
 
 # -- the consistency ansatz ---------------------------------------------------
@@ -132,7 +135,7 @@ def alternative_branch(A):
                   F21=-qp(-1), F22=ONE - A)
 
 
-_UNKNOWNS = ("A", "B", "F11", "F12", "F21", "F22")
+_UNKNOWNS = tuple(f.name for f in fields(Ansatz))
 _AB_GENS = (("Da", 1), ("Dbeta", 0), ("a", 0), ("beta", 1))
 
 
@@ -268,18 +271,12 @@ def ansatz_checks(cat):
         return None
 
     def fn_branch_rules():
+        # the first four rules of the ansatz are the mixed rules it solves for
         z = rep.branch_f22_zero
-        sc = cat.scalar
-        E = Element.word
-        made = {
-            "a_Da": E(("a", "Da")) - E(("Da", "a"), sc(z.A)),
-            "a_Dbeta": E(("a", "Dbeta")) - E(("Dbeta", "a"), sc(z.F11))
-                       - E(("Da", "beta"), sc(z.F12)),
-            "beta_Da": E(("beta", "Da")) - E(("Da", "beta"), sc(z.F21))
-                       - E(("Dbeta", "a"), sc(z.F22)),
-            "beta_Dbeta": E(("beta", "Dbeta"))
-                       - E(("Dbeta", "beta"), sc(z.B)),
-        }
+        block = _ansatz_presentation(
+            {u: Element.unit(cat.scalar(c)) for u, c in vars(z).items()})
+        made = {"_".join(r.pattern): Element.word(r.pattern) - r.replacement
+                for r in block.rules[:4]}
         for ident in cat.family("dT_relations")[1]:
             if ident.name in made:
                 if made[ident.name] != ident.lhs - ident.rhs:
@@ -350,39 +347,36 @@ def verify_family(family, cat):
 # -- structure equations --------------------------------------------------------
 
 
+def _two_forms(one_form):
+    """The two-forms (39) that the structure equation states for dW,
+    W = [[w1, u], [v, w2]], as a matrix; one_form(name) is that one-form."""
+    w1, u, v, w2 = (one_form(n) for row in W_NAMES for n in row)
+    return [[w1 * w1 - u * v, w1 * u - u * w2],
+            [w2 * v - v * w1, w2 * w2 - v * u]]
+
+
 def verify_structure_equations(cat):
     """Three layers: the two-form differentials of the one-form composites,
     the matrix form of the structure equation, and the reduced Cartan-Maurer
     matrix obtained from the one-form commutation relations."""
     loc = cat.presentation("Omega_loc")
     forms = cat.presentation("Forms")
-    w1, u, w2, v = (loc.defined[k] for k in ("w1", "u", "w2", "v"))
     out = []
 
-    # layer 1: d of each composite equals the stated two-form, in Omega_loc
-    layer1 = {
-        "dw1": (w1, w1 * w1 - u * v),
-        "du": (u, w1 * u - u * w2),
-        "dw2": (w2, w2 * w2 - v * u),
-        "dv": (v, w2 * v - v * w1),
-    }
-    for name, (form, rhs) in layer1.items():
-        out.append(Check(
-            f"structure.leibniz_{name}", f"{name} from the graded Leibniz rule",
-            "(39)", lambda form=form, rhs=rhs: residual(
-                exterior_d(form, cat) - rhs, loc)))
-
-    # layer 2: the matrix identity dW = s3*W*s3*W, entrywise over the forms;
-    # s3*W*s3 is W with its odd-index entries negated
-    E = forms.el
+    # layer 1: d of each composite equals the stated two-form, in Omega_loc;
+    # layer 2: the matrix identity dW = s3*W*s3*W, entrywise over the forms,
+    # where s3*W*s3 is W with its odd-index entries negated
+    leibniz = _two_forms(loc.el)
     W = name_matrix(forms, W_NAMES, 1)
     rhs_matrix = (W.signed(include_shift=False) @ W).entries
-    stated = [
-        [E("w1") * E("w1") - E("u") * E("v"), E("w1") * E("u") - E("u") * E("w2")],
-        [E("w2") * E("v") - E("v") * E("w1"), E("w2") * E("w2") - E("v") * E("u")],
-    ]
+    stated = _two_forms(forms.el)
     for i in range(2):
         for j in range(2):
+            name = W_NAMES[i][j]
+            out.append(Check(
+                f"structure.leibniz_d{name}", f"d{name} from the graded Leibniz rule",
+                "(39)", lambda form=loc.el(name), rhs=leibniz[i][j]: residual(
+                    exterior_d(form, cat) - rhs, loc)))
             out.append(Check(
                 f"structure.matrix_{i+1}{j+1}", "structure equation matrix entry",
                 "(38)", lambda i=i, j=j: residual(
@@ -396,31 +390,26 @@ def verify_structure_equations(cat):
 # -- localized-rule validation ---------------------------------------------------
 
 
-def _inverse_names(p):
-    return {g.name: g.inverse_of for g in p.generators if g.inverse_of}
+def _inverses_in(loc, *words):
+    """Each formal inverse of loc that the words hold, mapped to the
+    generator it inverts."""
+    inverse_of = {g.name: g.inverse_of for g in loc.generators if g.inverse_of}
+    return {g: inverse_of[g] for w in words for g in w if g in inverse_of}
 
 
 def _clearing_words(rule, inverses):
-    pattern = rule.pattern
-    lead = []
-    for g in pattern:
-        if g in inverses:
-            lead.append(inverses[g])
-        else:
-            break
-    trail = []
-    for g in reversed(pattern):
-        if g in inverses:
-            trail.append(inverses[g])
-        else:
-            break
-    # cancel the prefix right-to-left and the suffix left-to-right
-    return tuple(reversed(lead)), tuple(trail)
+    """The words that clear the pattern's leading and trailing inverses: the
+    prefix cancels right to left, the suffix left to right."""
+    def run(letters):
+        return [inverses[g] for g in takewhile(inverses.__contains__, letters)]
+
+    return tuple(reversed(run(rule.pattern))), tuple(run(reversed(rule.pattern)))
 
 
 def verify_localized_rule(rule, cat):
     """Validate a localized rule by clearing its inverses and reducing both
-    sides in a system of already-established rules.
+    sides in a system of already-established rules; None when it holds, and
+    otherwise the reason it fails.
 
     Cancellation pairs g*g_inv -> 1 are definitional for the localization and
     always pass.  Every other rule is multiplied on the left/right by the
@@ -430,29 +419,23 @@ def verify_localized_rule(rule, cat):
     agree.
     """
     loc = cat.presentation("Omega_loc")
-    inverses = _inverse_names(loc)
-    touched = [g for g in rule.pattern if g in inverses]
-    touched += [g for w in rule.replacement.terms for g in w if g in inverses]
-    if not touched:
+    inverses = _inverses_in(loc, rule.pattern, *rule.replacement.terms)
+    if not inverses:
         raise QdcError("verify_localized_rule needs a rule involving an inverse")
 
     if _is_cancellation(rule, inverses):
-        return True, "definitional cancellation"
+        return None
 
-    try:
-        idx = loc.rules.index(rule)
-    except ValueError:
-        idx = len(loc.rules)
-    partial_rules = []
+    # established: the rules listed before this one, then those free of
+    # inverses and the cancellations
+    idx = loc.rules.index(rule) if rule in loc.rules else len(loc.rules)
+    kept = []
     for i, r in enumerate(loc.rules):
-        uses_inverse = any(g in inverses for g in r.pattern) or any(
-            g in inverses for w in r.replacement.terms for g in w
-        )
-        if not uses_inverse or _is_cancellation(r, inverses) or i < idx:
-            if r.pattern != rule.pattern:
-                partial_rules.append(r)
-    established = Presentation("Omega_loc_partial", loc.generators,
-                               partial_rules, validate=False)
+        used = {} if i < idx else _inverses_in(loc, r.pattern, *r.replacement.terms)
+        if r.pattern != rule.pattern and (not used or _is_cancellation(r, used)):
+            kept.append(r)
+    established = Presentation("Omega_loc_partial", loc.generators, kept,
+                               validate=False)
 
     left, right = _clearing_words(rule, inverses)
     lw = Element.word(left)
@@ -460,44 +443,25 @@ def verify_localized_rule(rule, cat):
     lhs = normalize(lw * Element.word(rule.pattern) * rw, established)
     rhs = normalize(lw * rule.replacement * rw, established)
     if lhs == rhs:
-        return True, "cleared and reduced to a common form"
-    leftover = any(
-        g in inverses for e in (lhs, rhs) for w in e.terms for g in w
-    )
-    if leftover:
-        return False, "uncleared inverse after reduction; rule rejected"
-    return False, (
-        f"cleared forms differ: {format_element(lhs, established)} vs "
-        f"{format_element(rhs, established)}"
-    )
+        return None
+    if _inverses_in(loc, *lhs.terms, *rhs.terms):
+        return "uncleared inverse after reduction; rule rejected"
+    return (f"cleared forms differ: {format_element(lhs, established)} vs "
+            f"{format_element(rhs, established)}")
 
 
 def _is_cancellation(rule, inverses):
-    if len(rule.pattern) != 2:
-        return False
+    """Whether rule is g*g_inv -> 1; inverses maps each formal inverse in
+    its pattern to the generator it inverts."""
     x, y = rule.pattern
     pair = inverses.get(x) == y or inverses.get(y) == x
     return pair and rule.replacement == Element.unit()
 
 
-def localized_rule_checks(cat, only_dgamma=False):
-    """The clearing check of every localized rule that involves an inverse,
-    or only of those involving Dgamma_inv."""
+def localized_rule_checks(cat):
+    """The clearing check of every localized rule that involves an inverse."""
     loc = cat.presentation("Omega_loc")
-    inverses = _inverse_names(loc)
-    out = []
-    for r in loc.rules:
-        involved = {g for g in r.pattern if g in inverses}
-        involved |= {g for w in r.replacement.terms for g in w if g in inverses}
-        if not involved:
-            continue
-        if only_dgamma and "Dgamma_inv" not in involved:
-            continue
-        def fn(r=r):
-            ok, why = verify_localized_rule(r, cat)
-            return None if ok else why
-
-        out.append(Check(f"localized.{'_'.join(r.pattern)}",
-                         f"clearing check for {'*'.join(r.pattern)} -> ...",
-                         r.eq, fn))
-    return out
+    return [Check(f"localized.{'_'.join(r.pattern)}",
+                  f"clearing check for {'*'.join(r.pattern)} -> ...",
+                  r.eq, partial(verify_localized_rule, r, cat))
+            for r in loc.rules if _inverses_in(loc, r.pattern, *r.replacement.terms)]

@@ -15,7 +15,9 @@ builds one for the checks it returns.
 
 from __future__ import annotations
 
-from .calculus import verify_family
+from functools import partial
+
+from .calculus import relations, verify_family
 from .errors import UnsupportedHopfImageError
 from .kernel import (
     Element,
@@ -28,7 +30,7 @@ from .kernel import (
 )
 from .report import Check
 from .ring import ONE, ZERO
-from .rmatrix import DT_NAMES, T_NAMES, name_matrix
+from .rmatrix import DT_NAMES, OMEGA_NAMES, T_NAMES, name_matrix
 
 
 def counit_value(gname):
@@ -172,8 +174,6 @@ class HopfData:
 
 # -- axiom verification --------------------------------------------------------
 
-_OMEGA_GENS = ("a", "beta", "gamma", "d", "Da", "Dbeta", "Dgamma", "Dd")
-
 
 def verify_hopf_axioms(cat):
     """Coassociativity, the counit laws, the antipode laws, the homomorphism
@@ -198,7 +198,7 @@ def verify_hopf_axioms(cat):
                         for w, c in H.delta_image(g).terms.items()}, _clean=True)
 
     E = Element.word
-    for g in _OMEGA_GENS:
+    for g in OMEGA_NAMES:
         def fn_coassoc(g=g):
             t = H.coproduct(E((g,)))
             diff = _image(t, delta_left, cube) - _image(t, delta_right, cube)
@@ -207,62 +207,44 @@ def verify_hopf_axioms(cat):
                          f"(delta (x) id) delta({g}) = (id (x) delta) delta({g})",
                          "(6)", fn_coassoc))
 
-    def legs(t):
-        for w, c in t.terms.items():
-            yield (*tensor_legs(w, 2), c)
+    # the two-sided laws: over the legs w1 (x) w2 of delta(g), each side
+    # multiplies its two leg maps' images and must sum to the target
+    def fn_law(law, g, left, right, want, sides):
+        sums = [Element.zero(), Element.zero()]
+        for w, c in H.coproduct(E((g,))).terms.items():
+            w1, w2 = tensor_legs(w, 2)
+            for k, (f1, f2) in enumerate((left, right)):
+                sums[k] = sums[k] + (f1(w1) * f2(w2)).scaled(c)
+        bad = [side for side, s in zip(sides, sums) if normalize(s - want(g), loc)]
+        return None if not bad else f"{law} law fails on {bad}"
 
-    for g in _OMEGA_GENS:
-        def fn_counit(g=g):
-            t = H.coproduct(E((g,)))
-            left = Element.zero()
-            right = Element.zero()
-            for w1, w2, c in legs(t):
-                left = left + E(w2, c * H.counit(E(w1)))
-                right = right + E(w1, c * H.counit(E(w2)))
-            want = E((g,))
-            bad = []
-            if normalize(left - want, loc):
-                bad.append("left")
-            if normalize(right - want, loc):
-                bad.append("right")
-            return None if not bad else f"counit law fails on {bad}"
-        out.append(Check(f"hopf.counit_law_{g}", f"counit laws on {g}", "(7)",
-                         fn_counit))
+    def counit(w):
+        return Element.unit(H.counit(E(w)))
 
-    for g in _OMEGA_GENS:
-        def fn_antipode(g=g):
-            t = H.coproduct(E((g,)))
-            left = Element.zero()
-            right = Element.zero()
-            for w1, w2, c in legs(t):
-                left = left + H.antipode(E(w1)) * E(w2, c)
-                right = right + E(w1, c) * H.antipode(E(w2))
-            want = Element.unit(H.counit(E((g,))))
-            bad = []
-            if normalize(left - want, loc):
-                bad.append("m(S x id)")
-            if normalize(right - want, loc):
-                bad.append("m(id x S)")
-            return None if not bad else f"antipode law fails on {bad}"
-        out.append(Check(f"hopf.antipode_law_{g}", f"antipode laws on {g}", "(8)",
-                         fn_antipode))
+    def antipode(w):
+        return H.antipode(E(w))
+
+    laws = (
+        ("counit", "(7)", (counit, E), (E, counit), lambda g: E((g,)),
+         ["left", "right"]),
+        ("antipode", "(8)", (antipode, E), (E, antipode),
+         lambda g: counit((g,)), ["m(S x id)", "m(id x S)"]),
+    )
+    for law, eq, *args in laws:
+        out += [Check(f"hopf.{law}_law_{g}", f"{law} laws on {g}", eq,
+                      partial(fn_law, law, g, *args))
+                for g in OMEGA_NAMES]
 
     # coproduct preserves every relation (homomorphism property)
-    for pname in ("A_glq11", "A_hat", "Omega"):
-        p = cat.presentation(pname)
-        for r in p.rules:
-            if pname == "Omega" and not r.eq.startswith("(24"):
-                continue
-            rel = Element.word(r.pattern) - r.replacement
+    for pname, r, rel in relations(cat, "A_glq11", "A_hat", "Omega"):
+        def fn_hom(rel=rel):
+            t = H.coproduct(rel)
+            return None if t.is_zero() else format_element(t, H.square)[:160]
 
-            def fn_hom(rel=rel):
-                t = H.coproduct(rel)
-                return None if t.is_zero() else format_element(t, H.square)[:160]
-
-            out.append(Check(
-                f"hopf.coproduct_preserves.{pname}.{'_'.join(r.pattern)}",
-                f"coproduct of the {pname} relation at {'*'.join(r.pattern)} "
-                f"vanishes in the tensor square", r.eq, fn_hom))
+        out.append(Check(
+            f"hopf.coproduct_preserves.{pname}.{'_'.join(r.pattern)}",
+            f"coproduct of the {pname} relation at {'*'.join(r.pattern)} "
+            f"vanishes in the tensor square", r.eq, fn_hom))
 
     def fn_expansion():
         # the explicit differential coproducts against their matrix form:

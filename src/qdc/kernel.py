@@ -270,15 +270,6 @@ class Presentation:
             if g.parity == 1 and (g.name, g.name) not in self.rule_by_pair:
                 raise QdcError(f"{self.name}: odd generator {g.name} has no square rule")
 
-    def missing_pairs(self):
-        """Out-of-order adjacent pairs with no rule (candidate normal-form pairs)."""
-        missing = []
-        for j, gj in enumerate(self.generators):
-            for i, gi in enumerate(self.generators):
-                if j > i and (gj.name, gi.name) not in self.rule_by_pair:
-                    missing.append((gj.name, gi.name))
-        return missing
-
     # -- derived presentations ---------------------------------------------
 
     def mapped(self, f):

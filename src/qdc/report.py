@@ -55,11 +55,16 @@ class Check:
             residual = self.fn()
             status = "pass" if residual is None else "fail"
         except Exception as exc:  # a crashed check is an error, not a silent skip
-            residual = f"{type(exc).__name__}: {exc}"
+            residual = error_text(exc)
             status = "error"
         ms = (time.perf_counter() - t0) * 1000.0
         return CheckResult(self.id, self.description, self.paper_eq, status,
                            residual, ms)
+
+
+def error_text(exc):
+    """The residual of an error row: the exception's type and message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -76,8 +81,7 @@ class SuiteReport:
 
     @property
     def ok(self):
-        s = self.summary
-        return s["fail"] == 0 and s["error"] == 0
+        return all(c.passed for c in self.checks)
 
     def sorted(self):
         rep = SuiteReport(self.suite, sorted(self.checks, key=lambda c: c.id))

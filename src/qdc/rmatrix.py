@@ -183,6 +183,8 @@ def r_hat_inverse(cat):
 T_NAMES = (("a", "beta"), ("gamma", "d"))
 DT_NAMES = (("Da", "Dbeta"), ("Dgamma", "Dd"))
 W_NAMES = (("w1", "u"), ("v", "w2"))
+# the eight generators of Omega, coordinates then differentials, row by row
+OMEGA_NAMES = tuple(g for names in (T_NAMES, DT_NAMES) for row in names for g in row)
 
 
 def name_matrix(p, names, shift=0):

@@ -124,7 +124,7 @@ def test_criterion_7_hopf(cat):
 
 def test_criterion_8_central_element(cat):
     ok = _all_pass(verify_central_element(cat))
-    dgamma_rules = localized_rule_checks(cat, only_dgamma=True)
+    dgamma_rules = [c for c in localized_rule_checks(cat) if "Dgamma_inv" in c.id]
     ok = ok and len(dgamma_rules) == 11 and _all_pass(dgamma_rules)
     _report(8, "central element", ok)
 

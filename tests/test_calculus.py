@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from qdc.calculus import (
@@ -154,17 +156,17 @@ def test_localized_rules_all_validate(cat):
 
 def test_localized_rule_examples(cat):
     loc = cat.presentation("Omega_loc")
-    ok, why = verify_localized_rule(loc.rule_by_pair[("beta", "a_inv")], cat)
-    assert ok, why
-    ok, why = verify_localized_rule(loc.rule_by_pair[("Dgamma_inv", "Da")], cat)
-    assert ok, why
+    why = verify_localized_rule(loc.rule_by_pair[("beta", "a_inv")], cat)
+    assert why is None, why
+    why = verify_localized_rule(loc.rule_by_pair[("Dgamma_inv", "Da")], cat)
+    assert why is None, why
 
 
 def test_localized_rule_negative_control(cat):
     # beta*a_inv -> a_inv*beta without the q factor clears to a*beta = beta*a
     bad = RewriteRule(("beta", "a_inv"), W(("a_inv", "beta")), localized=True)
-    ok, why = verify_localized_rule(bad, cat)
-    assert not ok
+    why = verify_localized_rule(bad, cat)
+    assert why is not None
     assert "differ" in why
 
 
@@ -173,3 +175,16 @@ def test_exterior_d_matches_differential_names(cat):
     # coordinate matrix entries are the Da.. generators themselves
     for g, dg in (("a", "Da"), ("beta", "Dbeta"), ("gamma", "Dgamma"), ("d", "Dd")):
         assert exterior_d(W((g,)), cat) == W((dg,))
+
+
+def test_branch_check_flags_a_wrong_coefficient(monkeypatch):
+    # negative control: A = q in place of q^2 no longer gives the stated
+    # a*Da relation, and only the branch check notices (A is free)
+    from qdc import calculus
+    from qdc.cli import run_suite
+
+    real = calculus.paper_branch
+    monkeypatch.setattr(calculus, "paper_branch", lambda: replace(real(), A=qp(1)))
+    failing = [(c.id, c.residual) for c in run_suite("ansatz").checks if not c.passed]
+    assert failing == [("ansatz.branch_reproduces_mixed_rules",
+                        "branch rule a_Da differs from the stated relation")]

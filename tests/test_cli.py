@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qdc.cli import SUITES, main, run_suite
-from qdc.errors import UnknownSuiteError
+from qdc.errors import QdcError, UnknownSuiteError
 from qdc.report import JSON_SCHEMA, Check, CheckResult, SuiteReport
 
 
@@ -57,6 +57,34 @@ def test_cli_exit_one_on_failing_check(monkeypatch, capsys):
         == ("fail", "x")
     assert (rows["forced.raise"]["status"], rows["forced.raise"]["residual"]) \
         == ("error", "ZeroDivisionError: division by zero")
+
+
+@pytest.mark.parametrize("exc", [QdcError("boom"), ValueError("boom")],
+                         ids=["QdcError", "ValueError"])
+def test_suite_that_fails_to_build_is_an_error_row(monkeypatch, capsys, cat, exc):
+    # set-up runs while a suite is built, outside every Check; an exception
+    # there gives one error row and the other suites still run
+    from qdc import hopf
+
+    hopf_ids = {c.id for c in SUITES["hopf"](cat)}
+    all_ids = {c.id for build in SUITES.values() for c in build(cat)}
+
+    def broken(self, cat):
+        raise exc
+
+    monkeypatch.setattr(hopf.HopfData, "__init__", broken)
+    want = ("error", f"{type(exc).__name__}: boom")
+    assert main(["verify", "--suite", "hopf", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["id"], c["status"], c["residual"]) for c in rows] == [("setup.hopf", *want)]
+    assert main(["verify", "--suite", "all", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    rows = {c["id"]: c for c in report["checks"]}
+    assert (rows["setup.hopf"]["status"], rows["setup.hopf"]["residual"]) == want
+    assert set(rows) == all_ids - hopf_ids | {"setup.hopf"}
+    assert report["summary"]["error"] == 1 and report["summary"]["fail"] == 0
+    assert main(["verify", "--suite", "hopf"]) == 1
+    assert "[ERROR] setup.hopf: build the hopf suite" in capsys.readouterr().out
 
 
 def test_cli_normalize_output(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from qdc.errors import UnsupportedHopfImageError
 from qdc.catalog import get_catalog
+from qdc.cli import run_suite
 from qdc.hopf import HopfData, verify_central_element, verify_hopf_axioms
 from qdc.kernel import Element, RewriteRule, normalize, tensor_legs, tensor_word
 from qdc.parser import parse_expression
@@ -188,3 +189,43 @@ def test_central_element_examples(cat):
     # the unit is central, trivially
     res = normalize(Element.unit() * loc.el("a") - loc.el("a") * Element.unit(), loc)
     assert res.is_zero()
+
+
+def _failing(suite):
+    return [(c.id, c.residual) for c in run_suite(suite).checks if not c.passed]
+
+
+def test_antipode_law_flags_a_negated_image(monkeypatch):
+    # negative control: S(Da) negated breaks the antipode law wherever
+    # delta(g) has a Da leg
+    real = HopfData._build_antipode
+
+    def negated(self):
+        images = real(self)
+        images["Da"] = -images["Da"]
+        return images
+
+    monkeypatch.setattr(HopfData, "_build_antipode", negated)
+    assert _failing("hopf") == [
+        ("hopf.antipode_law_Da", "antipode law fails on ['m(S x id)', 'm(id x S)']"),
+        ("hopf.antipode_law_Dbeta", "antipode law fails on ['m(S x id)']"),
+        ("hopf.antipode_law_Dgamma", "antipode law fails on ['m(id x S)']"),
+    ]
+
+
+def test_counit_laws_flag_a_wrong_counit(monkeypatch):
+    # negative control: counit(a) = 0 breaks the counit law on every g whose
+    # coproduct has an a leg, and the antipode law on a
+    from qdc import hopf
+
+    real = hopf.counit_value
+    monkeypatch.setattr(hopf, "counit_value", lambda g: 0 if g == "a" else real(g))
+    assert _failing("hopf") == [
+        ("hopf.antipode_law_a", "antipode law fails on ['m(S x id)', 'm(id x S)']"),
+        ("hopf.counit_law_Da", "counit law fails on ['left', 'right']"),
+        ("hopf.counit_law_Dbeta", "counit law fails on ['left']"),
+        ("hopf.counit_law_Dgamma", "counit law fails on ['right']"),
+        ("hopf.counit_law_a", "counit law fails on ['left', 'right']"),
+        ("hopf.counit_law_beta", "counit law fails on ['left']"),
+        ("hopf.counit_law_gamma", "counit law fails on ['right']"),
+    ]

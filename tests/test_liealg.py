@@ -10,7 +10,6 @@ from qdc.kernel import (
     normalize,
 )
 from qdc.liealg import (
-    _BRACKET_PATTERNS,
     SUPER_GENS,
     classical_limit_checks,
     verify_cross_relations_consistency,
@@ -18,6 +17,15 @@ from qdc.liealg import (
 )
 from qdc.parser import parse_expression
 from qdc.ring import LaurentScalar
+
+# the ordered patterns of the superalgebra's bracket rules (43)
+BRACKET_PATTERNS = (
+    ("T2", "T1"),
+    ("nabla_p", "T1"), ("nabla_p", "T2"),
+    ("nabla_m", "T1"), ("nabla_m", "T2"),
+    ("nabla_p", "nabla_p"), ("nabla_m", "nabla_m"),
+    ("nabla_m", "nabla_p"),
+)
 
 
 def test_nilpotent_conjugation(cat):
@@ -59,7 +67,7 @@ def test_bracket_rules_stay_in_the_superalgebra(cat):
     la = cat.presentation("LieAlg")
     inside = set(SUPER_GENS)
     brackets = [r for r in la.rules if set(r.pattern) <= inside]
-    assert {r.pattern for r in brackets} == set(_BRACKET_PATTERNS)
+    assert {r.pattern for r in brackets} == set(BRACKET_PATTERNS)
     for r in brackets:
         for w in r.replacement.terms:
             assert set(w) <= inside, (r.pattern, w)
@@ -147,7 +155,7 @@ def test_classical_limit_commutes_with_normalize(cat):
         return Element({w: LaurentScalar.from_fraction(c.eval_at(1))
                         for w, c in e.terms.items()})
 
-    for x, y in _BRACKET_PATTERNS:
+    for x, y in BRACKET_PATTERNS:
         got = graded_commutator(la.el(x), la.el(y), la)
         assert at_one(got) == graded_commutator(la1.el(x), la1.el(y), la1), (x, y)
     rng = random.Random(20261018)
