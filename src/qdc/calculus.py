@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import takewhile
+from itertools import chain, takewhile
 
 from .errors import QdcError
 from .kernel import (
@@ -26,32 +26,26 @@ from .kernel import (
 from .parser import parse_expression, print_ast
 from .report import Check
 from .ring import ONE, ZERO, LaurentScalar, qp
-from .rmatrix import OMEGA_NAMES, W_NAMES, name_matrix
+from .rmatrix import DT_NAMES, OMEGA_NAMES, T_NAMES, W_NAMES, name_matrix
 
 # -- exterior differential ----------------------------------------------------
 
 
 def exterior_derivation(cat):
-    """Images of the localized generators under the exterior differential.
+    """Images of the localized generators under the exterior differential:
+    each coordinate goes to its differential and each differential to 0.
 
     On formal inverses the image is forced by the Leibniz rule applied to
-    g*g_inv = 1, giving d(g_inv) = -g_inv*(dg)*g_inv.
+    g*g_inv = 1, giving d(g_inv) = -g_inv*(dg)*g_inv; so d(Dgamma_inv) = 0.
     """
     loc = cat.presentation("Omega_loc")
-    E = Element.word
-    images = {
-        "a": E(("Da",)),
-        "beta": E(("Dbeta",)),
-        "gamma": E(("Dgamma",)),
-        "d": E(("Dd",)),
-        "Da": Element.zero(),
-        "Dbeta": Element.zero(),
-        "Dgamma": Element.zero(),
-        "Dd": Element.zero(),
-        "a_inv": -E(("a_inv", "Da", "a_inv")),
-        "d_inv": -E(("d_inv", "Dd", "d_inv")),
-        "Dgamma_inv": Element.zero(),
-    }
+    coords, diffs = tuple(chain(*T_NAMES)), tuple(chain(*DT_NAMES))
+    images = {g: Element.word((dg,)) for g, dg in zip(coords, diffs)}
+    images.update((dg, Element.zero()) for dg in diffs)
+    for u in loc.generators:
+        if u.inverse_of:
+            x = Element.word((u.name,))
+            images[u.name] = -(x * images[u.inverse_of] * x)
     return images, loc
 
 

@@ -3,10 +3,12 @@
 The tensor square and cube are kernel.tensor_power of Omega_loc, where
 normalize supplies the slots and the Koszul sign
 (A (x) B)(C (x) D) = (-1)^(p(B)p(C)) AC (x) BD, so a tensor is a plain
-Element.  The coproduct is the algebra map given on the generators: the
-images of a word's letters are multiplied, then normalized.  The counit and
-antipode act on the localized algebra, and the axioms are verified by exact
-reduction in the square or the cube.
+Element.  The coproduct, counit and antipode are each given by one table of
+images on the generators: the images of a word's letters are multiplied
+(for the antipode, in reverse order), then normalized.  A formal inverse's
+images are computed from its generator's by a finite geometric series.
+The counit and antipode act on the localized algebra, and the axioms are
+verified by exact reduction in the square or the cube.
 
 `HopfData(cat)` is the entry point: it builds the three maps on one
 catalog's Omega_loc, symbolic or numeric shadow, and `verify_hopf_axioms`
@@ -43,29 +45,68 @@ def counit_value(gname):
     return None
 
 
-def _image(e, image_of, target):
-    """The algebra map given on letters by image_of, applied to e: each
-    word becomes the product of its letters' images, normalized in target."""
+def _image(e, images, what, target):
+    """The algebra map given on letters by the table images, applied to e:
+    each word becomes the product of its letters' images, normalized in
+    target.  `what` names the map in the error for a letter with no image."""
     out = Element.zero()
     for word, c in e.terms.items():
         acc = Element.unit(c)
         for g in word:
-            acc = acc * image_of(g)
+            try:
+                acc = acc * images[g]
+            except KeyError:
+                raise UnsupportedHopfImageError(f"{what} of {g} is not defined") from None
         out = out + acc
     return normalize(out, target)
+
+
+def _inverse(t, x, p):
+    """The inverse of t in p by the finite geometric series, where x inverts
+    t's leading term: t^-1 = x (1 - r)^-1 with r = 1 - t x, a finite sum
+    because r is nilpotent, its words carrying odd letters."""
+    unit = Element.unit()
+    r = unit - normalize(t * x, p)
+    total = power = unit
+    for _ in range(8):
+        power = normalize(power * r, p)
+        if power.is_zero():
+            break
+        total = total + power
+    else:
+        raise UnsupportedHopfImageError("geometric series did not close")
+    return normalize(x * total, p)
+
+
+def _on_names(names, M):
+    """The table taking each name of a 2x2 grid to M's entry at its place."""
+    return {n: e for row, erow in zip(names, M.entries) for n, e in zip(row, erow)}
 
 
 # -- structure data ------------------------------------------------------------
 
 
 class HopfData:
-    """Coproduct, counit and antipode images on the localized generators."""
+    """Coproduct, counit and antipode, each an image table on the localized
+    generators.  A formal inverse u of g takes its images from g's, by
+    g*u = 1: delta(u) = delta(g)^-1 and S(u) = S(g)^-1, where eps(g) = 1;
+    Dgamma_inv, with eps(Dgamma) = 0, has none."""
 
     def __init__(self, cat):
-        self.loc = cat.presentation("Omega_loc")
-        self.square = tensor_power(self.loc, 2)
+        loc = self.loc = cat.presentation("Omega_loc")
+        self.square = tensor_power(loc, 2)
+        self.counit_images = {
+            g.name: Element.unit() if v else Element.zero()
+            for g in loc.generators if (v := counit_value(g.name)) is not None}
         self.delta_images = self._build_delta()
         self.antipode_images = self._build_antipode()
+        for u in loc.generators:
+            g = u.inverse_of
+            if g and counit_value(g) == 1:
+                self.delta_images[u.name] = _inverse(
+                    self.delta_images[g], self.tensor((u.name,), (u.name,)), self.square)
+                self.antipode_images[u.name] = _inverse(
+                    self.antipode_images[g], loc.el(g), loc)
 
     def tensor(self, w1, w2, coeff=ONE):
         """The element w1 (x) w2 of the tensor square."""
@@ -75,89 +116,33 @@ class HopfData:
     # delta(T) = T_1 T_2 and delta(That) = That_1 T_2 + T_1^s That_2, where
     # M_k is M over the letters of slot k and ^s signs the odd entries
     def _build_delta(self):
-        def slot(k, names, shift):
-            return name_matrix(
-                self.square, [[f"{k}:{n}" for n in row] for row in names], shift)
+        def legs(names, shift):
+            words = [[tensor_word((n,), (n,)) for n in row] for row in names]
+            return [name_matrix(self.square, [[w[k] for w in row] for row in words],
+                                shift) for k in (0, 1)]
 
-        T1, T2 = slot(1, T_NAMES, 0), slot(2, T_NAMES, 0)
-        dT = T1 @ T2
-        dThat = slot(1, DT_NAMES, 1) @ T2 + T1.signed() @ slot(2, DT_NAMES, 1)
-        images = {}
-        for i in range(2):
-            for j in range(2):
-                images[T_NAMES[i][j]] = dT.entries[i][j]
-                images[DT_NAMES[i][j]] = dThat.entries[i][j]
-        images["a_inv"] = self._tensor_inverse(images["a"], "a_inv")
-        images["d_inv"] = self._tensor_inverse(images["d"], "d_inv")
-        return images
-
-    def _tensor_inverse(self, t, g_inv):
-        """Multiplicative inverse via the finite geometric series; the seed
-        g_inv (x) g_inv inverts the group-like leading term, and the remainder
-        is nilpotent because its slots carry the odd coordinates."""
-        sq = self.square
-        unit = Element.unit()
-        x = self.tensor((g_inv,), (g_inv,))
-        r = unit - normalize(t * x, sq)
-        total = power = unit
-        for _ in range(8):
-            power = normalize(power * r, sq)
-            if power.is_zero():
-                break
-            total = total + power
-        else:
-            raise UnsupportedHopfImageError("geometric series did not close")
-        return normalize(x * total, sq)
+        T1, T2 = legs(T_NAMES, 0)
+        Th1, Th2 = legs(DT_NAMES, 1)
+        return {**_on_names(T_NAMES, T1 @ T2),
+                **_on_names(DT_NAMES, Th1 @ T2 + T1.signed() @ Th2)}
 
     def _build_antipode(self):
         loc = self.loc
-        E = Element.word
         # S(T) = T^-1, and S(That) = -(T^-1)^s That T^-1: the sign of the
         # mnemonic matrix form attaches to the entries of the left inverse
         # factor, entrywise (+A, -B; -C, +D)
         Tinv = name_matrix(loc, (("iA", "iB"), ("iC", "iD")))
         S = Tinv.signed() @ name_matrix(loc, DT_NAMES, 1) @ Tinv
-        images = {}
-        for i in range(2):
-            for j in range(2):
-                images[T_NAMES[i][j]] = Tinv.entries[i][j]
-                images[DT_NAMES[i][j]] = normalize(-S.entries[i][j], loc)
-        # forced by the anti-homomorphism property on g*g_inv = 1
-        images["a_inv"] = (E(("a",))
-                           - E(("beta",)) * E(("d_inv",)) * E(("gamma",)))
-        images["d_inv"] = (E(("d",))
-                           - E(("gamma",)) * E(("a_inv",)) * E(("beta",)))
-        return images
+        return {**_on_names(T_NAMES, Tinv),
+                **{n: normalize(-e, loc) for n, e in _on_names(DT_NAMES, S).items()}}
 
     # -- the three maps ---------------------------------------------------
 
-    def delta_image(self, g):
-        try:
-            return self.delta_images[g]
-        except KeyError:
-            raise UnsupportedHopfImageError(
-                f"coproduct of {g} is not defined (not needed by any identity)"
-            ) from None
-
-    def antipode_image(self, g):
-        try:
-            return self.antipode_images[g]
-        except KeyError:
-            raise UnsupportedHopfImageError(f"antipode of {g} is not defined") from None
-
     def coproduct(self, e):
-        return _image(e, self.delta_image, self.square)
+        return _image(e, self.delta_images, "coproduct", self.square)
 
     def counit(self, e):
-        total = ZERO
-        for word, c in e.terms.items():
-            vals = [counit_value(g) for g in word]
-            if None in vals:
-                g = word[vals.index(None)]
-                raise UnsupportedHopfImageError(f"counit of {g} is not defined")
-            if all(vals):
-                total = total + c
-        return total
+        return _image(e, self.counit_images, "counit", self.loc).terms.get((), ZERO)
 
     def antipode(self, e):
         """Graded anti-homomorphism: S(g1...gk) applies the generator images
@@ -168,8 +153,8 @@ class HopfData:
         for word, c in e.terms.items():
             n = sum(par[g] for g in word)
             reversed_terms[word[::-1]] = -c if n * (n - 1) // 2 % 2 else c
-        return _image(Element(reversed_terms, _clean=True), self.antipode_image,
-                      self.loc)
+        return _image(Element(reversed_terms, _clean=True), self.antipode_images,
+                      "antipode", self.loc)
 
 
 # -- axiom verification --------------------------------------------------------
@@ -186,22 +171,20 @@ def verify_hopf_axioms(cat):
 
     # (delta (x) id) and (id (x) delta) on the letters of the square; the
     # square's slots 1 and 2 are the cube's slots 1 and 2
-    def delta_left(letter):
-        k, g = letter.split(":", 1)
-        return H.delta_image(g) if k == "1" else Element.word(("3:" + g,))
-
-    def delta_right(letter):
-        k, g = letter.split(":", 1)
-        if k == "1":
-            return Element.word((letter,))
-        return Element({tensor_word((), *tensor_legs(w, 2)): c
-                        for w, c in H.delta_image(g).terms.items()}, _clean=True)
+    delta_left, delta_right = {}, {}
+    for g, t in H.delta_images.items():
+        s1, s2, s3 = tensor_word((g,), (g,), (g,))
+        delta_left[s1], delta_left[s2] = t, Element.word((s3,))
+        delta_right[s1] = Element.word((s1,))
+        delta_right[s2] = Element({tensor_word((), *tensor_legs(w, 2)): c
+                                   for w, c in t.terms.items()}, _clean=True)
 
     E = Element.word
     for g in OMEGA_NAMES:
         def fn_coassoc(g=g):
             t = H.coproduct(E((g,)))
-            diff = _image(t, delta_left, cube) - _image(t, delta_right, cube)
+            diff = (_image(t, delta_left, "coproduct", cube)
+                    - _image(t, delta_right, "coproduct", cube))
             return None if diff.is_zero() else f"{len(diff.terms)} unmatched triple terms"
         out.append(Check(f"hopf.coassociativity_{g}",
                          f"(delta (x) id) delta({g}) = (id (x) delta) delta({g})",
@@ -263,7 +246,7 @@ def verify_hopf_axioms(cat):
             acc = Element.zero()
             for x, y, s in terms:
                 acc = acc + H.tensor((x,), (y,), ONE if s > 0 else -ONE)
-            if acc != H.delta_image(g):
+            if acc != H.delta_images[g]:
                 return f"matrix-form expansion differs at {g}"
         return None
 

@@ -16,6 +16,7 @@ before it can fire.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 
 from .calculus import verify_family
 from .kernel import (
@@ -28,9 +29,10 @@ from .kernel import (
 )
 from .report import Check
 from .ring import ONE, LaurentScalar
+from .rmatrix import T_NAMES
 
 SUPER_GENS = ("T1", "T2", "nabla_p", "nabla_m")
-BODY_GENS = ("a", "beta", "gamma", "d")
+BODY_GENS = tuple(chain(*T_NAMES))
 
 
 def verify_superalgebra(cat):

@@ -11,6 +11,7 @@ from qdc.calculus import (
     d_on_relations_checks,
     d_squared_checks,
     exterior_d,
+    exterior_derivation,
     localized_rule_checks,
     paper_branch,
     solve_ansatz,
@@ -33,6 +34,16 @@ def test_d_squared_on_generator(cat):
 def test_d_of_unit_product(cat):
     loc = cat.presentation("Omega_loc")
     assert normalize(exterior_d(W(("a", "a_inv")), cat), loc).is_zero()
+
+
+def test_d_of_the_inverses(cat):
+    # d(g_inv) = -g_inv*(dg)*g_inv, and d(Dgamma_inv) = 0 since d(Dgamma) = 0
+    d, loc = exterior_derivation(cat)
+    assert d["a_inv"] == W(("a_inv", "Da", "a_inv"), -ONE)
+    assert d["d_inv"] == W(("d_inv", "Dd", "d_inv"), -ONE)
+    assert normalize(d["a_inv"], loc) == W(("a_inv", "a_inv", "Da"), -qp(2))
+    assert normalize(d["d_inv"], loc) == W(("d_inv", "d_inv", "Dd"), -qp(-2))
+    assert d["Dgamma_inv"].is_zero()
 
 
 def test_d_kills_coordinate_relation(cat):

@@ -5,7 +5,7 @@ import pytest
 from qdc.errors import UnsupportedHopfImageError
 from qdc.catalog import get_catalog
 from qdc.cli import run_suite
-from qdc.hopf import HopfData, verify_central_element, verify_hopf_axioms
+from qdc.hopf import HopfData, _inverse, verify_central_element, verify_hopf_axioms
 from qdc.kernel import Element, RewriteRule, normalize, tensor_legs, tensor_word
 from qdc.parser import parse_expression
 from qdc.ring import ONE, ZERO, lint, qp
@@ -52,9 +52,39 @@ def test_coproduct_of_localized_inverse(H):
     assert normalize(got * delta_a, square) == Element.unit()
 
 
-def test_coproduct_unsupported_generator(H):
-    with pytest.raises(UnsupportedHopfImageError):
-        H.coproduct(W(("Dgamma_inv",)))
+def test_images_of_the_inverses(H):
+    # delta(d_inv), S(a_inv) and S(d_inv), each the inverse of its generator's
+    # image: the pinned value, and a two-sided inverse
+    loc, square = H.loc, H.square
+    cases = [
+        (H.coproduct, "d", square,
+         T(("d_inv",), ("d_inv",))
+         + T(("gamma", "d_inv", "d_inv"), ("beta", "d_inv", "d_inv"), -qp(-2))),
+        (H.antipode, "a", loc, W(("a",)) + W(("beta", "gamma", "d_inv"), -qp(-1))),
+        (H.antipode, "d", loc, W(("d",)) + W(("a_inv", "beta", "gamma"), qp(1))),
+    ]
+    for f, g, p, want in cases:
+        got = f(W((g + "_inv",)))
+        assert got == want, (f, g)
+        image = f(W((g,)))
+        assert normalize(image * got, p) == Element.unit(), (f, g)
+        assert normalize(got * image, p) == Element.unit(), (f, g)
+
+
+@pytest.mark.parametrize("what", ["coproduct", "antipode", "counit"])
+def test_maps_undefined_on_dgamma_inv(H, what):
+    # 0 = eps(Dgamma) is not invertible, so no map has an image of its inverse
+    with pytest.raises(UnsupportedHopfImageError,
+                       match=f"^{what} of Dgamma_inv is not defined$"):
+        getattr(H, what)(W(("Dgamma_inv",)))
+
+
+def test_inverse_series_must_close(H):
+    # negative control: 1 - (a + d)*a_inv = -d*a_inv is not nilpotent
+    loc = H.loc
+    with pytest.raises(UnsupportedHopfImageError,
+                       match="geometric series did not close"):
+        _inverse(loc.el("a") + loc.el("d"), loc.el("a_inv"), loc)
 
 
 def test_counit_values(cat, H):
