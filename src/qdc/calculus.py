@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from itertools import chain, takewhile
 
 from .errors import QdcError
@@ -22,6 +22,7 @@ from .kernel import (
     format_element,
     normalize,
     residual,
+    substitute,
 )
 from .parser import parse_expression, print_ast
 from .report import Check
@@ -133,61 +134,61 @@ _UNKNOWNS = tuple(f.name for f in fields(Ansatz))
 _AB_GENS = (("Da", 1), ("Dbeta", 0), ("a", 0), ("beta", 1))
 
 
-def _ansatz_presentation(coeffs):
-    """The a-beta block, differentials first, after the six unknowns: even
-    generators that commute with every other one, so they lead every normal
-    word.  `coeffs` maps each unknown's name to the Element that stands in
-    its rules, a scalar or the unknown's own letter; a rule whose
-    replacement holds a letter grows the degree and is marked localized."""
+@cache
+def _consistency_residuals():
+    """The ansatz presentation, built once, and the residuals of the four
+    consistency conditions: d applied to both defining relations, reduced,
+    and for the two products of the relation with a differential, the
+    difference of the word's two first reductions (a single deterministic
+    reduction would collapse them trivially).  The a-beta block,
+    differentials first, comes after the six unknowns: even generators that
+    commute with every other one, so they lead every normal word.  Each mixed
+    coefficient is its unknown's letter, so those rules grow the degree."""
     gens = [Generator(u, 0) for u in _UNKNOWNS]
     gens += [Generator(g, parity) for g, parity in _AB_GENS]
     E = Element.word
 
-    def rule(pattern, *terms):
-        repl = Element.zero()
-        for coeff, word in terms:
-            repl = repl + coeff * E(word)
-        return RewriteRule(pattern, repl,
-                           localized=any(len(w) > 2 for w in repl.terms))
+    def mixed(pattern, *words):
+        return RewriteRule(pattern, sum(map(E, words), Element.zero()), localized=True)
 
-    c = coeffs
     rules = [
-        rule(("a", "Da"), (c["A"], ("Da", "a"))),
-        rule(("a", "Dbeta"), (c["F11"], ("Dbeta", "a")), (c["F12"], ("Da", "beta"))),
-        rule(("beta", "Da"), (c["F21"], ("Da", "beta")), (c["F22"], ("Dbeta", "a"))),
-        rule(("beta", "Dbeta"), (c["B"], ("Dbeta", "beta"))),
-        rule(("beta", "a"), (Element.unit(qp(-1)), ("a", "beta"))),
-        rule(("beta", "beta")),
-        rule(("Dbeta", "Da"), (Element.unit(qp(1)), ("Da", "Dbeta"))),
-        rule(("Da", "Da")),
+        mixed(("a", "Da"), ("A", "Da", "a")),
+        mixed(("a", "Dbeta"), ("F11", "Dbeta", "a"), ("F12", "Da", "beta")),
+        mixed(("beta", "Da"), ("F21", "Da", "beta"), ("F22", "Dbeta", "a")),
+        mixed(("beta", "Dbeta"), ("B", "Dbeta", "beta")),
+        RewriteRule(("beta", "a"), E(("a", "beta"), qp(-1))),
+        RewriteRule(("beta", "beta"), Element.zero()),
+        RewriteRule(("Dbeta", "Da"), E(("Da", "Dbeta"), qp(1))),
+        RewriteRule(("Da", "Da"), Element.zero()),
     ]
     names = [g.name for g in gens]
     rules += [RewriteRule((y, x), E((x, y)))
               for i, x in enumerate(_UNKNOWNS) for y in names[i + 1:]]
-    return Presentation("Omega_ab", gens, rules)
-
-
-def _consistency_residuals(coeffs):
-    """The ansatz presentation at `coeffs` and the residuals of the four
-    consistency conditions over the a-beta block: d applied to both defining
-    relations, reduced, and for the two products of the relation with a
-    differential, the difference of the word's two first reductions (a
-    single deterministic reduction would collapse them trivially)."""
-    p = _ansatz_presentation(coeffs)
+    p = Presentation("Omega_ab", gens, rules)
     out = [normalize(parse_expression(text, p), p)
            for text in ("Da*beta + a*Dbeta - q*Dbeta*a + q*beta*Da",
                         "Dbeta*beta - beta*Dbeta")]
     for word in (("beta", "a", "Da"), ("beta", "a", "Dbeta")):
         first, second = branches(word, p)
         out.append(second - first)
-    return p, out
+    return p, tuple(out)
+
+
+def _at(values, e):
+    """e with values, {unknown: Element}, put for the unknowns.  On a normal
+    form of the ansatz presentation this gives the normal form at those
+    coefficients, exactly: the unknowns commute with every letter, so which
+    rule the fold applies where never depends on them."""
+    images = {g: Element.word((g,)) for g, _ in _AB_GENS}
+    return substitute({**images, **values}, e)
 
 
 def ansatz_residuals(z):
     """Residuals of the four consistency conditions at concrete coefficients;
-    all zero exactly when the candidate rules define a consistent calculus."""
-    coeffs = {u: Element.unit(c) for u, c in vars(z).items()}
-    return _consistency_residuals(coeffs)[1]
+    all zero exactly when the candidate rules define a consistent calculus;
+    the symbolic residuals at z's values."""
+    values = {u: Element.unit(c) for u, c in vars(z).items()}
+    return [_at(values, r) for r in _consistency_residuals()[1]]
 
 
 def _monic(e, p):
@@ -222,7 +223,7 @@ def solve_ansatz():
     A residual's normal words are a product of unknowns times a word of the
     block; the constraint of block word w is the sum of the residual's terms
     ending in w, with w dropped, kept once up to a unit factor."""
-    p, residuals = _consistency_residuals({u: Element.word((u,)) for u in _UNKNOWNS})
+    p, residuals = _consistency_residuals()
     linear, quadratic = [], []
     for res in residuals:
         by_block = {}
@@ -266,11 +267,10 @@ def ansatz_checks(cat):
 
     def fn_branch_rules():
         # the first four rules of the ansatz are the mixed rules it solves for
-        z = rep.branch_f22_zero
-        block = _ansatz_presentation(
-            {u: Element.unit(cat.scalar(c)) for u, c in vars(z).items()})
-        made = {"_".join(r.pattern): Element.word(r.pattern) - r.replacement
-                for r in block.rules[:4]}
+        values = {u: Element.unit(cat.scalar(c))
+                  for u, c in vars(rep.branch_f22_zero).items()}
+        made = {"_".join(r.pattern): _at(values, Element.word(r.pattern) - r.replacement)
+                for r in p.rules[:4]}
         for ident in cat.family("dT_relations")[1]:
             if ident.name in made:
                 if made[ident.name] != ident.lhs - ident.rhs:
@@ -332,8 +332,7 @@ def verify_family(family, cat):
     """Reduce every identity of the named family to its residual."""
     p, idents = cat.family(family)
     return [Check(f"{family}.{ident.name}",
-                  f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}"
-                  if ident.lhs_ast is not None else ident.name,
+                  f"{print_ast(ident.lhs_ast)} = {print_ast(ident.rhs_ast)}",
                   ident.eq, lambda ident=ident: residual(ident.lhs - ident.rhs, p))
             for ident in idents]
 

@@ -8,13 +8,16 @@ error (unknown suite/presentation, malformed expression, bad flags).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import calculus, hopf, liealg, rmatrix
 from .catalog import get_catalog
 from .errors import ParseError, QdcError, UnknownSuiteError
-from .kernel import check_local_confluence, format_element, normalize, step_budget
+from .kernel import (check_local_confluence, confluence_residual, format_element,
+                     normalize, step_budget)
 from .parser import _literal, parse_ast, parse_expression
 from .report import Check, CheckResult, SuiteReport, error_text
 
@@ -59,14 +62,8 @@ def _confluence_checks(cat):
             degree = None
             desc = f"local confluence of {name} (critical pairs, diamond lemma)"
 
-        def fn(p=p, degree=degree):
-            rep = check_local_confluence(p, degree)
-            if rep.failures:
-                w = rep.failures[0][0]
-                return f"{len(rep.failures)} failing overlaps, first at {'*'.join(w)}"
-            return None
-
-        out.append(Check(f"confluence.{name}", desc, "diamond", fn))
+        out.append(Check(f"confluence.{name}", desc, "diamond",
+                         partial(confluence_residual, p, degree)))
     return out
 
 
@@ -178,10 +175,17 @@ def main(argv=None):
         return 2
     try:
         step_budget()  # a malformed QDC_STEP_BUDGET is a usage error, not a failed check
-        return _dispatch(args)
+        text, code = _dispatch(args)
     except QdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe, as `| head` does: no error of the command;
+        # stdout goes to devnull, so the last flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def _expression_after_options(argv):
@@ -203,53 +207,50 @@ def _expression_after_options(argv):
 
 
 def _dispatch(args):
+    """The command's output text and its exit code."""
     if args.command == "normalize":
         cat = get_catalog()
         p = cat.presentation(args.presentation)
         el = parse_expression(args.expression, p)
-        print(format_element(normalize(el, p), p))
-        return 0
+        return format_element(normalize(el, p), p), 0
 
     if args.command == "verify":
         q0 = None if args.q is None else _rational(args.q)
         if q0 == 0:
             raise QdcError("q = 0 is outside the coefficient ring")
         report = run_suite(args.suite, q0=q0)
+        code = 0 if report.ok else 1
         if args.format == "json":
-            print(report.to_json())
-        else:
-            if q0 is not None:
-                print(f"# numeric shadow at q = {q0}: a passing run is "
-                      f"necessary, not sufficient; the symbolic run is "
-                      f"the authoritative one")
-            print(report.to_text())
-        return 0 if report.ok else 1
+            return report.to_json(), code
+        text = report.to_text()
+        if q0 is not None:
+            text = (f"# numeric shadow at q = {q0}: a passing run is "
+                    f"necessary, not sufficient; the symbolic run is "
+                    f"the authoritative one\n{text}")
+        return text, code
 
     if args.command == "confluence":
         cat = get_catalog()
         p = cat.presentation(args.presentation)
         rep = check_local_confluence(p, args.max_degree)
-        print(f"{p.name}: checked {rep.words_checked} words to degree "
-              f"{rep.max_degree}; {rep.ambiguous} ambiguous, "
-              f"{len(rep.failures)} failing overlaps")
+        lines = [f"{p.name}: checked {rep.words_checked} words to degree "
+                 f"{rep.max_degree}; {rep.ambiguous} ambiguous, "
+                 f"{len(rep.failures)} failing overlaps"]
         for w, nf1, nf2 in rep.failures[:10]:
-            print(f"  overlap {'*'.join(w)}:")
-            print(f"    {format_element(nf1, p)}")
-            print(f"    {format_element(nf2, p)}")
-        return 0 if rep.ok else 1
+            lines += [f"  overlap {'*'.join(w)}:",
+                      f"    {format_element(nf1, p)}",
+                      f"    {format_element(nf2, p)}"]
+        return "\n".join(lines), 0 if rep.ok else 1
 
-    if args.command == "list":
-        cat = get_catalog()
-        print("presentations:")
-        for n in cat.names():
-            p = cat.presentation(n)
-            print(f"  {n}: {len(p.generators)} generators, {len(p.rules)} rules")
-        print("suites:", ", ".join(["all", *SUITES]))
-        print("identity families:")
-        for fam in sorted(cat.families):
-            print(f"  {fam} ({cat.families[fam].name})")
-        return 0
-    return 2
+    # list, the one command left: argparse refuses any other
+    cat = get_catalog()
+    lines = ["presentations:"]
+    for n in cat.names():
+        p = cat.presentation(n)
+        lines.append(f"  {n}: {len(p.generators)} generators, {len(p.rules)} rules")
+    lines += ["suites: " + ", ".join(["all", *SUITES]), "identity families:"]
+    lines += [f"  {fam} ({cat.families[fam].name})" for fam in sorted(cat.families)]
+    return "\n".join(lines), 0
 
 
 def _rational(text):

@@ -4,11 +4,14 @@ The tensor square and cube are kernel.tensor_power of Omega_loc, where
 normalize supplies the slots and the Koszul sign
 (A (x) B)(C (x) D) = (-1)^(p(B)p(C)) AC (x) BD, so a tensor is a plain
 Element.  The coproduct, counit and antipode are each given by one table of
-images on the generators: the images of a word's letters are multiplied
-(for the antipode, in reverse order), then normalized.  A formal inverse's
-images are computed from its generator's by a finite geometric series.
-The counit and antipode act on the localized algebra, and the axioms are
-verified by exact reduction in the square or the cube.
+images on the generators, applied by kernel.substitute (for the antipode,
+to the reversed word) and then normalized.  On the matrices of generators
+the tables are delta(T) = T (x) T, eps(T) = 1 and S(T) = T^-1, extended to
+the differentials: eps(That) = 0.  A formal inverse's images are computed
+from its generator's: its counit is 1, and its coproduct and antipode are
+inverses found by a finite geometric series.  The counit and antipode act
+on the localized algebra, and the axioms are verified by exact reduction
+in the square or the cube.
 
 `HopfData(cat)` is the entry point: it builds the three maps on one
 catalog's Omega_loc, symbolic or numeric shadow, and `verify_hopf_axioms`
@@ -26,39 +29,25 @@ from .kernel import (
     format_element,
     normalize,
     residual,
+    substitute,
     tensor_legs,
     tensor_power,
     tensor_word,
 )
 from .report import Check
 from .ring import ONE, ZERO
-from .rmatrix import DT_NAMES, OMEGA_NAMES, T_NAMES, name_matrix
-
-
-def counit_value(gname):
-    """Counit of a localized generator, 1 or 0; None when undefined, as for
-    Dgamma_inv, since 0 is not invertible."""
-    if gname in ("a", "d", "a_inv", "d_inv"):
-        return 1
-    if gname in ("beta", "gamma", "Da", "Dbeta", "Dgamma", "Dd"):
-        return 0
-    return None
+from .rmatrix import DT_NAMES, OMEGA_NAMES, T_NAMES, identity_matrix, name_matrix
 
 
 def _image(e, images, what, target):
-    """The algebra map given on letters by the table images, applied to e:
-    each word becomes the product of its letters' images, normalized in
-    target.  `what` names the map in the error for a letter with no image."""
-    out = Element.zero()
-    for word, c in e.terms.items():
-        acc = Element.unit(c)
-        for g in word:
-            try:
-                acc = acc * images[g]
-            except KeyError:
-                raise UnsupportedHopfImageError(f"{what} of {g} is not defined") from None
-        out = out + acc
-    return normalize(out, target)
+    """The algebra map given on letters by the table images, applied to e
+    and normalized in target.  `what` names the map in the error for a
+    letter with no image."""
+    try:
+        image = substitute(images, e)
+    except KeyError as exc:
+        raise UnsupportedHopfImageError(f"{what} of {exc.args[0]} is not defined") from None
+    return normalize(image, target)
 
 
 def _inverse(t, x, p):
@@ -95,14 +84,13 @@ class HopfData:
     def __init__(self, cat):
         loc = self.loc = cat.presentation("Omega_loc")
         self.square = tensor_power(loc, 2)
-        self.counit_images = {
-            g.name: Element.unit() if v else Element.zero()
-            for g in loc.generators if (v := counit_value(g.name)) is not None}
+        self.counit_images = self._build_counit()
         self.delta_images = self._build_delta()
         self.antipode_images = self._build_antipode()
         for u in loc.generators:
             g = u.inverse_of
-            if g and counit_value(g) == 1:
+            if g and self.counit_images[g] == Element.unit():
+                self.counit_images[u.name] = Element.unit()
                 self.delta_images[u.name] = _inverse(
                     self.delta_images[g], self.tensor((u.name,), (u.name,)), self.square)
                 self.antipode_images[u.name] = _inverse(
@@ -111,6 +99,11 @@ class HopfData:
     def tensor(self, w1, w2, coeff=ONE):
         """The element w1 (x) w2 of the tensor square."""
         return Element.word(tensor_word(w1, w2), coeff)
+
+    def _build_counit(self):
+        # eps(T) = 1, the identity matrix, and eps(That) = 0
+        return {**_on_names(T_NAMES, identity_matrix((0, 1))),
+                **{n: Element.zero() for row in DT_NAMES for n in row}}
 
     # the matrix coproduct on coordinates and its extension to differentials:
     # delta(T) = T_1 T_2 and delta(That) = That_1 T_2 + T_1^s That_2, where

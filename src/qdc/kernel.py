@@ -478,7 +478,20 @@ def _too_deep(p):
     )
 
 
-# -- derivations -------------------------------------------------------------
+# -- maps on the letters -----------------------------------------------------
+
+
+def substitute(images, e):
+    """The algebra map given on the letters by the table images, applied to
+    e: each word becomes the product of its letters' images, in order;
+    unreduced.  A letter with no image raises KeyError(letter)."""
+    out = {}
+    for word, c in e.terms.items():
+        acc = Element.unit(c)
+        for g in word:
+            acc = acc * images[g]
+        _accumulate(out, acc.terms)
+    return Element(out, _clean=True)
 
 
 def apply_derivation(images, e, p):
@@ -612,6 +625,17 @@ def check_local_confluence(p, max_degree=None):
     if max_degree is None:  # the critical pairs are the words checked
         checked = ambiguous
     return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
+
+
+def confluence_residual(p, max_degree=None):
+    """The verdict of every confluence check: None when check_local_confluence
+    finds no failing word, else their count, the first and its normal forms."""
+    failures = check_local_confluence(p, max_degree).failures
+    if not failures:
+        return None
+    w, nf, branch = failures[0]
+    return (f"{len(failures)} failing overlaps; first at {'*'.join(w)}: "
+            f"{format_element(nf, p)} vs {format_element(branch, p)}")
 
 
 def _stack_holds(depth):

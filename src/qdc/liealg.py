@@ -22,8 +22,7 @@ from .calculus import verify_family
 from .kernel import (
     Element,
     branches,
-    check_local_confluence,
-    format_element,
+    confluence_residual,
     graded_commutator,
     residual,
 )
@@ -41,19 +40,11 @@ def verify_superalgebra(cat):
     on its critical pairs (diamond lemma)."""
     la = cat.presentation("LieAlg")
 
-    def fn_confluence():
-        rep = check_local_confluence(la)
-        if rep.failures:
-            w, p1, p2 = rep.failures[0]
-            return (f"{len(rep.failures)} failing overlaps; first at "
-                    f"{'*'.join(w)}: {format_element(p1, la)} vs "
-                    f"{format_element(p2, la)}")
-        return None
-
     return [*verify_family("superalg_43", cat), *verify_family("consistency_s5", cat),
             Check("superalgebra.confluence",
                   "combined bracket/cross-rule system locally confluent "
-                  "(critical pairs, diamond lemma)", "(2)(43)(45)", fn_confluence)]
+                  "(critical pairs, diamond lemma)", "(2)(43)(45)",
+                  partial(confluence_residual, la))]
 
 
 def verify_cross_relations_consistency(cat):

@@ -22,6 +22,7 @@ from .kernel import (
     Presentation,
     graded_product,
     residual,
+    substitute,
 )
 from .linalg import elements_to_rows, row_space_equal
 from .parser import eval_ast
@@ -307,33 +308,23 @@ def verify_plane_covariance(cat):
     aq = cat.presentation("A_q")
     aqd = cat.presentation("A_q_dual")
 
-    def plane_rels(x, th):
-        """x'theta' - q theta'x' and theta'^2 for a candidate plane point."""
-        return [
-            ("xy_relation", x * th - (th * x).scaled(sc(qp(1)))),
-            ("odd_square", th * th),
-        ]
-
-    def dual_rels(ph, y):
-        return [
-            ("odd_square", ph * ph),
-            ("xy_relation", ph * y - (y * ph).scaled(sc(qp(-1)))),
-        ]
-
+    # the image M*X of a point X of the source plane satisfies each rule of
+    # the target plane, its letters taking the image's coordinates in order;
+    # M's shift is the parity of its (1,1) entry, whose indices are even
     cases = [
-        ("TX_in_Aq", glq, aq, ("x", "theta"), 0, T_NAMES, plane_rels, "(48)"),
-        ("TXhat_in_Aq_dual", glq, aqd, ("phi", "y"), 0, T_NAMES, dual_rels,
-         "(48)"),
-        ("ThatX_in_Aq_dual", ahat, aq, ("x", "theta"), 1, DT_NAMES, dual_rels,
-         "(49)"),
-        ("ThatXhat_in_Aq", ahat, aqd, ("phi", "y"), 1, DT_NAMES, plane_rels,
-         "(49)"),
+        ("TX_in_Aq", glq, aq, aq, T_NAMES, "(48)"),
+        ("TXhat_in_Aq_dual", glq, aqd, aqd, T_NAMES, "(48)"),
+        ("ThatX_in_Aq_dual", ahat, aq, aqd, DT_NAMES, "(49)"),
+        ("ThatXhat_in_Aq", ahat, aqd, aq, DT_NAMES, "(49)"),
     ]
-    for name, mat_p, plane_p, coords, shift, mat_names, rels, eqtag in cases:
-        combined = graded_product(mat_p, plane_p, f"{mat_p.name}_{plane_p.name}")
-        M = name_matrix(combined, mat_names, shift)
-        img = (M @ _point(combined, coords)).validate_parities(combined)
-        for rel_name, e in rels(img.entries[0][0], img.entries[1][0]):
+    for name, mat_p, source, target, mat_names, eqtag in cases:
+        combined = graded_product(mat_p, source, f"{mat_p.name}_{source.name}")
+        M = name_matrix(combined, mat_names, mat_p.parity_of[mat_names[0][0]])
+        img = (M @ _point(combined, tuple(source.index))).validate_parities(combined)
+        images = dict(zip(target.index, (e for (e,) in img.entries)))
+        for r in target.rules:
+            rel_name = "odd_square" if r.pattern[0] == r.pattern[1] else "xy_relation"
+            e = substitute(images, Element.word(r.pattern) - r.replacement)
             out.append(Check(f"plane.{name}.{rel_name}",
                              f"{name}: transformed point satisfies {rel_name}",
                              eqtag, partial(residual, e, combined)))

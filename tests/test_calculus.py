@@ -1,4 +1,5 @@
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,9 +21,9 @@ from qdc.calculus import (
     verify_structure_equations,
 )
 from qdc.errors import UnknownFamilyError
-from qdc.kernel import Element, RewriteRule, format_element, normalize
+from qdc.kernel import Element, RewriteRule, format_element, normalize, substitute
 from qdc.parser import parse_expression
-from qdc.ring import ONE, ZERO, qp
+from qdc.ring import ONE, ZERO, LaurentScalar, qp
 
 W = Element.word
 
@@ -92,6 +93,74 @@ def test_perturbed_control_fails():
     assert any(not r.is_zero() for r in ansatz_residuals(bad))
 
 
+def _random_candidate(rng):
+    def scalar():
+        exponents = rng.sample(range(-2, 3), rng.randint(0, 2))
+        return LaurentScalar({k: rng.randint(-2, 2) for k in exponents})
+    return Ansatz(*(scalar() for _ in fields(Ansatz)))
+
+
+# the four residuals of each of 20 seeded random candidates, as reduced in a
+# presentation built for each candidate at its coefficients
+RANDOM_CANDIDATE_RESIDUALS = [
+    ['Da*beta + (2*q^2 - q)*Dbeta*a',
+     '(1 - q^-1 - q^-2)*Dbeta*beta',
+     '-4*Dbeta*a*a',
+     '0'],
+    ['(-2*q^2 + 1 + 2*q^-2)*Da*beta - q*Dbeta*a', 'Dbeta*beta', '0', '0'],
+    ['(2*q - 1)*Da*beta - q*Dbeta*a', 'Dbeta*beta', '0', '0'],
+    ['(-q^2 + 1)*Da*beta + (-q + 2*q^-1)*Dbeta*a',
+     '(1 + 2*q^-1 - 2*q^-2)*Dbeta*beta',
+     '(q^-3 + 2*q^-4)*Da*a*beta',
+     '(-q^-1 - 2*q^-2)*Dbeta*a*beta'],
+    ['Da*beta - q*Dbeta*a', '(1 + q^-1 - q^-2)*Dbeta*beta', '0', '0'],
+    ['(-2*q + 1 - 2*q^-1)*Da*beta + (-q - 2*q^-2)*Dbeta*a',
+     '(1 - q^-1 - 2*q^-2)*Dbeta*beta',
+     '0',
+     '0'],
+    ['(-1 - q^-1)*Da*beta + (-q - q^-1)*Dbeta*a',
+     '(q^2 + 1 + 2*q^-2)*Dbeta*beta',
+     '0',
+     '0'],
+    ['(-1 + 2*q^-1)*Da*beta + (-2*q^2 - q)*Dbeta*a',
+     'Dbeta*beta',
+     '4*q^-2*Da*a*beta',
+     '-4*Dbeta*a*beta'],
+    ['Da*beta + (-q - 2)*Dbeta*a', 'Dbeta*beta', '0', '0'],
+    ['(-2*q^2 + 3)*Da*beta - 3*q*Dbeta*a', 'Dbeta*beta', '0', '0'],
+    ['Da*beta - q*Dbeta*a', '-Dbeta*beta', '0', '0'],
+    ['(-1 + 2*q^-1)*Da*beta + (-q + 2*q^-1)*Dbeta*a',
+     '2*q^2*Dbeta*beta',
+     '-2*q^-2*Da*a*beta + (2*q + 1 - 2*q^-1 + 2*q^-2)*Dbeta*a*a',
+     '2*Dbeta*a*beta'],
+    ['-Da*beta + (-3*q + 3*q^-1)*Dbeta*a',
+     'Dbeta*beta',
+     '(4*q^-2 - 2*q^-4)*Dbeta*a*a',
+     '0'],
+    ['Da*beta + (q^3 - q^2 - q + 2)*Dbeta*a',
+     '(2 + 2*q^-1)*Dbeta*beta',
+     '(q^3 - 2*q)*Dbeta*a*a',
+     '0'],
+    ['Da*beta + (-2*q^2 - q + 2)*Dbeta*a', '(-2*q + 1)*Dbeta*beta', '0', '0'],
+    ['(q^3 - q + q^-1)*Da*beta + (-q - 2*q^-2)*Dbeta*a', 'Dbeta*beta', '0', '0'],
+    ['(-q + 1)*Da*beta + (-q - q^-1)*Dbeta*a', '(1 - 2*q^-2)*Dbeta*beta', '0', '0'],
+    ['(-q^3 + 1)*Da*beta + (q^3 + q^-2)*Dbeta*a',
+     'Dbeta*beta',
+     'q^2*Da*a*beta + (-q^2 + 1 - q^-1)*Dbeta*a*a',
+     '-q^4*Dbeta*a*beta'],
+    ['(1 - q^-1)*Da*beta + (q^2 - q)*Dbeta*a', 'Dbeta*beta', '0', '0'],
+    ['(q^2 + 3 - q^-1)*Da*beta - q*Dbeta*a', '(2*q^2 + 1)*Dbeta*beta', '0', '0'],
+]
+
+
+def test_ansatz_residuals_on_random_candidates():
+    rng = random.Random(20)
+    p = solve_ansatz().presentation
+    for want in RANDOM_CANDIDATE_RESIDUALS:
+        z = _random_candidate(rng)
+        assert [format_element(r, p) for r in ansatz_residuals(z)] == want, z
+
+
 def test_symbolic_branch_with_free_parameters():
     # impose the linear constraints and F22 = 0, leaving A and F21 symbolic;
     # the residuals must vanish identically
@@ -100,13 +169,18 @@ def test_symbolic_branch_with_free_parameters():
     def parse(text):
         return parse_expression(text, p)
 
-    coeffs = {"A": parse("A"), "B": parse("1"), "F11": parse("q"),
-              "F12": parse("-1 - q*F21"), "F21": parse("F21"), "F22": parse("0")}
-    _, residuals = _consistency_residuals(coeffs)
-    assert len(residuals) == 4 and all(r.is_zero() for r in residuals)
+    images = {g.name: W((g.name,)) for g in p.generators}
+    images.update(A=parse("A"), B=parse("1"), F11=parse("q"),
+                  F12=parse("-1 - q*F21"), F21=parse("F21"), F22=parse("0"))
+
+    def residuals():
+        return [normalize(substitute(images, r), p)
+                for r in _consistency_residuals()[1]]
+
+    assert len(residuals()) == 4 and all(r.is_zero() for r in residuals())
     # F12 off the constraint leaves a residual
-    coeffs["F12"] = parse("-q*F21")
-    assert not all(r.is_zero() for r in _consistency_residuals(coeffs)[1])
+    images["F12"] = parse("-q*F21")
+    assert not all(r.is_zero() for r in residuals())
 
 
 def test_ansatz_checks_all_pass(cat):

@@ -184,6 +184,24 @@ def _run_python(*args):
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
 
 
+def test_closed_pipe_is_not_an_error(tmp_path):
+    # the JSON report of every suite outgrows a 64 KiB pipe; the reader takes
+    # one line and closes the pipe, as `| head -1` does, and every check passes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with open(tmp_path / "err.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qdc.cli", "verify", "--suite", "all", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=err, env={**os.environ, "PYTHONPATH": src})
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert (first, code) == (b"{\n", 0)
+    assert (tmp_path / "err.txt").read_text() == ""
+
+
 def test_import_keeps_recursion_limit():
     run = _run_python("-c", "import sys; before = sys.getrecursionlimit(); "
                             "import qdc; print(before, sys.getrecursionlimit())")

@@ -13,9 +13,11 @@ from qdc.kernel import (
     apply_derivation,
     branches,
     check_local_confluence,
+    confluence_residual,
     format_element,
     graded_commutator,
     normalize,
+    substitute,
     tensor_legs,
     tensor_power,
     tensor_word,
@@ -196,6 +198,33 @@ def test_derivation_examples(cat):
     assert got == W(("Dbeta", "gamma")) - W(("beta", "Dgamma"))
 
 
+def test_substitute_multiplies_the_images_in_order():
+    images = {"x": W(("a",)) + W(("b",)), "y": W(("c",), qp(1))}
+    assert substitute(images, W(("x", "y"), lint(2))) == \
+        W(("a", "c"), lint(2) * qp(1)) + W(("b", "c"), lint(2) * qp(1))
+    assert substitute(images, W(("y", "y"))) == W(("c", "c"), qp(2))
+    assert substitute(images, Element.unit(qp(3))) == Element.unit(qp(3))
+
+
+def test_substitute_is_linear():
+    images = {"x": W(("a",)) - W(("b",), qp(-1)), "y": W(("b", "a"))}
+    e, f = W(("x", "y")), W(("y",), qp(2)) + W(("x", "x"))
+    assert substitute(images, e.scaled(lint(3)) + f) == \
+        substitute(images, e).scaled(lint(3)) + substitute(images, f)
+
+
+def test_substitute_drops_zero_terms():
+    images = {"x": Element.zero(), "y": W(("a",)), "z": W(("a",), -ONE)}
+    assert substitute(images, W(("x", "y")) + W(("y",))) == W(("a",))
+    assert substitute(images, W(("y",)) + W(("z",))).terms == {}
+
+
+def test_substitute_needs_an_image_of_every_letter():
+    with pytest.raises(KeyError) as exc:
+        substitute({"x": W(("a",))}, W(("x", "y")))
+    assert exc.value.args == ("y",)
+
+
 def test_derivation_missing_image():
     from qdc.errors import MissingImageError
 
@@ -311,6 +340,18 @@ def _flipped_sign_product(cat):
     rules = [RewriteRule(r.pattern, -r.replacement) if r.pattern == ("theta", "beta")
              else r for r in good.rules]
     return Presentation("flipped_sign", good.generators, rules)
+
+
+def test_confluence_residual_on_non_confluent_controls(cat):
+    # the count of failing words, the first and its two normal forms
+    twisted = "first at z*y*x: q^6*x*y*z + q^2*y*y*y vs q^6*x*y*z + q*y*y*y"
+    flipped = ("first at theta*d*a: a*d*theta + (q - q^-1)*beta*gamma*theta vs "
+               "a*d*theta + (-q + q^-1)*beta*gamma*theta")
+    assert confluence_residual(_twisted_bad()) == f"1 failing overlaps; {twisted}"
+    assert confluence_residual(_twisted_bad(), 4) == f"9 failing overlaps; {twisted}"
+    assert confluence_residual(_flipped_sign_product(cat)) == \
+        f"1 failing overlaps; {flipped}"
+    assert confluence_residual(cat.presentation("A_glq11")) is None
 
 
 def test_normalize_is_leftmost_on_non_confluent_controls(cat):

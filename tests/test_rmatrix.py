@@ -4,11 +4,13 @@ import random
 import pytest
 
 from qdc.calculus import verify_family
+from qdc import catalog
 from qdc.catalog import Catalog, get_catalog
 from qdc.errors import QdcError
 from qdc.kernel import Element
 from qdc.linalg import elements_to_rows, rank, row_space_equal
 from qdc.parser import parse_ast
+from qdc.report import Check
 from qdc.ring import ONE, ZERO, LaurentScalar, lint, qp
 from qdc.rmatrix import (
     SuperMatrix,
@@ -166,6 +168,26 @@ def test_plane_covariance(cat):
     checks = [c.run() for c in verify_plane_covariance(cat)]
     assert len(checks) == 16
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
+
+
+def test_plane_covariance_reads_the_plane_rules(monkeypatch):
+    # negative control: with the A_q_dual rule y*phi -> q^-1*phi*y, the image
+    # of an A_q point under That no longer satisfies the dual plane's rules
+    real = catalog._data_text
+    text = real("planes.txt")
+    mutated = text.replace("rule y*phi -> q*phi*y", "rule y*phi -> q^-1*phi*y")
+    assert mutated != text
+    monkeypatch.setattr(catalog, "_data_text",
+                        lambda f: mutated if f == "planes.txt" else real(f))
+    failing = [c.id for c in map(Check.run, verify_plane_covariance(Catalog()))
+               if not c.passed]
+    assert sorted(failing) == [
+        "plane.TXhat_in_Aq_dual.odd_square",
+        "plane.TXhat_in_Aq_dual.xy_relation",
+        "plane.ThatX_in_Aq_dual.xy_relation",
+        "plane.ThatXhat_in_Aq.odd_square",
+        "plane.ThatXhat_in_Aq.xy_relation",
+    ]
 
 
 def test_plane_transform_example(cat):
