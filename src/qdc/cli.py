@@ -49,8 +49,10 @@ def _confluence_checks(cat):
     (tests/test_kernel.py pins the two steps).  So Omega_loc keeps the
     exhaustive check to degree _LOCALIZED_CONFLUENCE_DEGREE.  Both checks
     are one depth-first walk over the words, which decides every ambiguous
-    word, sampling none, and shares the normal forms of common prefixes;
-    the critical-pair check stops it at length 3.
+    word, sampling none: it shares the normal forms of common prefixes and
+    computes only what a word adds, the overlap of its newest redex with
+    the one before, in its left context; the critical-pair check stops it
+    at length 3.
     """
     out = []
     for name in cat.names():

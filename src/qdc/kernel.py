@@ -8,8 +8,9 @@ generator at a time, which reaches that same normal form, and memoizes the
 products that apply a rule (the G-algebra scheme of Singular:Plural).  The
 fold runs on interned words: each Presentation keeps the normal words it has
 met as the nodes of a trie (hash-consing), so a word's prefix, its last
-letter, its extension by a letter and a memo key each cost O(1), whatever
-the word's length; a word becomes a tuple again on leaving normalize.
+letter, the rules that start with that letter, its extension by a letter
+and a memo key each cost O(1), whatever the word's length; a word becomes
+a tuple again on leaving normalize.
 
 graded_product joins two presentations with Koszul cross-commutation, and
 tensor_power builds the graded tensor square or cube of one presentation
@@ -36,6 +37,7 @@ from .errors import (
 from .ring import ONE, LaurentScalar
 
 DEFAULT_STEP_BUDGET = 10**6
+_NO_RULES = {}  # the rule row of a letter that starts no pattern; never written
 
 
 @dataclass(frozen=True)
@@ -202,12 +204,18 @@ class Presentation:
             if r.pattern in self.rule_by_pair:
                 raise QdcError(f"{name}: duplicate rule pattern {r.pattern}")
             self.rule_by_pair[r.pattern] = r
+        # the rules by left letter: _rules_from[x][g] rewrites x*g
+        self._rules_from = {}
+        for (x, g), r in self.rule_by_pair.items():
+            self._rules_from.setdefault(x, {})[g] = r
         # the fold's normal words as trie nodes: node 0 is the empty word,
         # _child[(m, g)] is the node of word m times letter g, and node m is
-        # _parent[m] times _last[m]; _words[m] is its tuple once built
+        # _parent[m] times _last[m], whose rule row is _row[m]; _words[m] is
+        # its tuple once built
         self._child = {}
         self._parent = [0]
         self._last = [None]
+        self._row = [_NO_RULES]
         self._words = [()]
         # (node m, g) -> {node: coeff}, the normal form of m*g where a rule
         # applies; dropping it leaves the nodes valid
@@ -386,18 +394,13 @@ def _accumulate(acc, terms, scale=None):
 def _times_generator(m, g, rule, p, budget):
     """Normal form of m*g, as {node: coeff}, where m is a normal word's node
     and `rule` rewrites (its last letter, g): the replacement, folded onto
-    m's prefix.  Memoised."""
-    key = (m, g)
-    cache = p._nf_cache
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    m's prefix.  _fold calls it on a memo miss, and it fills the memo."""
     budget.spend()
     head = p._parent[m]
     acc = {}
     for rep_word, c in rule.replacement.terms.items():
         _accumulate(acc, _fold({head: c}, rep_word, p, budget))
-    cache[key] = acc
+    p._nf_cache[(m, g)] = acc
     return acc
 
 
@@ -405,28 +408,38 @@ def _fold(terms, letters, p, budget):
     """Normal form of (sum of normal words `terms`, {node: coeff}) * letters,
     multiplying by one generator at a time.  A word whose last letter and g
     match no rule stays normal with g appended: a new node if it is new."""
-    rules = p.rule_by_pair
+    rows = p._row
     child = p._child
-    last = p._last
+    cache = p._nf_cache
     for g in letters:
         out = {}
         redexes = []
         for m, c in terms.items():
-            rule = rules.get((last[m], g))
+            rule = rows[m].get(g)
             if rule is not None:
                 redexes.append((m, c, rule))
                 continue
             n = child.get((m, g))
             if n is None:
-                parent = p._parent
-                n = len(parent)
-                parent.append(m)
-                last.append(g)
+                n = len(rows)
+                p._parent.append(m)
+                p._last.append(g)
+                rows.append(p._rules_from.get(g, _NO_RULES))
                 p._words.append(None)
                 child[(m, g)] = n
             out[n] = c
         for m, c, rule in redexes:
-            _accumulate(out, _times_generator(m, g, rule, p, budget), c)
+            product = cache.get((m, g))
+            if product is None:
+                product = _times_generator(m, g, rule, p, budget)
+            for n, d in product.items():  # out += c * product
+                d = c * d
+                s = out.get(n)
+                s = d if s is None else s + d
+                if s:
+                    out[n] = s
+                else:
+                    out.pop(n, None)
         terms = out
     return terms
 
@@ -581,25 +594,32 @@ def check_local_confluence(p, max_degree=None):
     generator order (_walk_words).  Rather than normalize each one-step
     rewrite of each word from scratch (branches), it extends the normal
     form N(w) of a prefix w by one fold step per letter, and carries along
-    the branches P_i(w), the normal form of w rewritten once at redex i,
-    that differ from N(w).  This decides exactly what the per-word check
-    decides, because:
+    the differences D_i(w) = P_i(w) - N(w) that are not zero, where P_i(w)
+    is the normal form of w rewritten once at redex i.  This decides
+    exactly what the per-word check decides, because the fold is leftmost
+    rewriting, linear, and exact in its arithmetic:
 
-    1. the branch through the leftmost redex is N(w): the fold is leftmost
-       rewriting, and the part of w before that redex is normal;
-    2. P_i(w) = fold(fold(N(w[:i]), replacement_i), w[i+2:]), since the fold
-       is linear and its arithmetic exact, so a branch opens when its redex
-       is read and then grows by one fold step per letter, as N does; by the
-       same linearity, a branch is N itself when the fold step of its
-       redex's first letter applied no rule, and is then not opened;
-    3. the fold is a function of its input, so a branch that equals N at a
-       prefix equals it on every extension and can be dropped.
+    1. the branch through the leftmost redex is N(w), since the part of w
+       before that redex is normal: a word's first redex opens nothing;
+    2. P_i(w*g) = fold(P_i(w), g), so D_i(w*g) = fold(D_i(w), g): a
+       difference grows by one fold step per letter, and one that is zero
+       at a prefix is zero on every extension and is dropped;
+    3. a redex read at (x, g), x = w[-1], after an earlier one opens
+       fold(N(w[:-1]), replacement) - fold(N(w[:-1]), x*g), the sum over
+       the terms c*m of N(w[:-1]) of c * gap(m, x, g), where gap(m, x, g) =
+       fold(m, replacement) - fold(m, x*g) is the overlap of the rule at
+       (m[-1], x) with the rule at (x, g), in the left context m.  A term
+       whose last letter has no rule with x gives 0: fold(m, x) is the
+       normal word m*x, whose fold step by g is the replacement folded onto
+       m.  The walk computes each gap once.
 
-    A word fails when a branch differs from N(w); the failure is (w, N(w),
-    the first such branch in redex order), and failures are listed in term
-    order.  Each fold call gets its own step budget.  The walk takes one
-    stack frame per letter, so a max_degree deeper than the recursion limit
-    leaves room for is refused before it starts.
+    A word fails when a difference is not zero; the failure is (w, N(w),
+    N(w) plus the first such difference in redex order), the per-word
+    check's triple, and failures are listed in term order.  A word of
+    length max_degree is folded only when it fails, so a passing one costs
+    no fold at all.  Each fold call gets its own step budget.  The walk
+    takes one stack frame per letter, so a max_degree deeper than the
+    recursion limit leaves room for is refused before it starts.
     """
     limit = step_budget()
     if max_degree is None:
@@ -649,52 +669,77 @@ def _stack_holds(depth):
 def _walk_words(p, max_degree, limit):
     """(words checked, ambiguous words, failures) of check_local_confluence
     on the words of length 3..max_degree, by a depth-first walk over the
-    words.  Normal forms are the fold's {node: coeff} dicts."""
-    rules = p.rule_by_pair
-    tail = p._last
+    words.  Normal forms and differences are the fold's {node: coeff} dicts."""
+    rules_from = p._rules_from
+    rows = p._row
     names = [g.name for g in p.generators]
     ambiguous = 0
     failures = []
+    gaps = {}  # (m, x, g) -> fold(m, replacement of x*g) - fold(m, x*g)
 
     def fold(terms, letters):
         return _fold(terms, letters, p, _Budget(limit))
 
-    def extend(w, nf, head_nf, redexes, deviating):
-        # nf = N(w), head_nf = N(w[:-1]), deviating = [(i, P_i(w)) != N(w)]
+    def gap(m, x, g, rule):
+        key = (m, x, g)
+        d = gaps.get(key)
+        if d is None:
+            branch = {}
+            for rep_word, c in rule.replacement.terms.items():
+                _accumulate(branch, fold({m: c}, rep_word))
+            nf = fold({m: ONE}, (x, g))
+            d = {}  # most gaps are 0, and a {} never filled is the smallest
+            if branch != nf:
+                d = branch
+                _accumulate(d, nf, -ONE)
+            gaps[key] = d
+        return d
+
+    def extend(w, nf, head_nf, redexes, deltas):
+        # nf = N(w), head_nf = N(w[:-1]), redexes: how many w holds,
+        # deltas = [(i, P_i(w) - N(w)) != 0] in redex order
         nonlocal ambiguous
         length = len(w) + 1
         last = length == max_degree
-        appended = w and not any((tail[m], w[-1]) in rules for m in head_nf)
-        for g in names:
-            rule = rules.get((w[-1], g)) if w else None
-            n = redexes if rule is None else redexes + 1
-            if n >= 2:
-                ambiguous += 1
-            # a redex at (w[-1], g) opens a branch unless it is the leftmost,
-            # or N(w) is N(w[:-1]) with w[-1] appended: then the fold of g
-            # rewrites that redex in every term, so the branch is N(w*g)
-            opens = rule is not None and redexes and not appended
-            if last and not (opens or deviating):
+        row = rules_from.get(w[-1], _NO_RULES) if w else _NO_RULES
+        # the words w*g with two redexes
+        if redexes >= 2:
+            ambiguous += len(names)
+        elif redexes:
+            ambiguous += len(row)
+        if not last or deltas:
+            letters = names
+        else:  # only a new redex after an earlier one opens a difference
+            letters = row if redexes else ()
+        for g in letters:
+            rule = row.get(g)
+            carried = []
+            for i, d in deltas:
+                d = fold(d, (g,))
+                if d:
+                    carried.append((i, d))
+            if rule is not None and redexes:
+                x = w[-1]
+                d = {}
+                for m, c in head_nf.items():
+                    if x in rows[m]:  # else m*x is normal: the gap is 0
+                        _accumulate(d, gap(m, x, g, rule), c)
+                if d:
+                    carried.append((length - 2, d))
+            if last and not carried:
                 continue
-            nf_g = fold(nf, (g,))
-            branches = []
-            for i, b in deviating:
-                b = fold(b, (g,))
-                if b != nf_g:
-                    branches.append((i, b))
-            if opens:
-                b = {}
-                for rep_word, c in rule.replacement.terms.items():
-                    _accumulate(b, fold(head_nf, rep_word), c)
-                if b != nf_g:
-                    branches.append((length - 2, b))
             word = w + (g,)
-            if branches:
-                failures.append((word, _element(p, nf_g), _element(p, branches[0][1])))
+            nf_g = fold(nf, (g,))
+            if carried:
+                branch = dict(nf_g)
+                _accumulate(branch, carried[0][1])
+                failures.append((word, _element(p, nf_g), _element(p, branch)))
             if not last:
-                extend(word, nf_g, nf, n, branches)
+                extend(word, nf_g, nf, redexes if rule is None else redexes + 1,
+                       carried)
 
     extend((), {0: ONE}, None, 0, [])
+    gaps.clear()  # extend's closure holds itself, so it outlives the walk
     checked = sum(len(names) ** n for n in range(3, max_degree + 1))
     failures.sort(key=lambda f: p.word_key(f[0]))
     return checked, ambiguous, failures

@@ -537,6 +537,72 @@ def test_walk_matches_per_word_check_on_negative_controls(cat):
         assert not _assert_walk_matches(p, degree).ok, (p.name, degree)
 
 
+def test_walk_matches_per_word_check_on_localized_control(cat):
+    # Omega_loc with the correction term of Dgamma_inv*beta negated: the
+    # localized rules' control, where differences open in left contexts of
+    # several terms and are carried to the next length
+    loc = cat.presentation("Omega_loc")
+
+    def negated(r):
+        if r.pattern != ("Dgamma_inv", "beta"):
+            return r
+        swapped = r.pattern[::-1]
+        return RewriteRule(r.pattern, Element(
+            {w: c if w == swapped else -c for w, c in r.replacement.terms.items()}),
+            r.eq, r.localized)
+
+    p = Presentation("Omega_loc_negated", loc.generators,
+                     [negated(r) for r in loc.rules], validate=False)
+    assert not _assert_walk_matches(p, 4).ok
+    assert confluence_residual(p, 4) == (
+        "323 failing overlaps; first at Dgamma*Dgamma_inv*beta: beta vs "
+        "beta + (-2*q + 2*q^-1)*d*Da*Dgamma_inv")
+
+
+def _random_presentations(rng, count):
+    """Presentations on 3 or 4 even letters whose rules decrease deglex, so
+    rewriting terminates: y*x -> (unit)*x*y for most x < y, each plus up to
+    two lower words with unit coefficients.  Odd ones get lower words until
+    they are not confluent, six at most; even ones keep only those under
+    which they stay confluent."""
+    def unit():
+        return LaurentScalar({rng.randint(-2, 2): rng.choice((-1, 1))})
+
+    for k in range(count):
+        names = [f"x{i}" for i in range(rng.choice((3, 4)))]
+        words = [w for n in range(3) for w in itertools.product(names, repeat=n)]
+        repl = {(y, x): W((x, y), unit()) for x, y in itertools.combinations(names, 2)
+                if rng.random() < 0.9}
+
+        def build():
+            return Presentation(f"random{k}", [Generator(g, 0) for g in names],
+                                [RewriteRule(pat, e) for pat, e in repl.items()])
+
+        p = build()
+        for _ in range(6):
+            short = [pat for pat, e in repl.items() if len(e.terms) < 3]
+            if not short or (k % 2 and not check_local_confluence(p).ok):
+                break
+            pat = rng.choice(short)
+            lower = [w for w in words
+                     if p.word_key(w) < p.word_key(pat) and w not in repl[pat].terms]
+            before = repl[pat]
+            repl[pat] = before + W(rng.choice(lower), unit())
+            p = build()
+            if not k % 2 and not check_local_confluence(p).ok:
+                repl[pat] = before
+                p = build()
+        yield p
+
+
+def test_walk_matches_per_word_check_on_random_presentations():
+    verdicts = set()
+    for p in _random_presentations(random.Random(2026), 30):
+        for degree in (3, 4, 5):
+            verdicts.add(_assert_walk_matches(p, degree).ok)
+    assert verdicts == {True, False}
+
+
 def test_walk_budget_and_recursion_limit(monkeypatch):
     # x*y and y*x rewrite to each other, so folding x*y never ends
     gens = [Generator("x", 0), Generator("y", 0)]
