@@ -158,6 +158,15 @@ def _rules_from(block, built, source, names):
 def _build(block, built):
     """The presentation of one block; `built` maps the names of the blocks
     built before it to their presentations, for `rules from`."""
+    # each generator and define is a name token of the grammar, not q, once
+    taken = set()
+    for kind, name in ([("generator", g.name) for g in block.generators]
+                       + [("define", line[0]) for line in block.define_lines]):
+        why = ("is not a name" if not (name.isascii() and name.isidentifier()) else
+               "is the scalar q" if name == "q" else "is named twice" if name in taken else "")
+        if why:
+            raise CatalogFormatError(f"{block.name}: {kind} {name!r} {why}")
+        taken.add(name)
     # rules are read against the bare generators, composites and identities
     # against the presentation they belong to
     stub = Presentation(block.name, block.generators, [], validate=False)

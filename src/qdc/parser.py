@@ -5,14 +5,17 @@
     factor := atom ['^' integer]
     atom   := name | rational | 'q' | '(' expr ')'
 
-Rationals are integer or num/den literals.  A power of a unit scalar r*q^k,
-such as q, (-1/2) or (2*q), is one scalar power, and its negative exponents
-give inverses; its power, and a literal's already at parse time, is refused
-before it is computed when it would exceed the interpreter's digit limit.
-Any other power is a product by repeated squaring; generator inverses are
-spelled as their own names (a_inv, d_inv, Dgamma_inv).  parse -> print is
-the identity on the AST, which is what the catalog round-trip test pins
-down.
+Rationals are integer or num/den literals.  A product is built left to
+right, and each run of generator letters in it is one word, so a product of
+n letters takes time linear in n; the name q is always the scalar, never a
+letter of a run.  A sum adds its terms into one dict.  A power of a unit
+scalar r*q^k, such as q, (-1/2) or (2*q), is one scalar power, and its
+negative exponents give inverses; its power, and a literal's already at
+parse time, is refused before it is computed when it would exceed the
+interpreter's digit limit.  Any other power is a product by repeated
+squaring; generator inverses are spelled as their own names (a_inv, d_inv,
+Dgamma_inv).  parse -> print is the identity on the AST, which is what the
+catalog round-trip test pins down.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .errors import ParseError, UnknownGeneratorError
-from .kernel import Element
-from .ring import LaurentScalar
+from .kernel import Element, _accumulate
+from .ring import ONE, LaurentScalar
 
 # blanks other than a newline, then one token; a newline is a token of its
 # own, so that tokenize counts every line
@@ -107,36 +112,25 @@ class _Parser:
             return self.next()
         raise ParseError(f"expected {op!r}, got {val or 'end of input'!r}", line, col)
 
+    # a token's text tells an operator from every other token
     def parse_expr(self):
-        terms = []
         sign = 1
-        kind, val, _, _ = self.peek()
-        if kind == "op" and val == "-":
+        if self.peek()[1] == "-":
             self.next()
             sign = -1
-        terms.append((sign, self.parse_term()))
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                terms.append((1 if val == "+" else -1, self.parse_term()))
-            else:
-                break
+        terms = [(sign, self.parse_term())]
+        while self.peek()[1] in ("+", "-"):
+            terms.append((1 if self.next()[1] == "+" else -1, self.parse_term()))
         return Sum(tuple(terms))
 
     def parse_term(self):
         factors = [self.parse_factor()]
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == "op" and val == "*":
-                star_line, star_col = self.peek()[2], self.peek()[3]
-                self.next()
-                nk, nv, nl, nc = self.peek()
-                if nk == "op" and nv == "*":
-                    raise ParseError("'**' is not an operator; use '^'", nl, nc)
-                factors.append(self.parse_factor())
-            else:
-                break
+        while self.peek()[1] == "*":
+            self.next()
+            nk, nv, nl, nc = self.peek()
+            if nk == "op" and nv == "*":
+                raise ParseError("'**' is not an operator; use '^'", nl, nc)
+            factors.append(self.parse_factor())
         return Product(tuple(factors))
 
     def parse_factor(self):
@@ -270,23 +264,33 @@ def _atom_str(node):
 def eval_ast(node, p):
     """Evaluate an AST to an Element over presentation p; a name is one of
     its generators or defined composites."""
-    if isinstance(node, Sum):
-        out = Element.zero()
+    cls = node.__class__
+    if cls is Sum:
+        out = {}
         for sign, term in node.terms:
-            val = eval_ast(term, p)
-            out = out + (val if sign > 0 else -val)
-        return out
-    if isinstance(node, Product):
-        out = Element.unit()
+            _accumulate(out, eval_ast(term, p).terms, None if sign > 0 else -ONE)
+        return Element(out, _clean=True)
+    if cls is Product:
+        # a run of generator letters is one word; q is the scalar even
+        # where a generator is named q
+        vals, run = [], []
         for f in node.factors:
-            out = out * eval_ast(f, p)
-        return out
-    if isinstance(node, Power):
+            if f.__class__ is Name and f.ident != "q" and f.ident in p.index:
+                run.append(f.ident)
+                continue
+            if run:
+                vals.append(Element.word(run))
+                run = []
+            vals.append(eval_ast(f, p))
+        if run:
+            vals.append(Element.word(run))
+        return reduce(mul, vals)
+    if cls is Power:
         # q^n, most of the catalog's powers: one scalar, no base to evaluate
-        if isinstance(node.base, Name) and node.base.ident == "q":
+        if node.base.__class__ is Name and node.base.ident == "q":
             return Element.unit(LaurentScalar.q_power(node.exp))
         return _power(eval_ast(node.base, p), node)
-    if isinstance(node, Name):
+    if cls is Name:
         if node.ident == "q":
             return Element.unit(LaurentScalar.q_power(1))
         if node.ident in p.index:
@@ -298,7 +302,7 @@ def eval_ast(node, p):
             node.line,
             node.col,
         )
-    if isinstance(node, RatLit):
+    if cls is RatLit:
         return Element.unit(LaurentScalar.from_fraction(node.value))
     raise TypeError(f"not an AST node: {node!r}")
 

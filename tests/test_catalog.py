@@ -140,6 +140,24 @@ def test_rules_from_refusals(monkeypatch, doc, message):
         _load(monkeypatch, doc)
 
 
+# each name must read back through the expression grammar as itself
+@pytest.mark.parametrize("lines, message", [
+    ("generator q parity 0\nidentity fam one : b*q = q*b\n", "X: generator 'q' is the scalar q"),
+    ("generator q parity 0\nrule b*q -> q*b\n", "X: generator 'q' is the scalar q"),
+    ("define q = 2*b\n", "X: define 'q' is the scalar q"),
+    ("generator a-b parity 0\n", "X: generator 'a-b' is not a name"),
+    ("define a-b = 2*b\n", "X: define 'a-b' is not a name"),
+    ("define 1b = 2*b\n", "X: define '1b' is not a name"),
+    ("define = 2*b\n", "X: define '' is not a name"),
+    ("define b = 2*b\n", "X: define 'b' is named twice"),
+    ("define c = 2*b\ndefine c = 3*b\n", "X: define 'c' is named twice"),
+    ("generator b parity 1\n", "X: generator 'b' is named twice"),
+])
+def test_names_the_grammar_cannot_read_back_are_refused(monkeypatch, lines, message):
+    with pytest.raises(CatalogFormatError, match=re.escape(message)):
+        _load(monkeypatch, "presentation X\ngenerator b parity 0\n" + lines)
+
+
 def test_family_in_two_presentations_is_refused(monkeypatch):
     doc = ("presentation X\nidentity fam one : 1 = 1\n"
            "presentation Y\nidentity fam two : 1 = 1\n")

@@ -4,17 +4,21 @@ from fractions import Fraction
 import pytest
 
 from qdc.errors import ParseError, UnknownGeneratorError
-from qdc.kernel import Element, format_element, normalize
+from qdc.catalog import _FILES, _data_text, parse_document
+from qdc.kernel import Element, Generator, Presentation, format_element, normalize
 from qdc.parser import (
     Name,
     Power,
     Product,
     RatLit,
     Sum,
+    _power,
+    eval_ast,
     parse_ast,
     parse_expression,
     print_ast,
 )
+from qdc.ring import LaurentScalar
 
 
 def test_mixed_relation_residual(cat):
@@ -143,17 +147,17 @@ def test_parenthesized_sums(cat):
 _NAMES = ("a", "beta", "gamma", "d", "Da", "Dbeta", "w1", "T1", "q")
 
 
-def _random_ast(rng):
+def _random_ast(rng, names=_NAMES):
     def atom():
         kind = rng.randint(0, 3)
         if kind == 0:
-            return Name(rng.choice(_NAMES))
+            return Name(rng.choice(names))
         if kind == 1:
             return RatLit(Fraction(rng.randint(1, 9)))
         if kind == 2:
             return RatLit(Fraction(rng.randint(1, 9), rng.randint(2, 9)))
-        return Sum(((1, Product((Name(rng.choice(_NAMES)),))),
-                    (-1, Product((Name(rng.choice(_NAMES)),)))))
+        return Sum(((1, Product((Name(rng.choice(names)),))),
+                    (-1, Product((Name(rng.choice(names)),)))))
 
     def factor():
         base = atom()
@@ -189,3 +193,54 @@ def test_roundtrip_is_stable_on_text():
     ]
     for text in samples:
         assert print_ast(parse_ast(text)) == text
+
+
+def _reference_eval(node, p):
+    """eval_ast by its first definition: a sum is out + (+-val) and a
+    product is out * eval(f), factor by factor."""
+    if isinstance(node, Sum):
+        out = Element.zero()
+        for sign, term in node.terms:
+            val = _reference_eval(term, p)
+            out = out + (val if sign > 0 else -val)
+        return out
+    if isinstance(node, Product):
+        out = Element.unit()
+        for f in node.factors:
+            out = out * _reference_eval(f, p)
+        return out
+    if isinstance(node, Power):
+        if isinstance(node.base, Name) and node.base.ident == "q":
+            return Element.unit(LaurentScalar.q_power(node.exp))
+        return _power(_reference_eval(node.base, p), node)
+    if isinstance(node, RatLit):
+        return Element.unit(LaurentScalar.from_fraction(node.value))
+    if node.ident == "q":
+        return Element.unit(LaurentScalar.q_power(1))
+    return Element.word((node.ident,)) if node.ident in p.index else p.defined[node.ident]
+
+
+def test_eval_ast_builds_the_reference_element(cat):
+    """Letter runs and in-place sums change how eval_ast builds an element,
+    not the element: the same words with the same interned coefficients."""
+    cases = []
+    for name in cat.names():
+        p = cat.presentation(name)
+        cases += [(i.lhs_ast, p) for i in p.identities] + [(i.rhs_ast, p) for i in p.identities]
+    for fname in _FILES:
+        for block in parse_document(_data_text(fname)):
+            cases += [(parse_ast(text), cat.presentation(block.name))
+                      for _, text, _ in block.define_lines]
+    rng = random.Random(20261019)
+    loc = cat.presentation("Omega_loc")
+    names = ("a", "a_inv", "beta", "d", "Da", "Dbeta", "Dgamma_inv", "w1", "iA", "q")
+    cases += [(_random_ast(rng, names), loc) for _ in range(300)]
+    # a presentation may name a generator q; the expressions still read it
+    # as the scalar, in a run of letters too
+    qgen = Presentation("Q", [Generator("a", 0), Generator("q", 0)], [])
+    cases += [(_random_ast(rng, ("a", "q")), qgen) for _ in range(100)]
+    assert len(cases) > 600
+    for ast, p in cases:
+        got, want = eval_ast(ast, p), _reference_eval(ast, p)
+        assert got == want, print_ast(ast)
+        assert all(got.terms[w] is c for w, c in want.terms.items()), print_ast(ast)
