@@ -2,7 +2,9 @@
 confluence checks, machine-readable reports.
 
 Exit codes: 0 all checks passed, 1 at least one failure or error, 2 usage
-error (unknown suite/presentation, malformed expression, bad flags).
+error (unknown suite/presentation, malformed expression, bad flags, or an
+input nested deeper than the Python recursion limit allows: an expression
+or a --q text, or a confluence degree past the word walk's reach).
 """
 
 from __future__ import annotations
@@ -181,6 +183,10 @@ def main(argv=None):
     except QdcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # the one place a too-deep input becomes a usage error
+        print(f"error: {_deep_input(args)} is deeper than the Python recursion "
+              f"limit ({sys.getrecursionlimit()}) allows", file=sys.stderr)
+        return 2
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -255,6 +261,22 @@ def _dispatch(args):
     return "\n".join(lines), 0
 
 
+def _deep_input(args):
+    """The input of a command that ran past the recursion limit.  Of a
+    verify run's inputs only --q is parsed outside a check, and a check
+    that runs past the limit is an error row."""
+    if args.command == "normalize":
+        return f"{args.presentation}: the expression"
+    if args.command == "confluence":
+        return f"{args.presentation}: max_degree {args.max_degree}: the word walk"
+    return f"--q {_shown(args.q)}"
+
+
+def _shown(text):
+    """text echoed in an error, at most its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _rational(text):
     """--q read as the grammar's rational literal, such as 2, -1 or 3/2,
     so an integer too long to read is refused before it is computed.  The
@@ -265,10 +287,8 @@ def _rational(text):
     except ParseError as exc:
         value, why = None, str(exc)
     if value is None:
-        shown = repr(text) if len(text) <= 40 else (
-            f"{text[:40]!r}... ({len(text)} characters)")
         raise QdcError(f"--q must be an exact rational such as 2, -1 or 3/2, "
-                       f"got {shown} ({why})")
+                       f"got {_shown(text)} ({why})")
     return value
 
 

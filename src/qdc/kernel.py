@@ -25,7 +25,6 @@ one, so a polynomial in them is an element too.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import (
@@ -470,25 +469,16 @@ def normalize(e, p):
     w*g first takes w to its normal form, so the fold gives exactly the
     leftmost normal form, confluent presentation or not.  One budget step
     is one rule applied to such a product, QDC_STEP_BUDGET steps per call
-    (step_budget); products are memoised per presentation.
+    (step_budget); products are memoised per presentation.  A generator
+    moving left through a normal word takes stack frames as it goes, so an
+    input that moves one past more letters than the recursion limit allows
+    raises RecursionError.
     """
     b = _Budget(step_budget())
     acc = {}
-    try:
-        for word, c in e.terms.items():
-            _accumulate(acc, _fold({0: c}, word, p, b))
-    except RecursionError:
-        raise _too_deep(p) from None
+    for word, c in e.terms.items():
+        _accumulate(acc, _fold({0: c}, word, p, b))
     return _element(p, acc)
-
-
-def _too_deep(p):
-    """The error for a fold that recursed past the Python recursion limit."""
-    return QdcError(
-        f"{p.name}: input too long to normalize: a generator moving left "
-        f"through a normal word recursed past the Python recursion limit "
-        f"({sys.getrecursionlimit()})"
-    )
 
 
 # -- maps on the letters -----------------------------------------------------
@@ -619,7 +609,7 @@ def check_local_confluence(p, max_degree=None):
     length max_degree is folded only when it fails, so a passing one costs
     no fold at all.  Each fold call gets its own step budget.  The walk
     takes one stack frame per letter, so a max_degree deeper than the
-    recursion limit leaves room for is refused before it starts.
+    recursion limit leaves room for raises RecursionError.
     """
     limit = step_budget()
     if max_degree is None:
@@ -633,15 +623,7 @@ def check_local_confluence(p, max_degree=None):
         p.validate()
     elif max_degree < 3:
         raise QdcError("confluence check needs max_degree >= 3")
-    elif not _stack_holds(max_degree + 1):  # the walk and its last fold
-        raise QdcError(
-            f"{p.name}: max_degree {max_degree} is out of reach: the word walk "
-            f"takes one stack frame per letter, more than the Python recursion "
-            f"limit ({sys.getrecursionlimit()}) leaves free")
-    try:
-        checked, ambiguous, failures = _walk_words(p, max_degree or 3, limit)
-    except RecursionError:
-        raise _too_deep(p) from None
+    checked, ambiguous, failures = _walk_words(p, max_degree or 3, limit)
     if max_degree is None:  # the critical pairs are the words checked
         checked = ambiguous
     return ConfluenceReport(p.name, max_degree, checked, ambiguous, failures)
@@ -656,14 +638,6 @@ def confluence_residual(p, max_degree=None):
     w, nf, branch = failures[0]
     return (f"{len(failures)} failing overlaps; first at {'*'.join(w)}: "
             f"{format_element(nf, p)} vs {format_element(branch, p)}")
-
-
-def _stack_holds(depth):
-    """Whether `depth` more nested calls fit under the recursion limit."""
-    try:
-        return depth <= 0 or _stack_holds(depth - 1)
-    except RecursionError:
-        return False
 
 
 def _walk_words(p, max_degree, limit):

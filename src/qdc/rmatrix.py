@@ -20,6 +20,7 @@ from .kernel import (
     Element,
     Generator,
     Presentation,
+    format_element,
     graded_product,
     residual,
     substitute,
@@ -362,6 +363,7 @@ def check_hecke_braid(cat):
     R = r_hat(cat)
     I4 = identity_matrix(_TENSOR_PAR)
     qm = cat.scalar(qp(1) - qp(-1))
+    glq = cat.presentation("A_glq11")  # to print a scalar entry; any would do
 
     RR = R @ R
     want = R.scaled(qm) + I4
@@ -370,7 +372,7 @@ def check_hecke_braid(cat):
         for j in range(4):
             def fn(i=i, j=j):
                 res = RR.entries[i][j] - want.entries[i][j]
-                return None if res.is_zero() else repr(res)
+                return None if res.is_zero() else format_element(res, glq)
             out.append(Check(f"hecke.entry_{i+1}_{j+1}",
                              "Hecke relation entry", "Hecke", fn))
 

@@ -18,7 +18,7 @@ from qdc.catalog import (
 )
 from qdc.errors import CatalogFormatError, UnknownPresentationError
 from qdc.hopf import HopfData
-from qdc.kernel import format_element, normalize
+from qdc.kernel import Presentation, RewriteRule, format_element, normalize
 from qdc.parser import parse_ast, print_ast
 from qdc.kernel import Element
 from qdc.ring import ONE, LaurentScalar, lfrac, lint, qp
@@ -96,6 +96,77 @@ def test_no_rule_line_is_written_twice():
                     for block in parse_document(_data_text(fname))
                     for line in block.rule_lines if line[0] != "from")
     assert [line for line, n in lines.items() if n > 1] == []
+
+
+def _conjugated_rules(cat):
+    """Omega_loc's rules with a formal inverse, computed from Omega's rules.
+
+    For each inverse u of g, in generator order, conjugating by u turns the
+    rule y*g -> c*g*y + L, y a non-inverse after u, into y*u -> c^-1*(u*y -
+    u*L*u), and the rule g*x -> c*x*g + L, x before g, into u*x -> c^-1*(x*u
+    - u*L*u); g*x is one of these when x is an inverse itself.  Each u*L*u
+    is reduced with Omega's rules, the cancellations and the new rules,
+    which start as their leading terms; a pass over one u repeats until
+    none of its rules changes.  A new rule is localized when some
+    replacement word is not below its pattern in deglex, and its tag is
+    `derived` and the equation of the Omega rule it comes from."""
+    omega, loc = cat.presentation("Omega"), cat.presentation("Omega_loc")
+    names = [g.name for g in loc.generators]
+    inverse = {g.inverse_of: g.name for g in loc.generators if g.inverse_of}
+    base = [*omega.rules, *(RewriteRule(w, Element.unit()) for g, u in inverse.items()
+                            for w in ((g, u), (u, g)))]
+    rules = {r.pattern: r for r in omega.rules}
+    new = []
+    for g, u in inverse.items():
+        # (new pattern, source pattern, the source's leading word)
+        steps = [((y, u), (y, g), (g, y)) for y in names[names.index(u) + 1:]
+                 if y not in inverse.values()]
+        steps += [((u, x), (g, x), (x, g)) for x in names[:names.index(g)]]
+        new += [pat for pat, _, _ in steps]
+        for pat, src, lead in steps:
+            c = rules[src].replacement.terms[lead]
+            rules[pat] = RewriteRule(pat, Element.word(pat[::-1], c.unit_inverse()))
+        changed = True
+        while changed:
+            p = Presentation("conjugated", loc.generators,
+                             base + [rules[pat] for pat in new], validate=False)
+            changed = False
+            for pat, src, lead in steps:
+                source = rules[src]
+                c = source.replacement.terms[lead]
+                rest = source.replacement - Element.word(lead, c)
+                conj = normalize(Element.word((u,)) * rest * Element.word((u,)), p)
+                rep = (Element.word(pat[::-1]) - conj).scaled(c.unit_inverse())
+                changed |= rep != rules[pat].replacement
+                rules[pat] = RewriteRule(
+                    pat, rep, eq="derived" + source.eq.removeprefix("derived"),
+                    localized=any(p.word_key(w) >= p.word_key(pat) for w in rep.terms))
+    return {pat: rules[pat] for pat in new}
+
+
+def test_localized_rules_follow_from_omega_by_conjugation(cat):
+    # the 24 hand-derived rules of omega_loc.txt, their lrule kind and their
+    # tags, pinned to Omega's rules
+    computed = _conjugated_rules(cat)
+    written = {r.pattern: r for r in cat.presentation("Omega_loc").rules
+               if r.eq.startswith("derived")}
+    replacements = {pat: r.replacement for pat, r in written.items()}
+    assert len(computed) == 24
+    assert {pat: r.replacement for pat, r in computed.items()} == replacements
+    assert {pat: r.localized for pat, r in computed.items()} == \
+        {pat: r.localized for pat, r in written.items()}
+    assert sum(r.localized for r in written.values()) == 10
+    # 18 tags name the source's equation; six lrules are tagged (24) for a
+    # source in (24a) or (24b)
+    other = {pat for pat in written if written[pat].eq != computed[pat].eq}
+    assert len(other) == 6
+    assert all(written[pat].eq == "derived(24)" and written[pat].localized
+               and computed[pat].eq in ("derived(24a)", "derived(24b)") for pat in other)
+    # negative control: a wrong sign on one correction is seen
+    lead = Element.word(("beta", "Dgamma_inv"))
+    correction = replacements[("Dgamma_inv", "beta")] - lead
+    replacements[("Dgamma_inv", "beta")] = lead - correction
+    assert {pat: r.replacement for pat, r in computed.items()} != replacements
 
 
 _Y = "presentation Y\ngenerator a parity 0\ngenerator b parity 0\nrule b*a -> q*a*b @eq (9)\n"

@@ -114,16 +114,15 @@ def test_cli_confluence(capsys):
 
 @pytest.mark.parametrize("degree", [1200, 100000])
 def test_cli_confluence_degree_out_of_reach(capsys, degree):
-    # refused before the walk, naming the degree and the recursion limit
-    # rather than blaming a generator moving left
+    # the walk runs out of stack within milliseconds, and the error names the
+    # degree and the recursion limit rather than blaming a generator moving left
     start = time.perf_counter()
     assert main(["confluence", "--presentation", "Omega",
                  "--max-degree", str(degree)]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert err == (f"error: Omega: max_degree {degree} is out of reach: the word "
-                   f"walk takes one stack frame per letter, more than the Python "
-                   f"recursion limit ({sys.getrecursionlimit()}) leaves free\n")
+    assert err == (f"error: Omega: max_degree {degree}: the word walk is deeper "
+                   f"than the Python recursion limit ({sys.getrecursionlimit()}) allows\n")
 
 
 def test_cli_list(capsys):
@@ -209,13 +208,29 @@ def test_import_keeps_recursion_limit():
     assert run.returncode == 0 and before == after
 
 
-def test_cli_recursion_limit_exit_two():
-    # the a moves left through 1200 normal letters: deeper than the default
-    # recursion limit, which qdc leaves as it is
-    run = _run_python("-m", "qdc.cli", "normalize", "--presentation", "Omega", "d^1200*a")
-    assert run.returncode == 2 and run.stdout == ""
-    err = run.stderr.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "recursion limit" in err[0]
+_DEEP_Q = "(" * 300 + "2" + ")" * 300
+
+
+@pytest.mark.parametrize("argv, what", [
+    pytest.param(["normalize", "--presentation", "Omega", "(" * 1000 + "a" + ")" * 1000],
+                 "Omega: the expression", id="1000_nested_parentheses"),
+    pytest.param(["verify", "--suite", "plane", "--q", _DEEP_Q],
+                 f"--q {_DEEP_Q[:40]!r}... (601 characters)", id="q_300_nested_parentheses"),
+    # the a moves left through 1200 normal letters
+    pytest.param(["normalize", "--presentation", "Omega", "d^1200*a"],
+                 "Omega: the expression", id="d^1200*a"),
+    pytest.param(["confluence", "--presentation", "Omega", "--max-degree", "1200"],
+                 "Omega: max_degree 1200: the word walk", id="degree_1200"),
+    pytest.param(["confluence", "--presentation", "Omega", "--max-degree", "100000"],
+                 "Omega: max_degree 100000: the word walk", id="degree_100000"),
+])
+def test_cli_recursion_limit_exit_two(argv, what):
+    # deeper than the default recursion limit, which qdc leaves as it is: a
+    # usage error with one line, whichever layer ran out of stack
+    run = _run_python("-m", "qdc.cli", *argv)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == (f"error: {what} is deeper than the Python recursion "
+                          f"limit (1000) allows\n")
 
 
 def test_report_sorting_stable():

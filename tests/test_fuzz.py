@@ -78,6 +78,8 @@ def test_fuzz_normalize_exit_codes(cat, capsys, monkeypatch):
     ("q^99999999", 0, None),
     ("0^-1", 2, "zero has no inverse"),
     ("d^1200*a", 2, "recursion limit"),
+    pytest.param("(" * 1000 + "a" + ")" * 1000, 2, "recursion limit",
+                 id="1000_nested_parentheses"),
 ])
 def test_fuzz_fixed_cases(cat, capsys, monkeypatch, text, code, message):
     monkeypatch.delenv("QDC_STEP_BUDGET", raising=False)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qdc.calculus import verify_family
-from qdc import catalog
+from qdc import catalog, rmatrix
 from qdc.catalog import Catalog, get_catalog
 from qdc.errors import QdcError
 from qdc.kernel import Element
@@ -106,6 +106,24 @@ def test_hecke_and_braid(cat):
     checks = [c.run() for c in check_hecke_braid(cat)]
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
     assert any(c.id == "braid.graded_tensor_cube" for c in checks)
+
+
+def test_hecke_rows_print_the_residual(cat, monkeypatch):
+    # negative control: with R-hat's (2,3) entry doubled, R-hat^2 - (q - q^-1)
+    # R-hat - 1 is 1 on the diagonal at (2,2) and (3,3), printed as a scalar
+    # normal form, and the braid relation fails too
+    r_hat = rmatrix.r_hat
+
+    def doubled(cat):
+        R = r_hat(cat)
+        R.entries[1][2] = R.entries[1][2].scaled(lint(2))
+        return R
+
+    monkeypatch.setattr(rmatrix, "r_hat", doubled)
+    failing = {c.id: c.residual for c in map(Check.run, check_hecke_braid(cat))
+               if not c.passed}
+    assert failing == {"hecke.entry_2_2": "1", "hecke.entry_3_3": "1",
+                       "braid.graded_tensor_cube": "braid relation fails"}
 
 
 def test_hecke_spectrum_shadow(cat):
