@@ -7,7 +7,7 @@ to residuals in the localized differential algebra and report exact zeros.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from functools import cache, partial
 from itertools import chain, takewhile
 
@@ -17,6 +17,7 @@ from .kernel import (
     Generator,
     Presentation,
     RewriteRule,
+    _Value,
     apply_derivation,
     branches,
     format_element,
@@ -26,7 +27,7 @@ from .kernel import (
 )
 from .parser import parse_expression, print_ast
 from .report import Check
-from .ring import ONE, ZERO, LaurentScalar, qp
+from .ring import ONE, ZERO, qp
 from .rmatrix import DT_NAMES, OMEGA_NAMES, T_NAMES, W_NAMES, name_matrix
 
 # -- exterior differential ----------------------------------------------------
@@ -106,16 +107,11 @@ def d_on_relations_checks(cat):
 # -- the consistency ansatz ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ansatz:
-    """Candidate coefficients for the mixed relations on the a-beta block."""
+class Ansatz(_Value, namedtuple("Ansatz", "A B F11 F12 F21 F22")):
+    """Candidate coefficients, LaurentScalars, for the mixed relations on the
+    a-beta block."""
 
-    A: LaurentScalar
-    B: LaurentScalar
-    F11: LaurentScalar
-    F12: LaurentScalar
-    F21: LaurentScalar
-    F22: LaurentScalar
+    __slots__ = ()
 
 
 def paper_branch():
@@ -130,7 +126,7 @@ def alternative_branch(A):
                   F21=-qp(-1), F22=ONE - A)
 
 
-_UNKNOWNS = tuple(f.name for f in fields(Ansatz))
+_UNKNOWNS = Ansatz._fields
 _AB_GENS = (("Da", 1), ("Dbeta", 0), ("a", 0), ("beta", 1))
 
 
@@ -187,7 +183,7 @@ def ansatz_residuals(z):
     """Residuals of the four consistency conditions at concrete coefficients;
     all zero exactly when the candidate rules define a consistent calculus;
     the symbolic residuals at z's values."""
-    values = {u: Element.unit(c) for u, c in vars(z).items()}
+    values = {u: Element.unit(c) for u, c in z._asdict().items()}
     return [_at(values, r) for r in _consistency_residuals()[1]]
 
 
@@ -199,15 +195,11 @@ def _monic(e, p):
     return e.scaled(lead.unit_inverse()) if lead.is_unit() else e
 
 
-@dataclass
-class SolveReport:
-    linear: list
-    quadratic: list
-    presentation: Presentation  # the constraints' words are its unknowns
-    branch_f22_zero: Ansatz
-    branch_alternative: Ansatz
-    free_parameters: dict
-    selected: str
+class SolveReport(_Value, namedtuple(
+        "SolveReport", "linear quadratic presentation branch_f22_zero "
+                       "branch_alternative free_parameters selected")):
+    # presentation: the constraints' words are its unknowns
+    __slots__ = ()
 
 
 EXPECTED_LINEAR = ("F11 + q*F22 - q", "F12 + q*F21 + 1", "B - 1")
@@ -268,7 +260,7 @@ def ansatz_checks(cat):
     def fn_branch_rules():
         # the first four rules of the ansatz are the mixed rules it solves for
         values = {u: Element.unit(cat.scalar(c))
-                  for u, c in vars(rep.branch_f22_zero).items()}
+                  for u, c in rep.branch_f22_zero._asdict().items()}
         made = {"_".join(r.pattern): _at(values, Element.word(r.pattern) - r.replacement)
                 for r in p.rules[:4]}
         for ident in cat.family("dT_relations")[1]:

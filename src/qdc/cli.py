@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 from . import calculus, hopf, liealg, rmatrix
@@ -134,7 +133,7 @@ def run_suite(name, q0=None):
             continue
         for check in checks:
             if check.id in results:
-                report.checks.append(replace(results[check.id]))
+                report.checks.append(results[check.id].copy())
             else:
                 report.checks.append(results.setdefault(check.id, check.run()))
     report = report.sorted()

@@ -25,7 +25,7 @@ one, so a polynomial in them is an element too.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 from .errors import (
     MissingImageError,
@@ -39,11 +39,29 @@ DEFAULT_STEP_BUDGET = 10**6
 _NO_RULES = {}  # the rule row of a letter that starts no pattern; never written
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    parity: int
-    inverse_of: str | None = None
+class _Value:
+    """Equality and hash of a namedtuple value type: equal only to a value
+    of its own type, on its first _compared fields (all of them when None),
+    so that a Sum is never a Product of the same tuple and an AST node's
+    position does not count."""
+
+    __slots__ = ()
+    _compared = None
+
+    def __eq__(self, other):
+        n = self._compared
+        return other.__class__ is self.__class__ and self[:n] == other[:n]
+
+    def __ne__(self, other):  # else tuple's own != would answer
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:self._compared])
+
+
+class Generator(_Value, namedtuple("Generator", "name parity inverse_of",
+                                   defaults=(None,))):
+    __slots__ = ()
 
 
 class Element:
@@ -142,8 +160,8 @@ class Element:
         return "Element(" + " | ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(_Value, namedtuple("RewriteRule", "pattern replacement eq localized",
+                                     defaults=("", False))):
     """Oriented relation: every occurrence of `pattern` rewrites to `replacement`.
 
     `localized` marks rules whose replacement grows the total degree; those are
@@ -154,10 +172,7 @@ class RewriteRule:
     rules whose coefficient is an unknown's letter.
     """
 
-    pattern: tuple
-    replacement: Element
-    eq: str = ""
-    localized: bool = False
+    __slots__ = ()
 
     def renamed(self, names):
         """This rule with each letter g written names.get(g, g)."""
@@ -167,19 +182,14 @@ class RewriteRule:
         terms = {}
         for w, c in self.replacement.terms.items():
             _accumulate(terms, {word(w): c})
-        return replace(self, pattern=word(self.pattern),
-                       replacement=Element(terms, _clean=True))
+        return self._replace(pattern=word(self.pattern),
+                             replacement=Element(terms, _clean=True))
 
 
-@dataclass(frozen=True)
-class Identity:
-    family: str
-    name: str
-    lhs: Element
-    rhs: Element
-    eq: str = ""
-    lhs_ast: object = field(default=None, compare=False)
-    rhs_ast: object = field(default=None, compare=False)
+class Identity(_Value, namedtuple("Identity", "family name lhs rhs eq lhs_ast rhs_ast",
+                                  defaults=("", None, None))):
+    __slots__ = ()
+    _compared = 5  # the parsed sides, lhs_ast and rhs_ast, do not count
 
 
 class Presentation:
@@ -281,8 +291,8 @@ class Presentation:
 
     def mapped(self, f):
         """f applied to every coefficient; the words, and so validity, stay."""
-        rules = [replace(r, replacement=r.replacement.mapped(f)) for r in self.rules]
-        identities = [replace(i, lhs=i.lhs.mapped(f), rhs=i.rhs.mapped(f))
+        rules = [r._replace(replacement=r.replacement.mapped(f)) for r in self.rules]
+        identities = [i._replace(lhs=i.lhs.mapped(f), rhs=i.rhs.mapped(f))
                       for i in self.identities]
         return Presentation(self.name, self.generators, rules,
                             {k: e.mapped(f) for k, e in self.defined.items()},
@@ -535,13 +545,10 @@ def graded_commutator(e1, e2, p):
 # -- local confluence --------------------------------------------------------
 
 
-@dataclass
-class ConfluenceReport:
-    presentation: str
-    max_degree: int | None  # None: critical pairs only
-    words_checked: int
-    ambiguous: int
-    failures: list
+class ConfluenceReport(_Value, namedtuple(
+        "ConfluenceReport", "presentation max_degree words_checked ambiguous failures")):
+    # max_degree None: critical pairs only
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -5,175 +5,100 @@
     factor := atom ['^' integer]
     atom   := name | rational | 'q' | '(' expr ')'
 
-Rationals are integer or num/den literals.  A product is built left to
-right, and each run of generator letters in it is one word, so a product of
-n letters takes time linear in n; the name q is always the scalar, never a
-letter of a run.  A sum adds its terms into one dict.  A power of a unit
-scalar r*q^k, such as q, (-1/2) or (2*q), is one scalar power, and its
-negative exponents give inverses; its power, and a literal's already at
-parse time, is refused before it is computed when it would exceed the
-interpreter's digit limit.  Any other power is a product by repeated
-squaring; generator inverses are spelled as their own names (a_inv, d_inv,
-Dgamma_inv).  parse -> print is the identity on the AST, which is what the
-catalog round-trip test pins down.
+Rationals are integer or num/den literals.  parse_ast reads the tokens in
+one loop: at each '(' it keeps the enclosing expression on an explicit
+stack, and the ')' pops it, so parsing takes no stack frame per level of
+nesting.  How deep an expression may nest is bounded by evaluation instead:
+eval_ast recurses two frames per parenthesis, so past about 490 levels at
+the default recursion limit it raises RecursionError.
+
+A product is built left to right, and each run of generator letters in it
+is one word, so a product of n letters takes time linear in n; the name q
+is always the scalar, never a letter of a run.  A sum adds its terms into
+one dict.  A power of a unit scalar r*q^k, such as q, (-1/2) or (2*q), is
+one scalar power, and its negative exponents give inverses; its power, and
+a literal's already at parse time, is refused before it is computed when it
+would exceed the interpreter's digit limit.  Any other power is a product
+by repeated squaring; generator inverses are spelled as their own names
+(a_inv, d_inv, Dgamma_inv).  parse -> print is the identity on the AST,
+which is what the catalog round-trip test pins down.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 from .errors import ParseError, UnknownGeneratorError
-from .kernel import Element, _accumulate
+from .kernel import Element, _Value, _accumulate
 from .ring import ONE, LaurentScalar
 
-# blanks other than a newline, then one token; a newline is a token of its
-# own, so that tokenize counts every line
+# blanks other than a newline, then one token: a newline, which is a token
+# of its own so that tokenize counts every line, a rational, an integer, a
+# name, an operator, or any other character, which is an error
 _TOKEN = re.compile(
-    r"[^\S\n]*(?:(?P<newline>\n)|(?P<rat>\d+/\d+)|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+    r"([^\S\n]*)(?:(\n)|(\d+/\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(.))"
 )
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
+class Name(_Value, namedtuple("Name", "ident line col", defaults=(0, 0))):
+    __slots__ = ()
+    _compared = 1  # a name's position does not count
 
 
-@dataclass(frozen=True)
-class RatLit:
-    value: Fraction
+class RatLit(_Value, namedtuple("RatLit", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Power:
-    base: object
-    exp: int
-    line: int = field(default=0, compare=False)  # the base's position
-    col: int = field(default=0, compare=False)
+class Power(_Value, namedtuple("Power", "base exp line col", defaults=(0, 0))):
+    __slots__ = ()
+    _compared = 2  # line and col, the position of its base, do not count
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(_Value, namedtuple("Product", "factors")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    # sequence of (sign, Product) with sign in {+1, -1}
-    terms: tuple
+class Sum(_Value, namedtuple("Sum", "terms")):
+    # terms: a sequence of (sign, Product) with sign in {+1, -1}
+    __slots__ = ()
 
 
 def tokenize(text):
+    """The (kind, text, line, column) of each token, and then an end token
+    at the position after the last one."""
     tokens = []
+    append = tokens.append
     pos = 0
     line = 1
     line_start = 0
     end = len(text.rstrip())  # trailing whitespace ends the token stream
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if not m:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "newline":
+    for m in _TOKEN.finditer(text, 0, end):
+        blanks, newline, rat, num, name, op, other = m.groups()
+        if other:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        pos += len(blanks)
+        col = pos - line_start + 1
+        if op:
+            append(("op", op, line, col))
+            pos += 1
+        elif name:
+            append(("name", name, line, col))
+            pos += len(name)
+        elif newline:
+            pos += 1
             line += 1
             line_start = pos
-            continue
-        col = m.start(kind) - line_start + 1
-        tokens.append((kind, m.group(kind), line, col))
-    tokens.append(("end", "", line, end - line_start + 1))
+        else:
+            kind, val = ("int", num) if num else ("rat", rat)
+            append((kind, val, line, col))
+            pos += len(val)
+    append(("end", "", line, end - line_start + 1))
     return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect_op(self, op):
-        kind, val, line, col = self.peek()
-        if kind == "op" and val == op:
-            return self.next()
-        raise ParseError(f"expected {op!r}, got {val or 'end of input'!r}", line, col)
-
-    # a token's text tells an operator from every other token
-    def parse_expr(self):
-        sign = 1
-        if self.peek()[1] == "-":
-            self.next()
-            sign = -1
-        terms = [(sign, self.parse_term())]
-        while self.peek()[1] in ("+", "-"):
-            terms.append((1 if self.next()[1] == "+" else -1, self.parse_term()))
-        return Sum(tuple(terms))
-
-    def parse_term(self):
-        factors = [self.parse_factor()]
-        while self.peek()[1] == "*":
-            self.next()
-            nk, nv, nl, nc = self.peek()
-            if nk == "op" and nv == "*":
-                raise ParseError("'**' is not an operator; use '^'", nl, nc)
-            factors.append(self.parse_factor())
-        return Product(tuple(factors))
-
-    def parse_factor(self):
-        _, _, atom_line, atom_col = self.peek()
-        atom = self.parse_atom()
-        kind, val, _, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            neg = False
-            kind, val, line, col = self.peek()
-            if kind == "op" and val == "-":
-                self.next()
-                neg = True
-                kind, val, line, col = self.peek()
-            if kind != "int":
-                raise ParseError("exponent must be an integer", line, col)
-            self.next()
-            exp = (-1 if neg else 1) * _int(val, line, col)
-            value = _literal(atom)
-            if exp < 0 and value == 0:
-                raise ParseError("zero has no inverse: negative power of 0",
-                                 atom_line, atom_col)
-            if value is not None and _power_too_long(value, exp):
-                raise _too_many_digits("literal power", atom_line, atom_col)
-            return Power(atom, exp, atom_line, atom_col)
-        return atom
-
-    def parse_atom(self):
-        kind, val, line, col = self.next()
-        if kind == "name":
-            return Name(val, line, col)
-        if kind == "int":
-            return RatLit(Fraction(_int(val, line, col)))
-        if kind == "rat":
-            num, den = (_int(v, line, col) for v in val.split("/"))
-            if den == 0:
-                raise ParseError("zero denominator", line, col)
-            return RatLit(Fraction(num, den))
-        if kind == "op" and val == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"expected an atom, got {val or 'end of input'!r}", line, col)
 
 
 def _literal(atom):
@@ -215,13 +140,84 @@ def _power_too_long(value, exp):
     return abs(exp) * (bits - 1) * 30102 // 100000 >= limit
 
 
+_new = tuple.__new__  # a node without the Python frame of its namedtuple __new__
+
+
 def parse_ast(text):
-    p = _Parser(text)
-    ast = p.parse_expr()
-    kind, val, line, col = p.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input starting at {val!r}", line, col)
-    return ast
+    """The AST of text, read by one loop over its tokens.  Each '(' keeps
+    the enclosing expression's (terms, factors, sign, line, col) on a stack,
+    line and col being the group's position, and its ')' makes the group
+    the next atom of that expression."""
+    tokens = tokenize(text)
+    stack = []
+    terms, factors, sign = [], [], 1
+    i = 0
+    if tokens[0][1] == "-":  # a token's text tells an operator from any other
+        sign, i = -1, 1
+    while True:
+        # an atom
+        kind, val, line, col = tokens[i]
+        i += 1
+        if kind == "name":
+            atom = _new(Name, (val, line, col))
+        elif kind == "int":
+            atom = _new(RatLit, (Fraction(_int(val, line, col)),))
+        elif kind == "rat":
+            num, den = (_int(v, line, col) for v in val.split("/"))
+            if den == 0:
+                raise ParseError("zero denominator", line, col)
+            atom = _new(RatLit, (Fraction(num, den),))
+        elif val == "(":
+            stack.append((terms, factors, sign, line, col))
+            terms, factors, sign = [], [], 1
+            if tokens[i][1] == "-":
+                sign, i = -1, i + 1
+            continue
+        elif val == "*" and tokens[i - 2][1] == "*":  # only a product's '*' comes before
+            raise ParseError("'**' is not an operator; use '^'", line, col)
+        else:
+            raise ParseError(f"expected an atom, got {val or 'end of input'!r}", line, col)
+        # after the atom at (line, col): a power, then '*', '+', '-' or the end
+        # of its expression, where a ')' makes the group the next atom
+        while True:
+            kind, val, tline, tcol = tokens[i]
+            if val == "^":
+                i += 1
+                kind, val, tline, tcol = tokens[i]
+                neg = val == "-"
+                if neg:
+                    i += 1
+                    kind, val, tline, tcol = tokens[i]
+                if kind != "int":
+                    raise ParseError("exponent must be an integer", tline, tcol)
+                i += 1
+                exp = _int(val, tline, tcol)
+                if neg:
+                    exp = -exp
+                value = _literal(atom)
+                if exp < 0 and value == 0:
+                    raise ParseError("zero has no inverse: negative power of 0", line, col)
+                if value is not None and _power_too_long(value, exp):
+                    raise _too_many_digits("literal power", line, col)
+                atom = _new(Power, (atom, exp, line, col))
+                kind, val, tline, tcol = tokens[i]
+            factors.append(atom)
+            i += 1  # past the operator, the ')' or the end
+            if val == "*":
+                break
+            terms.append((sign, _new(Product, (tuple(factors),))))
+            factors = []
+            if val == "+" or val == "-":
+                sign = 1 if val == "+" else -1
+                break
+            atom = _new(Sum, (tuple(terms),))
+            if not stack:
+                if kind != "end":
+                    raise ParseError(f"trailing input starting at {val!r}", tline, tcol)
+                return atom
+            if val != ")":
+                raise ParseError(f"expected ')', got {val or 'end of input'!r}", tline, tcol)
+            terms, factors, sign, line, col = stack.pop()
 
 
 # -- printing ----------------------------------------------------------------

@@ -10,18 +10,43 @@ from __future__ import annotations
 
 import json
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from collections import namedtuple
+
+from .kernel import _Value
 
 
-@dataclass
-class CheckResult:
-    id: str
-    description: str
-    paper_eq: str
-    status: str  # pass | fail | error
-    residual: str | None = None
-    duration_ms: float = 0.0
+class _Record:
+    """Equality and repr of a mutable __slots__ class: equal only to an
+    instance of its own class with equal slots, and unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple(getattr(self, s) for s in self.__slots__)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def copy(self):
+        """A new instance with the same slots; a shallow copy."""
+        return self.__class__(*self._values())
+
+
+class CheckResult(_Record):
+    __slots__ = ("id", "description", "paper_eq", "status", "residual", "duration_ms")
+
+    def __init__(self, id, description, paper_eq, status, residual=None, duration_ms=0.0):
+        self.id = id
+        self.description = description
+        self.paper_eq = paper_eq
+        self.status = status  # pass | fail | error
+        self.residual = residual
+        self.duration_ms = duration_ms
 
     @property
     def passed(self):
@@ -38,15 +63,11 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Value, namedtuple("Check", "id description paper_eq fn")):
     """A check that has not run yet: fn() returns None when the claim holds,
     and otherwise the text of its residual."""
 
-    id: str
-    description: str
-    paper_eq: str
-    fn: Callable[[], str | None]
+    __slots__ = ()
 
     def run(self):
         """Call fn once, timed; an exception becomes an error row."""
@@ -67,10 +88,12 @@ def error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list = field(default_factory=list)
+class SuiteReport(_Record):
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite, checks=None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
 
     @property
     def summary(self):

@@ -12,7 +12,6 @@ family are both purely quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import QdcError
@@ -27,14 +26,13 @@ from .kernel import (
 )
 from .linalg import elements_to_rows, row_space_equal
 from .parser import eval_ast
-from .report import Check
+from .report import Check, _Record
 from .ring import ONE, ZERO, qp
 
 # -- supermatrices --------------------------------------------------------------
 
 
-@dataclass
-class SuperMatrix:
+class SuperMatrix(_Record):
     """Matrix with Element entries and declared row/column index parities.
 
     `shift` is the common parity offset of the entries relative to the index
@@ -42,12 +40,13 @@ class SuperMatrix:
     must be parity-homogeneous of parity row[i] + col[j] + shift.
     """
 
-    entries: list
-    row_parity: tuple
-    col_parity: tuple
-    shift: int = 0
+    __slots__ = ("entries", "row_parity", "col_parity", "shift")
 
-    def __post_init__(self):
+    def __init__(self, entries, row_parity, col_parity, shift=0):
+        self.entries = entries
+        self.row_parity = row_parity
+        self.col_parity = col_parity
+        self.shift = shift
         if len(self.entries) != len(self.row_parity):
             raise QdcError("row count does not match row parities")
         for row in self.entries:

@@ -208,14 +208,36 @@ def test_import_keeps_recursion_limit():
     assert run.returncode == 0 and before == after
 
 
-_DEEP_Q = "(" * 300 + "2" + ")" * 300
+def test_cli_import_needs_no_dataclasses_or_inspect():
+    # what importing qdc.cli adds to an interpreter that has imported nothing else
+    run = _run_python("-c", "import sys; before = set(sys.modules); import qdc.cli; "
+                            "print(*sorted(set(sys.modules) - before))")
+    added = set(run.stdout.split())
+    assert run.returncode == 0 and "qdc.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_cli_q_300_nested_parentheses_is_the_literal():
+    # the parser takes no stack frame per parenthesis, and --q is not evaluated
+    deep = _run_python("-m", "qdc.cli", "verify", "--suite", "plane",
+                       "--q", "(" * 300 + "2" + ")" * 300)
+    plain = _run_python("-m", "qdc.cli", "verify", "--suite", "plane", "--q", "2")
+    assert (deep.returncode, deep.stderr) == (0, "")
+    assert deep.stdout == plain.stdout
+
+
+def test_cli_normalizes_nesting_the_recursive_parser_refused():
+    # 247 levels ran the recursive-descent parser out of stack; evaluation
+    # takes two frames a level, so 400 fit under the default limit
+    run = _run_python("-m", "qdc.cli", "normalize", "--presentation", "Omega",
+                      "(" * 400 + "d*a" + ")" * 400)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "a*d + (q - q^-1)*beta*gamma\n"
 
 
 @pytest.mark.parametrize("argv, what", [
     pytest.param(["normalize", "--presentation", "Omega", "(" * 1000 + "a" + ")" * 1000],
                  "Omega: the expression", id="1000_nested_parentheses"),
-    pytest.param(["verify", "--suite", "plane", "--q", _DEEP_Q],
-                 f"--q {_DEEP_Q[:40]!r}... (601 characters)", id="q_300_nested_parentheses"),
     # the a moves left through 1200 normal letters
     pytest.param(["normalize", "--presentation", "Omega", "d^1200*a"],
                  "Omega: the expression", id="d^1200*a"),
@@ -231,6 +253,17 @@ def test_cli_recursion_limit_exit_two(argv, what):
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == (f"error: {what} is deeper than the Python recursion "
                           f"limit (1000) allows\n")
+
+
+def test_check_result_is_a_mutable_record():
+    # run_suite hands out copies of a repeated row, and --q edits each row
+    row = CheckResult("a", "d", "", "pass")
+    copy = row.copy()
+    assert copy == row and copy is not row and row != SuiteReport("a")
+    copy.description += " [numeric shadow at q = 2]"
+    assert copy != row and row.description == "d"
+    with pytest.raises(TypeError):
+        hash(row)
 
 
 def test_report_sorting_stable():

@@ -1,18 +1,24 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from qdc.errors import ParseError, UnknownGeneratorError
-from qdc.catalog import _FILES, _data_text, parse_document
-from qdc.kernel import Element, Generator, Presentation, format_element, normalize
+from qdc.catalog import _FILES, _data_text, parse_document, roundtrip_lines
+from qdc.kernel import (Element, Generator, Identity, Presentation, RewriteRule,
+                        format_element, normalize)
 from qdc.parser import (
     Name,
     Power,
     Product,
     RatLit,
     Sum,
+    _int,
+    _literal,
     _power,
+    _power_too_long,
+    _too_many_digits,
     eval_ast,
     parse_ast,
     parse_expression,
@@ -244,3 +250,207 @@ def test_eval_ast_builds_the_reference_element(cat):
         got, want = eval_ast(ast, p), _reference_eval(ast, p)
         assert got == want, print_ast(ast)
         assert all(got.terms[w] is c for w, c in want.terms.items()), print_ast(ast)
+
+
+# -- the one-loop parser against the recursive-descent one it replaced ----------
+
+_REFERENCE_TOKEN = re.compile(
+    r"[^\S\n]*(?:(?P<newline>\n)|(?P<rat>\d+/\d+)|(?P<int>\d+)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    end = len(text.rstrip())
+    while pos < end:
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m:
+            col = pos - line_start + 1
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = pos
+            continue
+        col = m.start(kind) - line_start + 1
+        tokens.append((kind, m.group(kind), line, col))
+    tokens.append(("end", "", line, end - line_start + 1))
+    return tokens
+
+
+class _ReferenceParser:
+    """The recursive-descent parser parse_ast replaced, as it was."""
+
+    def __init__(self, text):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def expect_op(self, op):
+        kind, val, line, col = self.peek()
+        if kind == "op" and val == op:
+            return self.next()
+        raise ParseError(f"expected {op!r}, got {val or 'end of input'!r}", line, col)
+
+    def parse_expr(self):
+        sign = 1
+        if self.peek()[1] == "-":
+            self.next()
+            sign = -1
+        terms = [(sign, self.parse_term())]
+        while self.peek()[1] in ("+", "-"):
+            terms.append((1 if self.next()[1] == "+" else -1, self.parse_term()))
+        return Sum(tuple(terms))
+
+    def parse_term(self):
+        factors = [self.parse_factor()]
+        while self.peek()[1] == "*":
+            self.next()
+            nk, nv, nl, nc = self.peek()
+            if nk == "op" and nv == "*":
+                raise ParseError("'**' is not an operator; use '^'", nl, nc)
+            factors.append(self.parse_factor())
+        return Product(tuple(factors))
+
+    def parse_factor(self):
+        _, _, atom_line, atom_col = self.peek()
+        atom = self.parse_atom()
+        kind, val, _, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            neg = False
+            kind, val, line, col = self.peek()
+            if kind == "op" and val == "-":
+                self.next()
+                neg = True
+                kind, val, line, col = self.peek()
+            if kind != "int":
+                raise ParseError("exponent must be an integer", line, col)
+            self.next()
+            exp = (-1 if neg else 1) * _int(val, line, col)
+            value = _literal(atom)
+            if exp < 0 and value == 0:
+                raise ParseError("zero has no inverse: negative power of 0",
+                                 atom_line, atom_col)
+            if value is not None and _power_too_long(value, exp):
+                raise _too_many_digits("literal power", atom_line, atom_col)
+            return Power(atom, exp, atom_line, atom_col)
+        return atom
+
+    def parse_atom(self):
+        kind, val, line, col = self.next()
+        if kind == "name":
+            return Name(val, line, col)
+        if kind == "int":
+            return RatLit(Fraction(_int(val, line, col)))
+        if kind == "rat":
+            num, den = (_int(v, line, col) for v in val.split("/"))
+            if den == 0:
+                raise ParseError("zero denominator", line, col)
+            return RatLit(Fraction(num, den))
+        if kind == "op" and val == "(":
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        raise ParseError(f"expected an atom, got {val or 'end of input'!r}", line, col)
+
+
+def _reference_parse(text):
+    p = _ReferenceParser(text)
+    ast = p.parse_expr()
+    kind, val, line, col = p.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input starting at {val!r}", line, col)
+    return ast
+
+
+def _outcome(parse, text):
+    """(the AST, None), or (None, the error's type, message, line and column)."""
+    try:
+        return parse(text), None
+    except ParseError as exc:
+        return None, (type(exc), str(exc), exc.line, exc.col)
+
+
+_PIECES = ("a", "d", "q", "Da", "x_1", "(", ")", "*", "^", "-", "+", "2", "3/4",
+           "1/0", "0", "99999999", " ", "\n", "**", "^-")
+
+
+def _random_text(rng):
+    """Either a run of grammar pieces, blanks and newlines, or a printed random
+    AST with one piece put in place of one of its characters; either may hold
+    one stray character."""
+    if rng.random() < 0.5:
+        text = "".join(rng.choices(_PIECES, k=rng.randint(1, 12)))
+    else:
+        text = print_ast(_random_ast(rng, ("a", "d", "q", "Da", "x_1")))
+        if rng.random() < 0.7:
+            i = rng.randrange(len(text))
+            text = text[:i] + rng.choice(_PIECES) + text[i + 1:]
+    if rng.random() < 0.05:
+        i = rng.randint(0, len(text))
+        text = text[:i] + "$" + text[i:]
+    return text
+
+
+def test_parse_ast_agrees_with_the_recursive_descent_reference():
+    texts = [text for _, text in roundtrip_lines()]
+    rng = random.Random(20261020)
+    texts += [_random_text(rng) for _ in range(20000)]
+    parsed = 0
+    for text in texts:
+        (got, got_error), (want, want_error) = (_outcome(parse_ast, text),
+                                                _outcome(_reference_parse, text))
+        assert got_error == want_error, repr(text)
+        if want is not None:
+            parsed += 1
+            # the repr shows every field, so also the line and col of each
+            # Name and Power, which equality leaves out
+            assert got == want and repr(got) == repr(want), repr(text)
+    assert parsed > 5000, parsed  # the grammar is exercised, not only its errors
+
+
+def test_parse_ast_nests_without_recursion():
+    # the reference took four frames a level, the loop takes none
+    ast = parse_ast("(" * 5000 + "a" + ")" * 5000)
+    for _ in range(5001):  # the whole text is a sum too
+        ((sign, product),) = ast.terms
+        (ast,) = product.factors
+    assert (sign, ast, ast.col) == (1, Name("a"), 5001)
+
+
+def test_value_types_keep_their_equality_and_hash():
+    # a node's position is not part of its value
+    assert Name("a", 1, 2) == Name("a") and hash(Name("a", 1, 2)) == hash(Name("a"))
+    assert Power(Name("a", 1, 2), 3, 1, 2) == Power(Name("a"), 3)
+    assert Power(Name("a"), 3) != Power(Name("a"), 2)
+    assert Name("a") != Name("b")
+    # a node equals only a node of its own type, not one with the same tuple
+    product = Product((Name("a"),))
+    assert Sum(product.factors) != product and Sum(product.factors) == Sum((Name("a"),))
+    assert Name("a") != ("a", 0, 0)
+    nodes = {Name("a"), RatLit(Fraction(2)), Power(Name("a"), 2), product,
+             Sum(((1, product),)), Name("a", 3, 4)}
+    assert len(nodes) == 5
+    gens = {Generator("a", 0), Generator("a", 0), Generator("b", 1, "a")}
+    rules = {RewriteRule(("b", "a"), Element.word(("a", "b"))),
+             RewriteRule(("b", "a"), Element.word(("a", "b")))}
+    assert len(gens) == 2 and len(rules) == 1
+    # an identity compares without its parsed sides
+    lhs, rhs = Element.word(("a",)), Element.unit()
+    ident = Identity("f", "i", lhs, rhs, "(1)", parse_ast("a"), parse_ast("1"))
+    assert ident == Identity("f", "i", lhs, rhs, "(1)")
+    assert ident != Identity("f", "i", lhs, rhs, "(2)")
+    assert ident != Identity("g", "i", lhs, rhs, "(1)", ident.lhs_ast, ident.rhs_ast)

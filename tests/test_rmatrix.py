@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -167,7 +166,7 @@ def test_rtt_spanning_negative_control(eq, family, name, rhs):
     fresh = Catalog()
     p, _ = fresh.family(family)
     p.identities = [
-        dataclasses.replace(i, rhs_ast=parse_ast(rhs)) if i.name == name else i
+        i._replace(rhs_ast=parse_ast(rhs)) if i.name == name else i
         for i in p.identities
     ]
     checks = {c.id: c.run() for c in verify_rtt_family(eq, fresh)}
