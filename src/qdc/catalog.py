@@ -21,9 +21,9 @@ is asked.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 
 from .errors import CatalogFormatError, UnknownFamilyError, UnknownPresentationError
 from .kernel import Generator, Identity, Presentation, RewriteRule
@@ -43,7 +43,11 @@ _EXPECTED_COUNTS = {
 
 
 def _data_text(fname):
-    return resources.files("qdc").joinpath("catalog_data", fname).read_text()
+    # a plain open: importlib.resources imports pathlib, zipfile, tempfile
+    # and more, a third of a clean interpreter's `import qdc`
+    path = os.path.join(os.path.dirname(__file__), "catalog_data", fname)
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 class _Block:

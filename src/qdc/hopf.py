@@ -26,6 +26,8 @@ from .calculus import relations, verify_family
 from .errors import UnsupportedHopfImageError
 from .kernel import (
     Element,
+    _accumulate,
+    _accumulate_product,
     format_element,
     normalize,
     residual,
@@ -54,17 +56,17 @@ def _inverse(t, x, p):
     """The inverse of t in p by the finite geometric series, where x inverts
     t's leading term: t^-1 = x (1 - r)^-1 with r = 1 - t x, a finite sum
     because r is nilpotent, its words carrying odd letters."""
-    unit = Element.unit()
-    r = unit - normalize(t * x, p)
-    total = power = unit
+    power = Element.unit()
+    r = power - normalize(t * x, p)
+    total = dict(power.terms)
     for _ in range(8):
         power = normalize(power * r, p)
         if power.is_zero():
             break
-        total = total + power
+        _accumulate(total, power.terms)
     else:
         raise UnsupportedHopfImageError("geometric series did not close")
-    return normalize(x * total, p)
+    return normalize(x * Element(total, _clean=True), p)
 
 
 def _on_names(names, M):
@@ -186,12 +188,13 @@ def verify_hopf_axioms(cat):
     # the two-sided laws: over the legs w1 (x) w2 of delta(g), each side
     # multiplies its two leg maps' images and must sum to the target
     def fn_law(law, g, left, right, want, sides):
-        sums = [Element.zero(), Element.zero()]
+        sums = [{}, {}]
         for w, c in H.coproduct(E((g,))).terms.items():
             w1, w2 = tensor_legs(w, 2)
-            for k, (f1, f2) in enumerate((left, right)):
-                sums[k] = sums[k] + (f1(w1) * f2(w2)).scaled(c)
-        bad = [side for side, s in zip(sides, sums) if normalize(s - want(g), loc)]
+            for acc, (f1, f2) in zip(sums, (left, right)):
+                _accumulate_product(acc, f1(w1).terms, f2(w2).terms, c)
+        bad = [side for side, s in zip(sides, sums)
+               if normalize(Element(s, _clean=True) - want(g), loc)]
         return None if not bad else f"{law} law fails on {bad}"
 
     def counit(w):
@@ -236,10 +239,9 @@ def verify_hopf_axioms(cat):
                    ("gamma", "Dbeta", -1), ("d", "Dd", 1)],
         }
         for g, terms in stated.items():
-            acc = Element.zero()
-            for x, y, s in terms:
-                acc = acc + H.tensor((x,), (y,), ONE if s > 0 else -ONE)
-            if acc != H.delta_images[g]:
+            expansion = {tensor_word((x,), (y,)): ONE if s > 0 else -ONE
+                         for x, y, s in terms}  # four distinct words
+            if Element(expansion) != H.delta_images[g]:
                 return f"matrix-form expansion differs at {g}"
         return None
 

@@ -114,7 +114,9 @@ class Element:
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        _accumulate(out, other.terms, -ONE)
+        return Element(out, _clean=True)
 
     def __neg__(self):
         return Element({w: -c for w, c in self.terms.items()}, _clean=True)
@@ -123,17 +125,8 @@ class Element:
         """Concatenation product, extended bilinearly; unreduced."""
         if not isinstance(other, Element):
             return NotImplemented
-        out = {}  # inline, not _accumulate: each parsed factor calls this
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+        out = {}
+        _accumulate_product(out, self.terms, other.terms)
         return Element(out, _clean=True)
 
     def scaled(self, coeff):
@@ -308,37 +301,50 @@ def graded_product(p1, p2, name=None):
     overlap = set(p1.index) & set(p2.index)
     if overlap:
         raise QdcError(f"graded_product: generator name clash {sorted(overlap)}")
-    gens = list(p1.generators) + list(p2.generators)
-    rules = list(p1.rules) + list(p2.rules)
-    for g2 in p2.generators:
-        for g1 in p1.generators:
-            sign = -ONE if (g1.parity and g2.parity) else ONE
-            repl = Element.word((g1.name, g2.name), sign)
-            rules.append(RewriteRule((g2.name, g1.name), repl, eq="(10)"))
-    return Presentation(name or f"{p1.name}*{p2.name}", gens, rules)
+    rules = list(p1.rules) + list(p2.rules) + _koszul_swaps(p1.generators, p2.generators)
+    return Presentation(name or f"{p1.name}*{p2.name}",
+                        list(p1.generators) + list(p2.generators), rules)
+
+
+def _koszul_swaps(first, second):
+    """The rules g2*g1 -> (-1)^(parity(g1)*parity(g2)) g1*g2 that move each
+    generator g2 of `second` left over each g1 of `first`."""
+    return [RewriteRule((g2.name, g1.name),
+                        Element.word((g1.name, g2.name),
+                                     -ONE if (g1.parity and g2.parity) else ONE),
+                        eq="(10)")
+            for g2 in second for g1 in first]
 
 
 def tensor_power(p, n):
     """Graded tensor power: the graded_product of n slot copies of p, where
-    slot k renames each generator g to "k:g".
+    slot k renames each generator g to "k:g", built in one step.
 
     A letter of a later slot passes left over one of an earlier slot with
     the Koszul sign, and no rule joins two slots the other way round, so
     normalize takes a word to the product of each slot's own leftmost
     normal form, slot 1 first, times the sign of that reordering:
     (A (x) B)(C (x) D) = (-1)^(p(B)p(C)) AC (x) BD, confluent or not.
-    """
-    def slot(k):
-        new = {g.name: f"{k}:{g.name}" for g in p.generators}
-        gens = [Generator(new[g.name], g.parity, new.get(g.inverse_of))
-                for g in p.generators]
-        return Presentation(f"{p.name}[{k}]", gens,
-                            [r.renamed(new) for r in p.rules], validate=False)
 
-    out = slot(1)
-    for k in range(2, n + 1):
-        out = graded_product(out, slot(k), f"{p.name}^{k}")
-    return out
+    Only p is validated: each condition of validate() then holds in the
+    power too.  A slot's rules are p's with every letter renamed, which
+    keeps each letter's parity and each odd letter's square rule, and,
+    since slot k's generators keep p's order at one offset, the order of
+    any two words of one slot.  A Koszul swap g2*g1 -> +-g1*g2 is
+    parity-balanced and decreases the order, since g2's slot comes after
+    g1's.  The generators and rules are those of the graded_product chain
+    slot(1) * ... * slot(n), in order.
+    """
+    p.validate()
+    gens, rules = [], []
+    for k in range(1, n + 1):
+        new = {g.name: f"{k}:{g.name}" for g in p.generators}
+        slot = [Generator(new[g.name], g.parity, new.get(g.inverse_of))
+                for g in p.generators]
+        rules += [r.renamed(new) for r in p.rules]
+        rules += _koszul_swaps(gens, slot)
+        gens += slot
+    return Presentation(f"{p.name}^{n}", gens, rules, validate=False)
 
 
 def tensor_word(*legs):
@@ -400,6 +406,23 @@ def _accumulate(acc, terms, scale=None):
             acc.pop(w, None)
 
 
+def _accumulate_product(acc, left, right, scale=None):
+    """acc += scale * left * right in place, for two dicts of words: the
+    concatenation product, dropping words whose sum is zero."""
+    for w1, c1 in left.items():
+        if scale is not None:
+            c1 = scale * c1
+        for w2, c2 in right.items():
+            w = w1 + w2
+            c = c1 * c2
+            s = acc.get(w)
+            s = c if s is None else s + c
+            if s:
+                acc[w] = s
+            else:
+                acc.pop(w, None)
+
+
 def _times_generator(m, g, rule, p, budget):
     """Normal form of m*g, as {node: coeff}, where m is a normal word's node
     and `rule` rewrites (its last letter, g): the replacement, folded onto
@@ -422,27 +445,31 @@ def _fold(terms, letters, p, budget):
     cache = p._nf_cache
     for g in letters:
         out = {}
-        redexes = []
         for m, c in terms.items():
             rule = rows[m].get(g)
-            if rule is not None:
-                redexes.append((m, c, rule))
+            if rule is None:
+                n = child.get((m, g))
+                if n is None:
+                    n = len(rows)
+                    p._parent.append(m)
+                    p._last.append(g)
+                    rows.append(p._rules_from.get(g, _NO_RULES))
+                    p._words.append(None)
+                    child[(m, g)] = n
+                s = out.get(n)  # out += c * n
+                s = c if s is None else s + c
+                if s:
+                    out[n] = s
+                else:
+                    out.pop(n, None)
                 continue
-            n = child.get((m, g))
-            if n is None:
-                n = len(rows)
-                p._parent.append(m)
-                p._last.append(g)
-                rows.append(p._rules_from.get(g, _NO_RULES))
-                p._words.append(None)
-                child[(m, g)] = n
-            out[n] = c
-        for m, c, rule in redexes:
             product = cache.get((m, g))
             if product is None:
                 product = _times_generator(m, g, rule, p, budget)
+            scaled = c is not ONE
             for n, d in product.items():  # out += c * product
-                d = c * d
+                if scaled:
+                    d = c * d
                 s = out.get(n)
                 s = d if s is None else s + d
                 if s:
@@ -510,21 +537,19 @@ def substitute(images, e):
 def apply_derivation(images, e, p):
     """Graded Leibniz extension of an odd derivation, given by the images of
     the generators, over each word, left to right; unreduced."""
-    out = Element.zero()
+    out = {}
     for word, c in e.terms.items():
-        sign = 1
         for i, g in enumerate(word):
             try:
                 img = images[g]
             except KeyError:
                 raise MissingImageError(f"derivation has no image for {g!r}") from None
             if img:
-                left = Element.word(word[:i], c if sign > 0 else -c)
-                right = Element.word(word[i + 1 :])
-                out = out + left * img * right
+                head, tail = word[:i], word[i + 1:]
+                _accumulate(out, {head + w + tail: d for w, d in img.terms.items()}, c)
             if p.parity_of[g]:
-                sign = -sign
-    return out
+                c = -c
+    return Element(out, _clean=True)
 
 
 def graded_commutator(e1, e2, p):

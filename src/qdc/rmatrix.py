@@ -19,6 +19,7 @@ from .kernel import (
     Element,
     Generator,
     Presentation,
+    _accumulate_product,
     format_element,
     graded_product,
     residual,
@@ -67,15 +68,16 @@ class SuperMatrix(_Record):
     def __matmul__(self, other):
         if self.col_parity != other.row_parity:
             raise QdcError("parity mismatch in matrix product")
-        n, m, k = len(self.entries), len(other.entries[0]), len(other.entries)
-        out = [
-            [
-                sum((self.entries[i][t] * other.entries[t][j] for t in range(k)),
-                    Element.zero())
-                for j in range(m)
-            ]
-            for i in range(n)
-        ]
+        cols = list(zip(*other.entries))
+        out = []
+        for row in self.entries:
+            new = []
+            for col in cols:
+                acc = {}  # sum over t of row[t] * col[t], in one dict
+                for a, b in zip(row, col):
+                    _accumulate_product(acc, a.terms, b.terms)
+                new.append(Element(acc, _clean=True))
+            out.append(new)
         return SuperMatrix(out, self.row_parity, other.col_parity,
                            (self.shift + other.shift) % 2)
 

@@ -209,12 +209,13 @@ def test_import_keeps_recursion_limit():
 
 
 def test_cli_import_needs_no_dataclasses_or_inspect():
-    # what importing qdc.cli adds to an interpreter that has imported nothing else
-    run = _run_python("-c", "import sys; before = set(sys.modules); import qdc.cli; "
-                            "print(*sorted(set(sys.modules) - before))")
+    # what importing qdc.cli adds to an interpreter that has imported nothing
+    # else: -S, so that no site-packages hook has imported them already
+    run = _run_python("-S", "-c", "import sys; before = set(sys.modules); import qdc.cli; "
+                                  "print(*sorted(set(sys.modules) - before))")
     added = set(run.stdout.split())
     assert run.returncode == 0 and "qdc.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "importlib.resources", "pathlib"}
 
 
 def test_cli_q_300_nested_parentheses_is_the_literal():

@@ -23,6 +23,7 @@ from qdc.kernel import (
     tensor_word,
 )
 from qdc.calculus import exterior_derivation
+from qdc.catalog import get_catalog
 from qdc.ring import ONE, LaurentScalar, lint, qp
 
 W = Element.word
@@ -249,6 +250,38 @@ def test_graded_leibniz_random(cat):
         assert normalize(lhs - rhs, loc).is_zero()
 
 
+def _reference_derivation(images, e, p):
+    """apply_derivation as the sum over each word's letters of head *
+    image * tail, the head carrying the Koszul sign of its odd letters."""
+    out = Element.zero()
+    for word, c in e.terms.items():
+        sign = 1
+        for i, g in enumerate(word):
+            img = images[g]
+            if img:
+                head = W(word[:i], c if sign > 0 else -c)
+                out = out + head * img * W(word[i + 1:])
+            if p.parity_of[g]:
+                sign = -sign
+    return out
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q2"])
+def test_apply_derivation_matches_the_letter_by_letter_sum(q0):
+    cat = get_catalog(q0)
+    d, loc = exterior_derivation(cat)
+    rng = random.Random(4401)
+    names = [g.name for g in loc.generators]
+    total = Element.zero()
+    for _ in range(200):
+        word = tuple(rng.choice(names) for _ in range(rng.randint(0, 6)))
+        coeff = cat.scalar(LaurentScalar({rng.randint(-2, 2): rng.choice((1, -1, 2))}))
+        e = W(word, coeff)
+        assert apply_derivation(d, e, loc) == _reference_derivation(d, e, loc), word
+        total = total + e
+    assert apply_derivation(d, total, loc) == _reference_derivation(d, total, loc)
+
+
 def test_graded_commutator_examples(cat):
     la = cat.presentation("LieAlg")
     assert graded_commutator(la.el("T1"), la.el("T2"), la).is_zero()
@@ -423,6 +456,48 @@ def test_tensor_power_matches_slotwise_normalization(cat):
             assert got == _slotwise_product(tensors, p, n), (p.name, n, tensors)
             for w in got.terms:
                 assert tensor_word(*tensor_legs(w, n)) == w
+
+
+def _graded_product_chain(p, n):
+    """tensor_power(p, n) as the graded_product of its n slot copies, one
+    slot at a time, each product validated."""
+    from qdc.kernel import graded_product
+
+    def slot(k):
+        new = {g.name: f"{k}:{g.name}" for g in p.generators}
+        gens = [Generator(new[g.name], g.parity, new.get(g.inverse_of))
+                for g in p.generators]
+        return Presentation(f"{p.name}[{k}]", gens,
+                            [r.renamed(new) for r in p.rules], validate=False)
+
+    out = slot(1)
+    for k in range(2, n + 1):
+        out = graded_product(out, slot(k), f"{p.name}^{k}")
+    return out
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q2"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_power_is_the_graded_product_chain(q0, n):
+    cat = get_catalog(q0)
+    for name in cat.names():
+        p = cat.presentation(name)
+        power, chain = tensor_power(p, n), _graded_product_chain(p, n)
+        assert power.name == chain.name == f"{name}^{n}"
+        assert power.generators == chain.generators, name
+        assert power.rules == chain.rules, name
+        assert [r.eq for r in power.rules] == [r.eq for r in chain.rules], name
+        power.validate()
+
+
+def test_tensor_power_validates_its_factor():
+    # a rule that grows the order: unvalidated here, refused by tensor_power
+    gens = [Generator("x", 0), Generator("y", 0)]
+    bad = Presentation("bad", gens, [RewriteRule(("y", "x"), W(("x", "y", "y")))],
+                       validate=False)
+    for n in (1, 2, 3):
+        with pytest.raises(QdcError, match="does not decrease the term order"):
+            tensor_power(bad, n)
 
 
 def test_renamed_rule_keeps_tag_flag_and_coefficients():

@@ -240,6 +240,78 @@ def test_plane_families_pass(family, count, q0):
     assert all(c.passed for c in checks), [c.id for c in checks if not c.passed]
 
 
+def _reference_matmul(A, B):
+    """The entrywise definition of A @ B: entry (i, j) is the Element sum
+    over t of A[i][t] * B[t][j]."""
+    k = len(B.entries)
+    return [[sum((A.entries[i][t] * B.entries[t][j] for t in range(k)), Element.zero())
+             for j in range(len(B.entries[0]))]
+            for i in range(len(A.entries))]
+
+
+def _random_supermatrix(rng, cat, size):
+    """A size x size supermatrix over Omega_loc: a quarter of its entries
+    zero, the others up to three short words from four letters with
+    coefficients +-1 and +-q, so that products share words and cancel."""
+    letters = ("a", "d", "Da", "a_inv")
+    coeffs = [cat.scalar(c) for c in (ONE, -ONE, qp(1), -qp(1))]
+    parities = tuple(rng.randint(0, 1) for _ in range(size))
+
+    def entry():
+        if rng.random() < 0.25:
+            return Element.zero()
+        e = Element.zero()
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            e = e + W(word, rng.choice(coeffs))
+        return e
+
+    return SuperMatrix([[entry() for _ in range(size)] for _ in range(size)],
+                       parities, parities)
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q2"])
+def test_matmul_matches_the_entrywise_sum_on_random_supermatrices(q0):
+    cat = get_catalog(q0)
+    rng = random.Random(2511)
+    cancelled = 0
+    for size in (2, 4, 8):
+        for _ in range(6):
+            A = _random_supermatrix(rng, cat, size)
+            B = _random_supermatrix(rng, cat, size)
+            B.row_parity = B.col_parity = A.col_parity
+            got = A @ B
+            assert got.entries == _reference_matmul(A, B)
+            assert (got.row_parity, got.col_parity) == (A.row_parity, B.col_parity)
+            for i, row in enumerate(got.entries):
+                for j, e in enumerate(row):
+                    words = {w for t in range(size)
+                             for w in (A.entries[i][t] * B.entries[t][j]).terms}
+                    cancelled += len(words - set(e.terms))
+    assert cancelled > 0  # the sums above did drop words
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q2"])
+def test_matmul_matches_the_entrywise_sum_on_the_matrix_relations(q0, monkeypatch):
+    cat = get_catalog(q0)
+    products = []
+    matmul = SuperMatrix.__matmul__
+
+    def recorded(A, B):
+        out = matmul(A, B)
+        products.append((A, B, out))
+        return out
+
+    monkeypatch.setattr(SuperMatrix, "__matmul__", recorded)
+    for eq, (pname, _) in rmatrix._RELATIONS.items():
+        p = cat.presentation(pname)
+        for over in (p, rmatrix._free(p)):
+            rmatrix._entries(eq, over, cat)
+    assert len(products) == 2 * 22  # the five relations' products, over p and _free(p)
+    for A, B, out in products:
+        assert out.entries == _reference_matmul(A, B)
+
+
 def test_linalg_rank_basics():
     one, q = ONE, qp(1)
     rows = [[one, q], [q, q * q]]
