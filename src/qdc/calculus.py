@@ -391,19 +391,21 @@ def _clearing_words(rule, inverses):
     return tuple(reversed(run(rule.pattern))), tuple(run(reversed(rule.pattern)))
 
 
-def verify_localized_rule(rule, cat):
-    """Validate a localized rule by clearing its inverses and reducing both
-    sides in a system of already-established rules; None when it holds, and
-    otherwise the reason it fails.
+def verify_localized_rule(rule, loc):
+    """Validate a rule of the localized presentation loc that involves an
+    inverse by clearing its inverses and reducing both sides in a system of
+    already-established rules; None when it holds, and otherwise the reason
+    it fails.
 
     Cancellation pairs g*g_inv -> 1 are definitional for the localization and
     always pass.  Every other rule is multiplied on the left/right by the
     inverted generators, then both sides are reduced using the inverse-free
-    rules, the cancellations, and the localized rules listed before it in
-    the catalog document; the rule passes exactly when the two normal forms
-    agree.
+    rules, the cancellations, and the rules of loc listed before it; the
+    rule passes exactly when the two normal forms agree.  The clearing words
+    are units once each g_inv is g^-1, and every rule used holds there, by
+    induction over loc's rules, so a pass proves the rule in the
+    localization (premise (P4) of cli._confluence_checks).
     """
-    loc = cat.presentation("Omega_loc")
     inverses = _inverses_in(loc, rule.pattern, *rule.replacement.terms)
     if not inverses:
         raise QdcError("verify_localized_rule needs a rule involving an inverse")
@@ -419,7 +421,7 @@ def verify_localized_rule(rule, cat):
         used = {} if i < idx else _inverses_in(loc, r.pattern, *r.replacement.terms)
         if r.pattern != rule.pattern and (not used or _is_cancellation(r, used)):
             kept.append(r)
-    established = Presentation("Omega_loc_partial", loc.generators, kept,
+    established = Presentation(f"{loc.name}_partial", loc.generators, kept,
                                validate=False)
 
     left, right = _clearing_words(rule, inverses)
@@ -444,9 +446,14 @@ def _is_cancellation(rule, inverses):
 
 
 def localized_rule_checks(cat):
-    """The clearing check of every localized rule that involves an inverse."""
-    loc = cat.presentation("Omega_loc")
+    """The clearing check of every rule of Omega_loc that involves an inverse."""
+    return clearing_checks(cat.presentation("Omega_loc"))
+
+
+def clearing_checks(loc):
+    """The clearing check of every rule of the localized presentation loc
+    that involves an inverse."""
     return [Check(f"localized.{'_'.join(r.pattern)}",
                   f"clearing check for {'*'.join(r.pattern)} -> ...",
-                  r.eq, partial(verify_localized_rule, r, cat))
+                  r.eq, partial(verify_localized_rule, r, loc))
             for r in loc.rules if _inverses_in(loc, r.pattern, *r.replacement.terms)]

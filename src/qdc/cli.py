@@ -17,13 +17,15 @@ from functools import partial
 from . import calculus, hopf, liealg, rmatrix
 from .catalog import get_catalog
 from .errors import ParseError, QdcError, UnknownSuiteError
-from .kernel import (check_local_confluence, confluence_residual, format_element,
-                     normalize, step_budget)
+from .kernel import (Presentation, check_local_confluence, confluence_residual,
+                     format_element, normalize, step_budget)
 from .parser import _literal, parse_ast, parse_expression
-from .report import Check, CheckResult, SuiteReport, error_text
+from .report import Check, CheckResult, SuiteReport, error_text, run_once
 
-# exhaustive degree for a presentation with localized rules (Omega_loc)
-_LOCALIZED_CONFLUENCE_DEGREE = 4
+# the weights of the filtration in _confluence_checks' basis argument for
+# Omega_loc: a, d and Dgamma, the generators with an inverse, weigh 0
+_WEIGHTS = {"a": 0, "beta": -1, "gamma": -1, "d": 0,
+            "Da": -3, "Dbeta": 1, "Dgamma": 0, "Dd": 3}
 
 
 def _confluence_checks(cat):
@@ -31,43 +33,211 @@ def _confluence_checks(cat):
 
     A presentation whose rules all decrease the deglex order is checked on
     its critical pairs alone, the ambiguous words of length 3
-    (kernel.check_local_confluence with no degree, diamond lemma).
-    Omega_loc is not: its localized rules grow the degree, and no order that
-    compares a weight first and breaks ties by deglex orients them all.  With
-    additive weights w >= 0 (a negative weight would give the descending
-    chain g > g^2 > ...), the rule Dgamma_inv*beta -> ... d*Da*Dgamma_inv^2
-    forces w(beta) > w(d) + w(Da) + w(Dgamma_inv), and d*a_inv ->
-    ... a_inv^2*beta*gamma forces w(d) > w(a_inv) + w(beta) + w(gamma); each
-    is strict because on a tie the longer replacement word wins in deglex.
-    Their sum gives 0 > w(Da) + w(Dgamma_inv) + w(a_inv) + w(gamma), which
-    no weights satisfy.  No other order does either: w0 = Dgamma_inv*a_inv^2
-    rewrites at position 0, then at position 5, each time to the correction
-    word of Dgamma_inv*a_inv with coefficient 1 - q^-2, into u*w0*v with
-    u = a_inv^2*gamma*Da and v = gamma*Da*Dgamma_inv^2.  An order compatible
-    with multiplication that orients these rules would then have the
-    infinite descent w0 > u*w0*v > u^2*w0*v^2 > ..., so it is not a
-    well-order, and the diamond lemma can never decide Omega_loc
-    (tests/test_kernel.py pins the two steps).  So Omega_loc keeps the
-    exhaustive check to degree _LOCALIZED_CONFLUENCE_DEGREE.  Both checks
-    are one depth-first walk over the words, which decides every ambiguous
-    word, sampling none: it shares the normal forms of common prefixes and
-    computes only what a word adds, the overlap of its newest redex with
-    the one before, in its left context; the critical-pair check stops it
-    at length 3.
+    (kernel.check_local_confluence with no degree, Bergman's diamond lemma,
+    Adv. Math. 29, 1978, Thm 1.2).  LieAlg's row reads the verdict of the
+    superalgebra suite's row, which decides the same pairs.
+
+    Omega_loc is not: its localized rules grow the degree, and no order
+    that compares a weight first and breaks ties by deglex orients them
+    all.  With additive weights w >= 0 (a negative weight would give the
+    descending chain g > g^2 > ...), the rule Dgamma_inv*beta -> ...
+    d*Da*Dgamma_inv^2 forces w(beta) > w(d) + w(Da) + w(Dgamma_inv), and
+    d*a_inv -> ... a_inv^2*beta*gamma forces w(d) > w(a_inv) + w(beta) +
+    w(gamma); each is strict because on a tie the longer replacement word
+    wins in deglex.  Their sum gives 0 > w(Da) + w(Dgamma_inv) + w(a_inv) +
+    w(gamma), which no weights satisfy.  No other order does either: w0 =
+    Dgamma_inv*a_inv^2 rewrites at position 0, then at position 5, each
+    time to the correction word of Dgamma_inv*a_inv with coefficient
+    1 - q^-2, into u*w0*v with u = a_inv^2*gamma*Da and v =
+    gamma*Da*Dgamma_inv^2.  An order compatible with multiplication that
+    orients these rules would then have the infinite descent w0 > u*w0*v >
+    u^2*w0*v^2 > ..., so it is not a well-order, and the diamond lemma
+    cannot decide Omega_loc as written (tests/test_kernel.py pins the two
+    steps).
+
+    A basis decides it instead, in every degree.  Let B be the algebra a
+    presentation defines over the fraction field K of its coefficients,
+    and Irr its normal words.  If Irr is linearly independent in B, every
+    one-step rewrite of every word w has the leftmost normal form of w,
+    wherever the fold ends: both normal forms are w modulo the relations
+    and lie in the span of Irr, so their difference is 0.  (That is the
+    easy half of Bergman's Thm 1.2, which needs no order.)  Four finite
+    premises, each read from the presentation under check, prove Irr
+    independent.  Write A for its inverse-free part, the generators that
+    are not inverses with the rules whose words hold no inverse, and S for
+    the multiplicative set of A that the generators with an inverse (a, d
+    and Dgamma) generate.
+
+    (P1) A passes the critical-pair check, so its normal words, the PBW
+         words, are a basis of A (Bergman, Thm 1.2).
+    (P2) Under _WEIGHTS each rule of A rewrites x*y, x after y in the
+         order, to c*y*x with c != 0 plus words that weigh less than x*y,
+         and an odd square to words that weigh less; even generators weigh
+         at least 0, and those with an inverse are even and weigh 0.
+    (P3) The patterns are x*y for x after y, x*x for odd x, and g*g_inv,
+         each g_inv is even and comes right after g, and every pattern
+         free of inverses belongs to a rule of A.  So Irr is the set of
+         Laurent PBW words: ordered words with an integer exponent on each
+         of a, d and Dgamma (g_inv^k standing for g^-k) and each odd
+         letter at most once.
+    (P4) Every rule with an inverse holds in the localization S^-1 A with
+         g_inv = g^-1: its clearing check (calculus.verify_localized_rule)
+         passes.  These are the localized.* rows, run once per run_suite.
+
+    1. gr A.  Let F_k be the span in A of the words of weight <= k.  A
+       rewrite never raises the weight (P2) and A's rewriting ends (its
+       rules decrease deglex), so the PBW words of weight <= k span F_k,
+       and by (P1) they are a basis of it.  Let Q be the quantum affine
+       superspace on letters X_x with relations X_y X_x = c X_x X_y and
+       X_x^2 = 0 for odd x, spanned by its ordered words X^e.  The symbols
+       of A's generators satisfy Q's relations, and the ordered words map
+       to the classes of the PBW words, a basis of gr A; so gr A = Q.
+       F_k = 0 below the sum of the negative odd weights, since an odd
+       letter occurs at most once in a PBW word and an even one weighs at
+       least 0.  For s in {a, d, Dgamma}, X_s is even and q-commutes with
+       every letter, so X_s X^e = lambda_e X^e X_s with lambda_e != 0, and
+       X_s X^e and X^e X_s are nonzero multiples of PBW words: X_s is
+       normal and regular in Q.  Each t in S has as symbol sigma(t) a
+       product of these, of weight 0, so t is regular in A.
+    2. S is a left Ore set of A.  For s in {a, d, Dgamma} let
+       Theta(m) = lambda_m m on the PBW words m, and D(r) = s r - Theta(r) s.
+       As s weighs 0, D maps F_k into F_(k-1), so D^n(r) = 0 for n large,
+       and s^n r = r_n s + D^n(r) (by induction, with r_(n+1) =
+       s r_n + Theta(D^n r)) lies in A s.  If t1 and t2 meet the Ore
+       condition for every r, so does t1 t2.  By Ore's theorem the left
+       ring of fractions S^-1 A exists, A embeds in it, and each element
+       is t^-1 r with t in S (O. Ore, Ann. of Math. 32, 1931; Goodearl &
+       Warfield, An Introduction to Noncommutative Noetherian Rings, 2nd
+       ed., 2004, ch. 6 and 10).  So does Q_S, Q with X_a, X_d and X_Dgamma
+       inverted, as normal elements meet the Ore condition at once.
+    3. gr S^-1 A.  Let F_k(S^-1 A) be the elements t^-1 r with r in F_k.
+       Left Ore gives u t1 = v t2 with u in S, and v is in F_0 because
+       v t2 weighs 0 and sigma(t2) is regular: so two fractions have a
+       common denominator u t1 with numerators in F_k, F_k(S^-1 A) is a
+       subspace, and F_j F_k lies in F_(j+k), as r1 t2^-1 = t3^-1 r3 with
+       r3 in F_j.  On F_k(S^-1 A) let psi(t^-1 r) = sigma(t)^-1 [r]_k in
+       Q_S, where [r]_k is the class of r in F_k/F_(k-1), part of Q.  It is
+       well defined: t1^-1 r1 = t2^-1 r2 gives u r1 = v r2 and
+       sigma(u t1) = [v]_0 sigma(t2), so sigma(t1)^-1 [r1]_k =
+       sigma(u t1)^-1 [v]_0 [r2]_k = sigma(t2)^-1 [r2]_k.  It vanishes on
+       F_(k-1)(S^-1 A), and it is multiplicative, as t3 r1 = r3 t2 gives
+       sigma(t3)^-1 [r3]_j = [r1]_j sigma(t2)^-1.
+    4. A's rules hold in A and the others in S^-1 A (P4), so the letters
+       define an algebra map phi from B to S^-1 A.  A word w of Irr of
+       weight k has phi(w) in F_k(S^-1 A), and psi(phi(w)) is, letter by
+       letter, the ordered Laurent monomial of w's exponents.  Distinct
+       words give distinct monomials (P3), and those are linearly
+       independent in Q_S: times X_a^N X_d^N X_Dgamma^N on the right, each
+       is a nonzero multiple of its own ordered word of Q.  So if
+       sum c_w w = 0 in B, psi of the top weight part of sum c_w phi(w)
+       forces the c_w of that weight to vanish, and then every c_w.
+
+    localization_residual checks (P1)-(P3).  qdc confluence
+    --max-degree walks the words of any presentation, and tier-1 keeps
+    that walk on Omega_loc to degree 4 as a cross-check.
     """
     out = []
     for name in cat.names():
         p = cat.presentation(name)
-        if any(r.localized for r in p.rules):
-            degree = _LOCALIZED_CONFLUENCE_DEGREE
-            desc = f"local confluence of {name} to degree {degree}"
+        if any(g.inverse_of for g in p.generators):
+            out.append(localized_confluence_check(p))
+            continue
+        check_id = f"confluence.{name}"
+        desc = f"local confluence of {name} (critical pairs, diamond lemma)"
+        if name == "LieAlg":
+            out.append(Check(check_id, desc, "diamond", _verdict_of,
+                             (liealg.confluence_check(cat),)))
         else:
-            degree = None
-            desc = f"local confluence of {name} (critical pairs, diamond lemma)"
-
-        out.append(Check(f"confluence.{name}", desc, "diamond",
-                         partial(confluence_residual, p, degree)))
+            out.append(Check(check_id, desc, "diamond",
+                             partial(confluence_residual, p)))
     return out
+
+
+def localized_confluence_check(p):
+    """The confluence check of a presentation with formal inverses: the
+    premises (P1)-(P4) of _confluence_checks' basis argument, (P4) being
+    the clearing checks of p's rules."""
+    return Check(f"confluence.{p.name}",
+                 f"local confluence of {p.name} in every degree (its normal "
+                 f"words are a basis of its Ore localization)", "diamond",
+                 partial(_localized_confluence, p), tuple(calculus.clearing_checks(p)))
+
+
+def _localized_confluence(p, *clearing):
+    why = localization_residual(p, _WEIGHTS)
+    if why is None:
+        why = next((f"(P4) {c.id}: {c.residual}" for c in clearing if not c.passed),
+                   None)
+    return why
+
+
+def localization_residual(p, weights):
+    """None when the presentation p with formal inverses meets the premises
+    (P1)-(P3) of the basis argument in _confluence_checks under the
+    integer `weights` of its other generators, else the first failure.
+
+    A is p's inverse-free part: the generators that are not inverses, and
+    the rules whose words hold no inverse.  (P3) p's patterns are x*y for x
+    after y, x*x for odd x and g*g_inv, each inverse g_inv comes right after
+    an even g that is not an inverse, and A has every pattern of p in its
+    letters.  (P2) each rule of A rewrites x*y, x after y, to c*y*x with
+    c != 0, and x*x to 0, plus words that weigh less than x*y; an even
+    generator weighs at least 0, and an inverted one exactly 0.  (P1) A's
+    critical pairs resolve.
+    """
+    names = [g.name for g in p.generators]
+    inverse_of = {g.name: g.inverse_of for g in p.generators if g.inverse_of}
+    parity = p.parity_of
+    # (P3)
+    patterns = {(x, y) for i, x in enumerate(names) for y in names[:i]}
+    patterns |= {(x, x) for x in names if parity[x]}
+    patterns |= {(g, g_inv) for g_inv, g in inverse_of.items()}
+    missing = sorted(patterns - set(p.rule_by_pair), key=p.word_key)
+    extra = sorted(set(p.rule_by_pair) - patterns, key=p.word_key)
+    if missing or extra:
+        return (f"(P3) the patterns are not x*y for x after y, odd squares and "
+                f"g*g_inv: missing {['*'.join(w) for w in missing]}, "
+                f"extra {['*'.join(w) for w in extra]}")
+    for g_inv, g in inverse_of.items():
+        i = p.index.get(g)
+        if (i is None or g in inverse_of or names[i + 1:i + 2] != [g_inv]
+                or parity[g] or parity[g_inv]):
+            return f"(P3) {g_inv} is not an even inverse right after its even generator {g}"
+    rules, lacking = [], []
+    for r in p.rules:
+        if not any(x in inverse_of for w in (r.pattern, *r.replacement.terms) for x in w):
+            rules.append(r)
+        elif not any(x in inverse_of for x in r.pattern):
+            lacking.append("*".join(r.pattern))
+    if lacking:
+        return f"(P3) the inverse-free part lacks the patterns {lacking}"
+    # (P2)
+    base = [g for g in p.generators if g.name not in inverse_of]
+    for g in base:
+        w = weights.get(g.name)
+        if w is None or (not g.parity and w < 0) or (g.name in inverse_of.values() and w):
+            return (f"(P2) {g.name} weighs {w}: an even generator must weigh at "
+                    f"least 0, and one with an inverse 0")
+
+    def weight(word):
+        return sum(weights[x] for x in word)
+
+    for r in rules:
+        x, y = r.pattern
+        swap = (y, x) if x != y else None
+        heavy = [w for w in r.replacement.terms
+                 if w != swap and weight(w) >= weight(r.pattern)]
+        if swap is not None and swap not in r.replacement.terms or heavy:
+            return (f"(P2) {x}*{y} does not rewrite to a multiple of its swap "
+                    f"plus lighter words: {['*'.join(w) for w in heavy]}")
+    # (P1)
+    inverse_free = Presentation(f"{p.name} without inverses", base, rules)
+    why = confluence_residual(inverse_free)
+    return None if why is None else f"(P1) {inverse_free.name}: {why}"
+
+
+def _verdict_of(result):
+    return result.residual
 
 
 def _families(cat, *names):
@@ -132,10 +302,9 @@ def run_suite(name, q0=None):
                                              "", "error", error_text(exc)))
             continue
         for check in checks:
-            if check.id in results:
-                report.checks.append(results[check.id].copy())
-            else:
-                report.checks.append(results.setdefault(check.id, check.run()))
+            seen = check.id in results
+            result = run_once(check, results)
+            report.checks.append(result.copy() if seen else result)
     report = report.sorted()
     if q0 is not None:
         for c in report.checks:

@@ -608,9 +608,11 @@ def check_local_confluence(p, max_degree=None):
     overlap x*y*z or two disjoint redexes, which are always joinable; and when
     every rule decreases the deglex order, which is a monomial well-order,
     joinable overlaps make the normal form unique.  The order is what
-    validate() proves, so a presentation with a localized rule is refused;
-    for those the exhaustive check to a degree is the only check, and for
-    the others it is the cross-check of the lemma.
+    validate() proves, so a presentation with a localized rule is refused.
+    No order orients Omega_loc's; the confluence suite decides it in every
+    degree from a basis of its localization instead
+    (cli._confluence_checks), and the exhaustive check to a degree is the
+    cross-check of that argument, as it is of the lemma for the others.
 
     Either way the check is one depth-first walk over the words, letters in
     generator order (_walk_words).  Rather than normalize each one-step
@@ -703,10 +705,9 @@ def _walk_words(p, max_degree, limit):
 
     def extend(w, nf, head_nf, redexes, deltas):
         # nf = N(w), head_nf = N(w[:-1]), redexes: how many w holds,
-        # deltas = [(i, P_i(w) - N(w)) != 0] in redex order
+        # deltas = [P_i(w) - N(w) != 0] in redex order i
         nonlocal ambiguous
-        length = len(w) + 1
-        last = length == max_degree
+        last = len(w) + 1 == max_degree
         row = rules_from.get(w[-1], _NO_RULES) if w else _NO_RULES
         # the words w*g with two redexes
         if redexes >= 2:
@@ -720,10 +721,10 @@ def _walk_words(p, max_degree, limit):
         for g in letters:
             rule = row.get(g)
             carried = []
-            for i, d in deltas:
+            for d in deltas:
                 d = fold(d, (g,))
                 if d:
-                    carried.append((i, d))
+                    carried.append(d)
             if rule is not None and redexes:
                 x = w[-1]
                 d = {}
@@ -731,14 +732,14 @@ def _walk_words(p, max_degree, limit):
                     if x in rows[m]:  # else m*x is normal: the gap is 0
                         _accumulate(d, gap(m, x, g, rule), c)
                 if d:
-                    carried.append((length - 2, d))
+                    carried.append(d)
             if last and not carried:
                 continue
             word = w + (g,)
             nf_g = fold(nf, (g,))
             if carried:
                 branch = dict(nf_g)
-                _accumulate(branch, carried[0][1])
+                _accumulate(branch, carried[0])
                 failures.append((word, _element(p, nf_g), _element(p, branch)))
             if not last:
                 extend(word, nf_g, nf, redexes if rule is None else redexes + 1,

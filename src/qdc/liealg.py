@@ -38,13 +38,17 @@ def verify_superalgebra(cat):
     """Bracket relations, the displayed consistency identities, and local
     confluence of the combined coordinate/bracket/cross-rule system, decided
     on its critical pairs (diamond lemma)."""
-    la = cat.presentation("LieAlg")
-
     return [*verify_family("superalg_43", cat), *verify_family("consistency_s5", cat),
-            Check("superalgebra.confluence",
-                  "combined bracket/cross-rule system locally confluent "
-                  "(critical pairs, diamond lemma)", "(2)(43)(45)",
-                  partial(confluence_residual, la))]
+            confluence_check(cat)]
+
+
+def confluence_check(cat):
+    """LieAlg's critical pairs, decided once per run: the confluence suite's
+    row confluence.LieAlg reads this check's verdict."""
+    return Check("superalgebra.confluence",
+                 "combined bracket/cross-rule system locally confluent "
+                 "(critical pairs, diamond lemma)", "(2)(43)(45)",
+                 partial(confluence_residual, cat.presentation("LieAlg")))
 
 
 def verify_cross_relations_consistency(cat):

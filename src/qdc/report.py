@@ -1,10 +1,11 @@
 """Checks, their results and suite reports, with the published JSON shape.
 
 A check is a value: a Check holds its id, description, equation tag and a
-function that has not run yet.  Producers in calculus, liealg, hopf and
-rmatrix return lists of Checks, cli.SUITES assembles them into suites, and
-cli.run_suite runs each distinct id once and collects the CheckResults in a
-SuiteReport."""
+function that has not run yet, and the Checks whose results that function
+reads.  Producers in calculus, liealg, hopf and rmatrix return lists of
+Checks, cli.SUITES assembles them into suites, and cli.run_suite runs each
+distinct id once, a needed one included, and collects the CheckResults in
+a SuiteReport."""
 
 from __future__ import annotations
 
@@ -63,24 +64,46 @@ class CheckResult(_Record):
         }
 
 
-class Check(_Value, namedtuple("Check", "id description paper_eq fn")):
-    """A check that has not run yet: fn() returns None when the claim holds,
-    and otherwise the text of its residual."""
+class Check(_Value, namedtuple("Check", "id description paper_eq fn needs",
+                                defaults=((),))):
+    """A check that has not run yet: fn(*results) returns None when the claim
+    holds, and otherwise the text of its residual; results are the
+    CheckResults of the checks it needs, in order."""
 
     __slots__ = ()
 
-    def run(self):
-        """Call fn once, timed; an exception becomes an error row."""
+    def run(self, results=None):
+        """Call fn once, timed, after the checks it needs: each is looked up
+        by id in the table `results`, or run now and entered there.  An
+        exception, or an error row among the needed checks, makes this an
+        error row."""
         t0 = time.perf_counter()
-        try:
-            residual = self.fn()
-            status = "pass" if residual is None else "fail"
-        except Exception as exc:  # a crashed check is an error, not a silent skip
-            residual = error_text(exc)
-            status = "error"
+        status, needed = None, ()
+        if self.needs:
+            table = {} if results is None else results
+            needed = [run_once(c, table) for c in self.needs]
+            broken = next((r for r in needed if r.status == "error"), None)
+            if broken is not None:
+                status, residual = "error", f"{broken.id}: {broken.residual}"
+        if status is None:
+            try:
+                residual = self.fn(*needed)
+                status = "pass" if residual is None else "fail"
+            except Exception as exc:  # a crashed check is an error, not a silent skip
+                residual = error_text(exc)
+                status = "error"
         ms = (time.perf_counter() - t0) * 1000.0
         return CheckResult(self.id, self.description, self.paper_eq, status,
                            residual, ms)
+
+
+def run_once(check, results):
+    """The result of check in the table `results` by id, run and entered
+    when the table has none."""
+    result = results.get(check.id)
+    if result is None:
+        result = results[check.id] = check.run(results)
+    return result
 
 
 def error_text(exc):

@@ -244,5 +244,5 @@ def lint(n):
     return LaurentScalar.from_fraction(n)
 
 
-def lfrac(num, den=1):
+def lfrac(num, den):
     return LaurentScalar.from_fraction(Fraction(num, den))

@@ -240,16 +240,16 @@ def test_localized_rules_all_validate(cat):
 
 def test_localized_rule_examples(cat):
     loc = cat.presentation("Omega_loc")
-    why = verify_localized_rule(loc.rule_by_pair[("beta", "a_inv")], cat)
+    why = verify_localized_rule(loc.rule_by_pair[("beta", "a_inv")], loc)
     assert why is None, why
-    why = verify_localized_rule(loc.rule_by_pair[("Dgamma_inv", "Da")], cat)
+    why = verify_localized_rule(loc.rule_by_pair[("Dgamma_inv", "Da")], loc)
     assert why is None, why
 
 
 def test_localized_rule_negative_control(cat):
     # beta*a_inv -> a_inv*beta without the q factor clears to a*beta = beta*a
     bad = RewriteRule(("beta", "a_inv"), W(("a_inv", "beta")), localized=True)
-    why = verify_localized_rule(bad, cat)
+    why = verify_localized_rule(bad, cat.presentation("Omega_loc"))
     assert why is not None
     assert "differ" in why
 

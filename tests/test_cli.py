@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qdc import kernel
 from qdc.cli import SUITES, main, run_suite
 from qdc.errors import QdcError, UnknownSuiteError
 from qdc.report import JSON_SCHEMA, Check, CheckResult, SuiteReport
@@ -311,10 +312,10 @@ def test_cli_malformed_q_exit_two(capsys, q):
 # without duration_ms: a refactor that keeps these keeps every check id,
 # status, residual text and description
 _REPORT_SHA256 = {
-    None: "23b4ce98384db096cfedf1f7d3c6756d820f2a526535e9326a6657a8f06fe96d",
-    2: "44311e3f4a56905b724f7bbbe9bc06e3b540f0f3282197988bf119924880025c",
-    Fraction(3, 2): "9e181a2c67edfbc570d287444f43c2b58bcb424f6292fade95b79f4b0ab5a8ad",
-    Fraction(-3, 2): "2203d03acd3bbf195c22eace5cbdd4817354b6d76f01d6935cb61f6d200c5e7f",
+    None: "6e9fc06fc1fb1e608d5ebbef634510f3b837a211d728d8713813c7f9effacf7e",
+    2: "1aaa6a31e715a45f343fca883f7f32cda969a646f39ff9d22883efe1bddfabb4",
+    Fraction(3, 2): "4b81232a833c79f69a9af0161eaca3df4c3c13d117f268e76ce5c7b383dbb6ab",
+    Fraction(-3, 2): "bf12809a4eebb36a55bf2ae9d93bbb92a6964d145e0ac1936c25483afc8ab47b",
 }
 
 
@@ -375,3 +376,40 @@ def test_shared_checks_run_once_per_call(monkeypatch):
         assert len(calls) == 30 and len(set(calls)) == 30
         assert len(rows) == 41
         assert len({id(c) for c in rows}) == 41
+
+
+def test_lie_alg_critical_pairs_are_decided_once(monkeypatch):
+    calls = []
+    real = kernel.check_local_confluence
+
+    def counted(p, max_degree=None):
+        calls.append(p.name)
+        return real(p, max_degree)
+
+    monkeypatch.setattr(kernel, "check_local_confluence", counted)
+    for suite, ids in (("all", ("superalgebra.confluence", "confluence.LieAlg")),
+                       ("confluence", ("confluence.LieAlg",))):
+        calls.clear()
+        rows = {c.id: c for c in run_suite(suite).checks}
+        assert calls.count("LieAlg") == 1, suite
+        assert all(rows[i].status == "pass" for i in ids)
+
+
+def test_a_needed_check_runs_once_and_passes_its_error_on():
+    calls = []
+
+    def premise():
+        calls.append(1)
+        return None
+
+    base = Check("base", "", "", premise)
+    first = Check("first", "", "", lambda r: r.residual, (base,))
+    second = Check("second", "", "", lambda r: "x", (base,))
+    results = {}
+    assert first.run(results).status == "pass"
+    assert second.run(results).residual == "x"
+    assert len(calls) == 1 and set(results) == {"base"}
+    broken = Check("broken", "", "", lambda: 1 / 0)
+    row = Check("row", "", "", lambda r: None, (broken,)).run()
+    assert (row.status, row.residual) == \
+        ("error", "broken: ZeroDivisionError: division by zero")

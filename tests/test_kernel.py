@@ -7,6 +7,7 @@ import pytest
 from qdc.errors import NonHomogeneousError, QdcError, ReductionBudgetError
 from qdc.kernel import (
     Element,
+    _Budget,
     Generator,
     Presentation,
     RewriteRule,
@@ -100,6 +101,16 @@ def test_rule_orientation_enforced_at_load():
     grows = RewriteRule(("y", "x"), W(("x", "y", "y")))
     with pytest.raises(QdcError):
         Presentation("bad", gens, [grows])
+
+
+def test_rule_keeping_its_pattern_is_refused():
+    # validate's order check holds at equality: a replacement that
+    # contains its own pattern does not decrease the term order
+    gens = [Generator("x", 0), Generator("y", 0)]
+    for repl in (W(("y", "x"), qp(1)),
+                 W(("x", "y")) + W(("y", "x"))):
+        with pytest.raises(QdcError, match="does not decrease the term order"):
+            Presentation("keeps", gens, [RewriteRule(("y", "x"), repl)])
 
 
 def test_parity_balance_enforced_at_load():
@@ -302,6 +313,29 @@ def test_step_budget(cat, monkeypatch):
     monkeypatch.setenv("QDC_STEP_BUDGET", "2")
     with pytest.raises(ReductionBudgetError):
         normalize(W(long_word), p)
+
+
+def test_step_budget_allows_exactly_its_steps(cat, monkeypatch):
+    # from a cleared memo an input that takes N rule applications passes
+    # with a budget of N and runs out at N - 1
+    omega = cat.presentation("Omega")
+    p = Presentation("Omega_cold", omega.generators, omega.rules)
+    e = W(("d", "a") * 6)
+    monkeypatch.setenv("QDC_STEP_BUDGET", str(10**6))
+    steps = []
+    spend = _Budget.spend
+    monkeypatch.setattr(_Budget, "spend", lambda b: steps.append(1) or spend(b))
+    want = normalize(e, p)
+    monkeypatch.setattr(_Budget, "spend", spend)
+    n = len(steps)
+    assert n > 10
+    p._nf_cache.clear()
+    monkeypatch.setenv("QDC_STEP_BUDGET", str(n))
+    assert normalize(e, p) == want
+    p._nf_cache.clear()
+    monkeypatch.setenv("QDC_STEP_BUDGET", str(n - 1))
+    with pytest.raises(ReductionBudgetError):
+        normalize(e, p)
 
 
 def _leftmost_nf(e, p):
