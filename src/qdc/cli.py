@@ -132,49 +132,84 @@ def _confluence_checks(cat):
        sum c_w w = 0 in B, psi of the top weight part of sum c_w phi(w)
        forces the c_w of that weight to vanish, and then every c_w.
 
-    localization_residual checks (P1)-(P3).  qdc confluence
+    localization_residual checks (P1)-(P3).  Omega_loc's inverse-free part
+    is Omega, generator for generator and rule for rule, so its (P1) is
+    the verdict of the row confluence.Omega (localized_confluence_check);
+    a presentation whose inverse-free part is no catalog presentation
+    decides (P1) itself.  qdc confluence
     --max-degree walks the words of any presentation, and tier-1 keeps
     that walk on Omega_loc to degree 4 as a cross-check.
     """
-    out = []
+    checks = {}
+    localized = []
     for name in cat.names():
         p = cat.presentation(name)
         if any(g.inverse_of for g in p.generators):
-            out.append(localized_confluence_check(p))
+            localized.append(p)
             continue
         check_id = f"confluence.{name}"
         desc = f"local confluence of {name} (critical pairs, diamond lemma)"
         if name == "LieAlg":
-            out.append(Check(check_id, desc, "diamond", _verdict_of,
-                             (liealg.confluence_check(cat),)))
+            checks[name] = Check(check_id, desc, "diamond", _verdict_of,
+                                 (liealg.confluence_check(cat),))
         else:
-            out.append(Check(check_id, desc, "diamond",
-                             partial(confluence_residual, p)))
-    return out
+            checks[name] = Check(check_id, desc, "diamond",
+                                 partial(confluence_residual, p))
+    decided = [(cat.presentation(name), c) for name, c in checks.items()]
+    for p in localized:
+        checks[p.name] = localized_confluence_check(p, decided)
+    return [checks[name] for name in cat.names()]
 
 
-def localized_confluence_check(p):
+def localized_confluence_check(p, decided=()):
     """The confluence check of a presentation with formal inverses: the
     premises (P1)-(P4) of _confluence_checks' basis argument, (P4) being
-    the clearing checks of p's rules."""
+    the clearing checks of p's rules.  `decided` pairs presentations with
+    the Checks that decide their confluence.  When p's inverse-free part
+    is one of them, generator for generator and rule for rule, (P1) is
+    that Check's verdict, and its critical pairs are not decided twice."""
+    generators, rules, _ = _inverse_free_part(p)
+    same = next((c for q, c in decided
+                 if q.generators == generators and q.rules == rules), None)
+    needs = tuple(calculus.clearing_checks(p))
+    if same is not None:
+        needs = (same, *needs)
     return Check(f"confluence.{p.name}",
                  f"local confluence of {p.name} in every degree (its normal "
                  f"words are a basis of its Ore localization)", "diamond",
-                 partial(_localized_confluence, p), tuple(calculus.clearing_checks(p)))
+                 partial(_localized_confluence, p, same is not None), needs)
 
 
-def _localized_confluence(p, *clearing):
-    why = localization_residual(p, _WEIGHTS)
+def _localized_confluence(p, reads_p1, *needed):
+    p1, clearing = (needed[0], needed[1:]) if reads_p1 else (None, needed)
+    why = localization_residual(p, _WEIGHTS, p1)
     if why is None:
         why = next((f"(P4) {c.id}: {c.residual}" for c in clearing if not c.passed),
                    None)
     return why
 
 
-def localization_residual(p, weights):
+def _inverse_free_part(p):
+    """(generators, rules) of p's inverse-free part: the generators that
+    are not inverses and the rules whose words hold no inverse; and the
+    patterns free of inverses that it lacks, as their replacements hold
+    one."""
+    inverses = {g.name for g in p.generators if g.inverse_of}
+    rules, lacking = [], []
+    for r in p.rules:
+        if not any(x in inverses for w in (r.pattern, *r.replacement.terms) for x in w):
+            rules.append(r)
+        elif not any(x in inverses for x in r.pattern):
+            lacking.append("*".join(r.pattern))
+    return [g for g in p.generators if g.name not in inverses], rules, lacking
+
+
+def localization_residual(p, weights, p1=None):
     """None when the presentation p with formal inverses meets the premises
     (P1)-(P3) of the basis argument in _confluence_checks under the
     integer `weights` of its other generators, else the first failure.
+    p1, when given, is the CheckResult of a check that decided the
+    confluence of a presentation equal to A, and (P1) is its verdict.
 
     A is p's inverse-free part: the generators that are not inverses, and
     the rules whose words hold no inverse.  (P3) p's patterns are x*y for x
@@ -203,16 +238,10 @@ def localization_residual(p, weights):
         if (i is None or g in inverse_of or names[i + 1:i + 2] != [g_inv]
                 or parity[g] or parity[g_inv]):
             return f"(P3) {g_inv} is not an even inverse right after its even generator {g}"
-    rules, lacking = [], []
-    for r in p.rules:
-        if not any(x in inverse_of for w in (r.pattern, *r.replacement.terms) for x in w):
-            rules.append(r)
-        elif not any(x in inverse_of for x in r.pattern):
-            lacking.append("*".join(r.pattern))
+    base, rules, lacking = _inverse_free_part(p)
     if lacking:
         return f"(P3) the inverse-free part lacks the patterns {lacking}"
     # (P2)
-    base = [g for g in p.generators if g.name not in inverse_of]
     for g in base:
         w = weights.get(g.name)
         if w is None or (not g.parity and w < 0) or (g.name in inverse_of.values() and w):
@@ -231,9 +260,9 @@ def localization_residual(p, weights):
             return (f"(P2) {x}*{y} does not rewrite to a multiple of its swap "
                     f"plus lighter words: {['*'.join(w) for w in heavy]}")
     # (P1)
-    inverse_free = Presentation(f"{p.name} without inverses", base, rules)
-    why = confluence_residual(inverse_free)
-    return None if why is None else f"(P1) {inverse_free.name}: {why}"
+    name = f"{p.name} without inverses"
+    why = confluence_residual(Presentation(name, base, rules)) if p1 is None else p1.residual
+    return None if why is None else f"(P1) {name}: {why}"
 
 
 def _verdict_of(result):

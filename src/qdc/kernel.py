@@ -5,12 +5,19 @@ Presentation fixes the generator order (degree-lexicographic term order) and
 the oriented rewrite rules; normalize() reduces an element to its normal form
 under leftmost rule application.  It multiplies a normal word by one
 generator at a time, which reaches that same normal form, and memoizes the
-products that apply a rule (the G-algebra scheme of Singular:Plural).  The
-fold runs on interned words: each Presentation keeps the normal words it has
-met as the nodes of a trie (hash-consing), so a word's prefix, its last
-letter, the rules that start with that letter, its extension by a letter
-and a memo key each cost O(1), whatever the word's length; a word becomes
-a tuple again on leaving normalize.
+products that apply a rule (the G-algebra scheme of Singular:Plural): by
+the word and the generator, and, for a product that applied more than one
+rule, by the generator and the last letters of the word that its rewriting
+read.  A product is a prefix the rewriting never read times a part that
+depends on those letters alone, so it is reused under any other prefix
+without a rule applied, on every presentation, confluent or not
+(_times_generator); moving a generator left through a run of
+q-commuting letters, as in (d*a)^k, is derived once and reused under
+every prefix.  The fold runs on interned words: each Presentation keeps
+the normal words it has met as the nodes of a trie (hash-consing), so a
+word's prefix, its last letter, the rules that start with that letter,
+its extension by a letter and a memo key each cost O(1), whatever the
+word's length; a word becomes a tuple again on leaving normalize.
 
 graded_product joins two presentations with Koszul cross-commutation, and
 tensor_power builds the graded tensor square or cube of one presentation
@@ -33,7 +40,7 @@ from .errors import (
     QdcError,
     ReductionBudgetError,
 )
-from .ring import ONE, LaurentScalar
+from .ring import ONE, ZERO, LaurentScalar
 
 DEFAULT_STEP_BUDGET = 10**6
 _NO_RULES = {}  # the rule row of a letter that starts no pattern; never written
@@ -75,7 +82,7 @@ class Element:
         elif _clean:
             self.terms = terms
         else:
-            self.terms = {w: c for w, c in terms.items() if c}
+            self.terms = {w: c for w, c in terms.items() if c is not ZERO}
 
     # -- constructors ------------------------------------------------------
 
@@ -219,8 +226,11 @@ class Presentation:
         self._last = [None]
         self._row = [_NO_RULES]
         self._words = [()]
-        # (node m, g) -> {node: coeff}, the normal form of m*g where a rule
-        # applies; dropping it leaves the nodes valid
+        # the fold's memo, one dict, so that clearing it drops both of its
+        # parts: (node m, g) -> (normal form of m*g as {node: coeff}, base)
+        # where a rule applies (_times_generator), and the trie of
+        # _remember, whose keys start with a letter or a negative int.
+        # Dropping it leaves the nodes valid
         self._nf_cache = {}
         if validate:
             self.validate()
@@ -400,10 +410,10 @@ def _accumulate(acc, terms, scale=None):
             c = scale * c
         s = acc.get(w)
         s = c if s is None else s + c
-        if s:
-            acc[w] = s
-        else:
+        if s is ZERO:
             acc.pop(w, None)
+        else:
+            acc[w] = s
 
 
 def _accumulate_product(acc, left, right, scale=None):
@@ -417,29 +427,138 @@ def _accumulate_product(acc, left, right, scale=None):
             c = c1 * c2
             s = acc.get(w)
             s = c if s is None else s + c
-            if s:
-                acc[w] = s
-            else:
+            if s is ZERO:
                 acc.pop(w, None)
+            else:
+                acc[w] = s
+
+
+def _new_node(p, m, g):
+    """The node of normal word m times letter g, which the trie lacks."""
+    n = len(p._row)
+    p._parent.append(m)
+    p._last.append(g)
+    p._row.append(p._rules_from.get(g, _NO_RULES))
+    p._words.append(None)
+    p._child[(m, g)] = n
+    return n
 
 
 def _times_generator(m, g, rule, p, budget):
-    """Normal form of m*g, as {node: coeff}, where m is a normal word's node
-    and `rule` rewrites (its last letter, g): the replacement, folded onto
-    m's prefix.  _fold calls it on a memo miss, and it fills the memo."""
+    """Normal form of m*g as the memo's (product, base B), the product a
+    {node: coeff}, where m is a normal word's node and `rule` rewrites
+    (its last letter, g).  _fold calls it on a memo miss, and it fills
+    the memo: with the product that _remember kept for g and a suffix of
+    m, rooted on m's prefix before that suffix; or else with rule's
+    replacement folded onto m's prefix head by _fold, which also finds B,
+    for one budget step.
+
+    B is the node above which the fold read no letter of m, or -1 when it
+    read where m starts.  It starts at head's parent, or at -1 when head
+    is the empty word (node 0, whose row says that no letter comes
+    before), and rises to the base of each product the fold uses.  B
+    stays a proper ancestor of every node the fold meets: of head; of
+    each node it appends a letter to, and so of the new node; and of the
+    terms of a product (t, x), which lie below that product's base b by
+    induction.  b and B are both ancestors of t, and a node's id is
+    larger than its ancestors' (nodes are made parents first), so the
+    smaller id of the two is the higher node, and B becomes it.  So each
+    row the fold reads is that of a node below B: it holds a letter of m
+    below B or one the fold appended.  And each product it uses read no
+    letter above its own base, which is B or lies below it.
+
+    So with B >= 0 the fold, run on any word m' = B' * s that ends in the
+    letters s of m below B, reads the same letters, applies the same
+    rules and reaches the same words after its prefix: m*g = B * R and
+    m'*g = B' * R, where R depends only on g and s.  No step assumes
+    confluence, so this holds for leftmost rewriting on any presentation.
+    _remember keeps R under g and s, and _rooted roots it on B'.  It keeps
+    only products that applied more than one rule: one that applied a
+    single rule costs about as much to derive again as to root, and
+    keeping those too made `verify --suite all` no faster while it kept
+    six times as many.
+
+    A generator moving left takes two stack frames per letter it passes,
+    this one and _fold's (see normalize).
+    """
+    cache = p._nf_cache
+    parent = p._parent
+    last = p._last
+    at, k = g, m
+    while k:  # down _remember's trie, along m's letters from its last
+        at = cache.get((at, last[k]))
+        if at is None:
+            break
+        k = parent[k]
+        if at.__class__ is not int:
+            entry = cache[(m, g)] = _rooted(at, k, p), k
+            return entry
     budget.spend()
-    head = p._parent[m]
-    acc = {}
+    steps = budget.remaining
+    head = parent[m]
+    base = parent[head] if head else -1
+    product = {}
     for rep_word, c in rule.replacement.terms.items():
-        _accumulate(acc, _fold({head: c}, rep_word, p, budget))
-    p._nf_cache[(m, g)] = acc
-    return acc
+        terms, base = _fold({head: c}, rep_word, p, budget, base)
+        _accumulate(product, terms)
+    if base >= 0 and budget.remaining < steps:
+        _remember(m, g, product, base, p)
+    entry = cache[(m, g)] = product, base
+    return entry
 
 
-def _fold(terms, letters, p, budget):
-    """Normal form of (sum of normal words `terms`, {node: coeff}) * letters,
-    multiplying by one generator at a time.  A word whose last letter and g
-    match no rule stays normal with g appended: a new node if it is new."""
+def _remember(m, g, product, base, p):
+    """Keep product = m*g = B * R, B its base >= 0 (_times_generator), as
+    R under g and the letters of m below B, read backwards from m's last:
+    a trie in p._nf_cache, whose edges (position, letter) lead to the
+    next position, a negative int, or after the last letter to R, a tuple
+    of (word after B, coeff).  The first position is g itself."""
+    parent = p._parent
+    last = p._last
+    kept = []
+    for n, c in product.items():
+        letters = []
+        while n > base:  # base is an ancestor of n, so it has a smaller id
+            letters.append(last[n])
+            n = parent[n]
+        kept.append((tuple(reversed(letters)), c))
+    cache = p._nf_cache
+    at, k = g, m
+    while True:
+        edge = (at, last[k])
+        k = parent[k]
+        if k == base:
+            cache.setdefault(edge, tuple(kept))
+            return
+        at = cache.get(edge)
+        if at is None:
+            at = cache[edge] = -1 - len(cache)
+        elif at.__class__ is not int:  # a shorter suffix is kept already
+            return
+
+
+def _rooted(kept, b, p):
+    """The normal form b * R, as {node: coeff}, of a product R that
+    _remember kept.  Rooting only appends letters to b: it applies no rule
+    and spends no budget step."""
+    child = p._child
+    product = {}
+    for word, c in kept:
+        n = b
+        for x in word:
+            nx = child.get((n, x))
+            n = _new_node(p, n, x) if nx is None else nx
+        product[n] = c
+    return product
+
+
+def _fold(terms, letters, p, budget, base=-1):
+    """(normal form of (sum of normal words `terms`, {node: coeff}) *
+    letters, base): the product is formed one generator at a time, and a
+    word whose last letter and g match no rule stays normal with g
+    appended, a new node if it is new.  The fold stops once its state is
+    zero.  `base` rises to the base of each memoised product it uses, the
+    bookkeeping of _times_generator."""
     rows = p._row
     child = p._child
     cache = p._nf_cache
@@ -450,34 +569,34 @@ def _fold(terms, letters, p, budget):
             if rule is None:
                 n = child.get((m, g))
                 if n is None:
-                    n = len(rows)
-                    p._parent.append(m)
-                    p._last.append(g)
-                    rows.append(p._rules_from.get(g, _NO_RULES))
-                    p._words.append(None)
-                    child[(m, g)] = n
+                    n = _new_node(p, m, g)
                 s = out.get(n)  # out += c * n
                 s = c if s is None else s + c
-                if s:
-                    out[n] = s
+                if s is ZERO:
+                    out.pop(n)
                 else:
-                    out.pop(n, None)
+                    out[n] = s
                 continue
-            product = cache.get((m, g))
-            if product is None:
-                product = _times_generator(m, g, rule, p, budget)
+            entry = cache.get((m, g))
+            if entry is None:
+                entry = _times_generator(m, g, rule, p, budget)
+            product, b = entry
+            if b < base:
+                base = b
             scaled = c is not ONE
             for n, d in product.items():  # out += c * product
                 if scaled:
                     d = c * d
                 s = out.get(n)
                 s = d if s is None else s + d
-                if s:
-                    out[n] = s
+                if s is ZERO:
+                    out.pop(n)
                 else:
-                    out.pop(n, None)
+                    out[n] = s
+        if not out:
+            return out, base
         terms = out
-    return terms
+    return terms, base
 
 
 def _word(p, n):
@@ -506,15 +625,19 @@ def normalize(e, p):
     w*g first takes w to its normal form, so the fold gives exactly the
     leftmost normal form, confluent presentation or not.  One budget step
     is one rule applied to such a product, QDC_STEP_BUDGET steps per call
-    (step_budget); products are memoised per presentation.  A generator
-    moving left through a normal word takes stack frames as it goes, so an
-    input that moves one past more letters than the recursion limit allows
+    (step_budget).  Products are memoised per presentation, keyed by the
+    normal word and the generator, and those that applied more than one
+    rule also by the generator and the letters of the word their rewriting
+    read (_times_generator); a product found the second way applies no
+    rule and spends no step.  A generator moving left through a normal
+    word takes two stack frames per letter the first time, so an input
+    that moves one past more letters than the recursion limit allows
     raises RecursionError.
     """
     b = _Budget(step_budget())
     acc = {}
     for word, c in e.terms.items():
-        _accumulate(acc, _fold({0: c}, word, p, b))
+        _accumulate(acc, _fold({0: c}, word, p, b)[0])
     return _element(p, acc)
 
 
@@ -686,7 +809,7 @@ def _walk_words(p, max_degree, limit):
     gaps = {}  # (m, x, g) -> fold(m, replacement of x*g) - fold(m, x*g)
 
     def fold(terms, letters):
-        return _fold(terms, letters, p, _Budget(limit))
+        return _fold(terms, letters, p, _Budget(limit))[0]
 
     def gap(m, x, g, rule):
         key = (m, x, g)

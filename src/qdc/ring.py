@@ -14,7 +14,8 @@ result goes through one table keyed by the sorted coefficient tuple, so
 equal polynomials are one object and == is identity.  The hash is the
 content hash of that tuple, computed once at interning, so no output can
 depend on object addresses.  Each scalar memoises its negative and the sums
-and products whose left operand it is, keyed by the right one: a verify run
+and products whose left operand it is, keyed by the serial number the right
+one got at interning, an int whose hash costs no Python call: a verify run
 meets a few hundred distinct scalars and multiplies them tens of thousands
 of times, and a repeated operation is a dictionary hit that returns the
 exact result computed the first time.  The intern table and the memos live
@@ -26,6 +27,7 @@ LaurentScalars, the values at q0 of the symbolic ones.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -40,7 +42,8 @@ class LaurentScalar:
     is the intern key: equal scalars are one object, and == is identity.
     """
 
-    __slots__ = ("coeffs", "_content_hash", "_sums", "_products", "_negative")
+    __slots__ = ("coeffs", "_content_hash", "_serial", "_sums", "_products",
+                 "_negative")
 
     def __new__(cls, coeffs=None):
         data = {}
@@ -86,15 +89,15 @@ class LaurentScalar:
 
     # -- arithmetic --------------------------------------------------------
     # A sum or product is memoised on the left operand, keyed by the right
-    # one, and a negative on both scalars; the class test comes first, so a
-    # foreign operand is never hashed.
+    # one's serial number, and a negative on both scalars; the class test
+    # comes first, so a foreign operand is never read.
 
     def __add__(self, other):
         if other.__class__ is not LaurentScalar:
             return NotImplemented
-        s = self._sums.get(other)
+        s = self._sums.get(other._serial)
         if s is None:
-            s = self._sums[other] = _wrap(_sum(self.coeffs, other.coeffs))
+            s = self._sums[other._serial] = _wrap(_sum(self.coeffs, other.coeffs))
         return s
 
     def __sub__(self, other):
@@ -112,9 +115,9 @@ class LaurentScalar:
     def __mul__(self, other):
         if other.__class__ is not LaurentScalar:
             return NotImplemented
-        s = self._products.get(other)
+        s = self._products.get(other._serial)
         if s is None:
-            s = self._products[other] = _wrap(_product(self.coeffs, other.coeffs))
+            s = self._products[other._serial] = _wrap(_product(self.coeffs, other.coeffs))
         return s
 
     # -- evaluation --------------------------------------------------------
@@ -218,6 +221,7 @@ def _wrap(data):
         s = object.__new__(LaurentScalar)
         s.coeffs = data
         s._content_hash = hash(key)
+        s._serial = next(_serials)
         s._sums = {}
         s._products = {}
         s._negative = None
@@ -226,6 +230,7 @@ def _wrap(data):
 
 
 _interned = {}
+_serials = itertools.count()
 _F0 = 0
 
 ZERO = LaurentScalar()

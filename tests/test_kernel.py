@@ -571,7 +571,7 @@ def test_omega_loc_rewriting_does_not_terminate(cat):
 
 
 def test_long_ladder_within_default_budget(cat, monkeypatch):
-    # from a cold cache (d*a)^200 takes 100,297 rule applications
+    # from a cold cache (d*a)^200 takes 1,302 rule applications
     monkeypatch.delenv("QDC_STEP_BUDGET", raising=False)
     omega = cat.presentation("Omega")
     p = Presentation("Omega_cold", omega.generators, omega.rules)
@@ -579,6 +579,63 @@ def test_long_ladder_within_default_budget(cat, monkeypatch):
     x = normalize(W(("d", "a") * 100), p)
     assert len(x.terms) == len(y.terms) == 2
     assert normalize(x * x, p) == y
+
+
+def _steps(e, p, monkeypatch):
+    """normalize(e, p) and the rule applications it spends."""
+    steps = []
+    spend = _Budget.spend
+    monkeypatch.setattr(_Budget, "spend", lambda b: steps.append(1) or spend(b))
+    got = normalize(e, p)
+    monkeypatch.setattr(_Budget, "spend", spend)
+    return got, len(steps)
+
+
+@pytest.mark.parametrize("k", [50, 100, 200, 400])
+def test_ladder_takes_linear_steps(cat, monkeypatch, k):
+    # an a moving left through a run of d's is one product of a and the
+    # letters it reads, whatever comes before them, so the ladder takes
+    # about 6.5 k steps; a memo keyed by the whole word takes about 2.5 k^2
+    monkeypatch.delenv("QDC_STEP_BUDGET", raising=False)
+    omega = cat.presentation("Omega")
+    p = Presentation("Omega_cold", omega.generators, omega.rules)
+    got, n = _steps(W(("d", "a") * k), p, monkeypatch)
+    assert n <= 10 * k
+    assert len(got.terms) == 2
+
+
+def test_a_letter_moves_past_400_letters_at_the_default_limit(cat):
+    # two stack frames per letter passed, _fold's and _times_generator's:
+    # d^400*a needs about 800 of the default limit's 1000
+    omega = cat.presentation("Omega")
+    p = Presentation("Omega_cold", omega.generators, omega.rules)
+    assert sys.getrecursionlimit() == 1000
+    assert len(normalize(W(("d",) * 400 + ("a",)), p).terms) == 2
+
+
+def _passing():
+    """The letter a passes c and b, each with its own factor, but not x:
+    u*x*c*c*a and u*b*c*c*a read the same suffix c*c under prefixes whose
+    last letters differ in whether a passes them."""
+    gens = [Generator(n, 0) for n in ("a", "u", "x", "b", "c")]
+    return Presentation("passing", gens, [
+        RewriteRule(("c", "a"), W(("a", "c"), qp(1))),
+        RewriteRule(("b", "a"), W(("a", "b"), qp(2)) + W(("u", "b"))),
+    ])
+
+
+@pytest.mark.parametrize("first", ["x", "b"])
+def test_products_are_kept_by_every_letter_they_read(monkeypatch, first):
+    # from an empty memo, in both orders: a product kept under a suffix one
+    # letter short of what it read would be rooted under the other prefix
+    p = _passing()
+    other = {"x": "b", "b": "x"}[first]
+    words = [("u", first, "c", "c", "a"), ("u", other, "c", "c", "a")]
+    words += [("u", "u") + w[1:] for w in words] + [w[1:] for w in words]
+    for w in words:
+        assert normalize(W(w), p) == _leftmost_nf(W(w), p), w
+    _, n = _steps(W(words[0]), Presentation("again", p.generators, p.rules), monkeypatch)
+    assert n > 1  # the product of c*c and a applies more than one rule
 
 
 def test_format_element_roundtrips_through_parser(cat):

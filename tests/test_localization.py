@@ -153,3 +153,52 @@ def test_clearing_work_is_shared_with_the_localized_rows(monkeypatch):
     rep = run_suite("confluence")
     assert rep.ok and len(calls) == 30
     assert not any(c.id.startswith("localized.") for c in rep.checks)
+
+
+def test_omega_loc_reads_the_critical_pairs_of_omega(monkeypatch):
+    # Omega_loc's inverse-free part is Omega, so (P1) is the verdict of the
+    # row confluence.Omega: the confluence suite decides each catalog
+    # presentation's critical pairs once, and Omega_loc's none
+    from qdc import cli
+
+    decided = []
+    real = cli.confluence_residual
+
+    def counted(p, *args):
+        decided.append(p.name)
+        return real(p, *args)
+
+    monkeypatch.setattr(cli, "confluence_residual", counted)
+    rep = run_suite("confluence")
+    assert rep.ok
+    assert sorted(decided) == sorted(n for n in get_catalog().names()
+                                     if n not in ("LieAlg", "Omega_loc"))
+
+
+def _omega_verdict(cat, residual):
+    """A stand-in for the row confluence.Omega whose verdict is `residual`."""
+    from qdc.report import Check
+
+    return [(cat.presentation("Omega"),
+             Check("confluence.Omega", "stand-in", "diamond", lambda: residual))]
+
+
+def test_p1_is_read_only_from_an_equal_presentation(cat):
+    # Omega_loc's inverse-free part equals Omega, so its (P1) is the verdict
+    # of the row it is given, a failing one here; the scaled control changes
+    # a rule of that part, so it decides (P1) itself and fails, although
+    # the row it is given passes
+    loc = cat.presentation("Omega_loc")
+    result = localized_confluence_check(loc, _omega_verdict(cat, "read")).run()
+    assert (result.status, result.residual) == \
+        ("fail", "(P1) Omega_loc without inverses: read")
+    first = loc.rules[0]
+
+    def scaled(r):
+        return r._replace(replacement=r.replacement.scaled(qp(1))) if r is first else r
+
+    result = localized_confluence_check(_loc_with(cat, scaled),
+                                        _omega_verdict(cat, None)).run()
+    assert result.status == "fail"
+    assert result.residual.startswith("(P1) Omega_loc_scaled without inverses: ")
+    assert "failing overlaps" in result.residual
