@@ -5,19 +5,28 @@
     factor := atom ['^' integer]
     atom   := name | rational | 'q' | '(' expr ')'
 
-Rationals are integer or num/den literals.  parse_ast reads the tokens in
-one loop: at each '(' it keeps the enclosing expression on an explicit
-stack, and the ')' pops it, so parsing takes no stack frame per level of
-nesting.  How deep an expression may nest is bounded by evaluation instead:
-eval_ast recurses two frames per parenthesis, so past about 490 levels at
-the default recursion limit it raises RecursionError.
+Rationals are integer or num/den literals.  tokenize reads the text with
+one two-group pattern, (blanks)(token), through findall, and finds each
+token's kind by a dict lookup on its first character; a digit of another
+script that \\d matches, such as Arabic-Indic 3, starts a numeral, and any
+other character outside the grammar is an error at its own column, past the
+blanks before it.  parse_ast reads the tokens in one loop: at each '(' it
+keeps the enclosing expression on an explicit stack, and the ')' pops it,
+so parsing takes no stack frame per level of nesting.  How deep an
+expression may nest is bounded by evaluation instead: eval_ast recurses two
+frames per parenthesis, so past about 490 levels at the default recursion
+limit it raises RecursionError.
 
-A product is built left to right, and each run of generator letters in it
-is one word, so a product of n letters takes time linear in n; the name q
-is always the scalar, never a letter of a run.  A sum adds its terms into
-one dict.  A power of a unit scalar r*q^k, such as q, (-1/2) or (2*q), is
-one scalar power, and its negative exponents give inverses; its power, and
-a literal's already at parse time, is refused before it is computed when it
+eval_ast evaluates over plain {word: coeff} dicts and wraps the result in
+one Element at the top, copied there, so that no caller shares a dict with
+the presentation's defined composites.  A one-term sum and a one-factor
+product hand their value through.  A product is built left to right, and
+each run of generator letters in it is appended to the words of the product
+so far, so a product of n letters takes time linear in n; the name q is
+always the scalar, never a letter of a run.  A sum adds its terms into one
+dict.  A power of a unit scalar r*q^k, such as q, (-1/2) or (2*q), is one
+scalar power, and its negative exponents give inverses; its power, and a
+literal's already at parse time, is refused before it is computed when it
 would exceed the interpreter's digit limit.  Any other power is a product
 by repeated squaring; generator inverses are spelled as their own names
 (a_inv, d_inv, Dgamma_inv).  parse -> print is the identity on the AST,
@@ -30,19 +39,20 @@ import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
-from operator import mul
+from string import ascii_letters, digits
 
 from .errors import ParseError, UnknownGeneratorError
-from .kernel import Element, _Value, _accumulate
+from .kernel import Element, _Value, _accumulate, _accumulate_product
 from .ring import ONE, LaurentScalar
 
-# blanks other than a newline, then one token: a newline, which is a token
-# of its own so that tokenize counts every line, a rational, an integer, a
-# name, an operator, or any other character, which is an error
-_TOKEN = re.compile(
-    r"([^\S\n]*)(?:(\n)|(\d+/\d+)|(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(.))"
-)
+# blanks other than a newline, then one token: an operator, a name, a
+# rational, an integer, a newline, which is a token of its own so that
+# tokenize counts every line, or any other character, which is an error
+_TOKEN = re.compile(r"([^\S\n]*)([-+*^()]|[A-Za-z_][A-Za-z_0-9]*|\d+/\d+|\d+|\n|.)")
+# a token's kind by its first character; one not here is a digit outside
+# ASCII (\d is any Unicode decimal digit) or a stray character
+_KIND = {**dict.fromkeys(ascii_letters + "_", "name"), **dict.fromkeys(digits, "int"),
+         **dict.fromkeys("-+*^()", "op"), "\n": "newline"}
 
 
 class Name(_Value, namedtuple("Name", "ident line col", defaults=(0, 0))):
@@ -73,32 +83,33 @@ def tokenize(text):
     at the position after the last one."""
     tokens = []
     append = tokens.append
-    pos = 0
     line = 1
-    line_start = 0
-    end = len(text.rstrip())  # trailing whitespace ends the token stream
-    for m in _TOKEN.finditer(text, 0, end):
-        blanks, newline, rat, num, name, op, other = m.groups()
-        if other:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        pos += len(blanks)
-        col = pos - line_start + 1
-        if op:
-            append(("op", op, line, col))
-            pos += 1
-        elif name:
-            append(("name", name, line, col))
-            pos += len(name)
-        elif newline:
-            pos += 1
+    col = 1
+    # trailing whitespace ends the token stream, so the last token ends it
+    for blanks, tok in _TOKEN.findall(text, 0, len(text.rstrip())):
+        if blanks:
+            col += len(blanks)
+        kind = _KIND.get(tok[0]) or _numeral(tok, line, col)
+        if kind == "name" or kind == "op":
+            append((kind, tok, line, col))
+        elif kind == "newline":
             line += 1
-            line_start = pos
+            col = 1
+            continue
         else:
-            kind, val = ("int", num) if num else ("rat", rat)
-            append((kind, val, line, col))
-            pos += len(val)
-    append(("end", "", line, end - line_start + 1))
+            append(("rat" if "/" in tok else "int", tok, line, col))
+        col += len(tok)
+    append(("end", "", line, col))
     return tokens
+
+
+def _numeral(tok, line, col):
+    """The kind of a token that starts with a character outside _KIND: a
+    numeral of other decimal digits, such as 3 in Arabic-Indic; any other
+    is a stray character, an error at its own position."""
+    if not tok[0].isdecimal():  # exactly the \d characters
+        raise ParseError(f"unexpected character {tok!r}", line, col)
+    return "int"
 
 
 def _literal(atom):
@@ -260,47 +271,75 @@ def _atom_str(node):
 def eval_ast(node, p):
     """Evaluate an AST to an Element over presentation p; a name is one of
     its generators or defined composites."""
+    # the one copy: _eval may hand back a defined composite's own dict
+    return Element(dict(_eval(node, p)), _clean=True)
+
+
+def _eval(node, p):
+    """The {word: coeff} dict of node.  It may be a dict that p.defined or
+    an enclosing call also holds, so no caller changes one in place."""
     cls = node.__class__
     if cls is Sum:
+        terms = node.terms
+        if len(terms) == 1 and terms[0][0] > 0:
+            return _eval(terms[0][1], p)
         out = {}
-        for sign, term in node.terms:
-            _accumulate(out, eval_ast(term, p).terms, None if sign > 0 else -ONE)
-        return Element(out, _clean=True)
+        for sign, term in terms:
+            _accumulate(out, _eval(term, p), None if sign > 0 else -ONE)
+        return out
     if cls is Product:
-        # a run of generator letters is one word; q is the scalar even
-        # where a generator is named q
-        vals, run = [], []
-        for f in node.factors:
-            if f.__class__ is Name and f.ident != "q" and f.ident in p.index:
+        factors = node.factors
+        if len(factors) == 1:
+            return _eval(factors[0], p)
+        # a run of generator letters is appended to every word of the
+        # product so far; q is the scalar even where a generator is named q
+        index = p.index
+        out, run = None, []  # out None: the unit, before the first factor
+        for f in factors:
+            if f.__class__ is Name and f.ident != "q" and f.ident in index:
                 run.append(f.ident)
                 continue
             if run:
-                vals.append(Element.word(run))
+                out = _append(out, run)
                 run = []
-            vals.append(eval_ast(f, p))
-        if run:
-            vals.append(Element.word(run))
-        return reduce(mul, vals)
+            val = _eval(f, p)
+            if out is None:
+                out = val
+            else:
+                left, out = out, {}
+                _accumulate_product(out, left, val)
+        return _append(out, run) if run else out
     if cls is Power:
         # q^n, most of the catalog's powers: one scalar, no base to evaluate
         if node.base.__class__ is Name and node.base.ident == "q":
-            return Element.unit(LaurentScalar.q_power(node.exp))
-        return _power(eval_ast(node.base, p), node)
+            return {(): LaurentScalar.q_power(node.exp)}
+        return _power(Element(_eval(node.base, p), _clean=True), node).terms
     if cls is Name:
-        if node.ident == "q":
-            return Element.unit(LaurentScalar.q_power(1))
-        if node.ident in p.index:
-            return Element.word((node.ident,))
-        if node.ident in p.defined:
-            return p.defined[node.ident]
+        ident = node.ident
+        if ident == "q":
+            return {(): LaurentScalar.q_power(1)}
+        if ident in p.index:
+            return {(ident,): ONE}
+        if ident in p.defined:
+            return p.defined[ident].terms
         raise UnknownGeneratorError(
-            f"unknown generator {node.ident!r} in presentation {p.name}",
+            f"unknown generator {ident!r} in presentation {p.name}",
             node.line,
             node.col,
         )
     if cls is RatLit:
-        return Element.unit(LaurentScalar.from_fraction(node.value))
+        c = LaurentScalar.from_fraction(node.value)
+        return {(): c} if c else {}
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _append(terms, run):
+    """terms times the word run: run appended to each word, or the word
+    itself for terms None, the unit."""
+    run = tuple(run)
+    if terms is None:
+        return {run: ONE}
+    return {w + run: c for w, c in terms.items()}
 
 
 def _power(base, node):

@@ -40,6 +40,12 @@ def test_cli_bad_expression_exit_two(capsys):
     assert main(["normalize", "--presentation", "Omega", "a ** b"]) == 2
 
 
+def test_cli_stray_character_is_named_where_it_stands(capsys):
+    # the column and the character of the '$', not of the blank before it
+    assert main(["normalize", "--presentation", "Omega", "d*a + $"]) == 2
+    assert capsys.readouterr().err == "error: 1:7: unexpected character '$'\n"
+
+
 def test_cli_unknown_presentation_exit_two(capsys):
     assert main(["normalize", "--presentation", "NoSuch", "a"]) == 2
 

@@ -23,6 +23,7 @@ from qdc.parser import (
     parse_ast,
     parse_expression,
     print_ast,
+    tokenize,
 )
 from qdc.ring import LaurentScalar
 
@@ -258,6 +259,7 @@ _REFERENCE_TOKEN = re.compile(
     r"[^\S\n]*(?:(?P<newline>\n)|(?P<rat>\d+/\d+)|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
+_REFERENCE_BLANKS = re.compile(r"[^\S\n]*")
 
 
 def _reference_tokenize(text):
@@ -269,6 +271,8 @@ def _reference_tokenize(text):
     while pos < end:
         m = _REFERENCE_TOKEN.match(text, pos)
         if not m:
+            # a stray character: named where it stands, past the blanks
+            pos = _REFERENCE_BLANKS.match(text, pos).end()
             col = pos - line_start + 1
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         pos = m.end()
@@ -377,7 +381,8 @@ def _reference_parse(text):
 
 
 def _outcome(parse, text):
-    """(the AST, None), or (None, the error's type, message, line and column)."""
+    """(what parse returns, None), or (None, the error's type, message, line
+    and column)."""
     try:
         return parse(text), None
     except ParseError as exc:
@@ -385,7 +390,11 @@ def _outcome(parse, text):
 
 
 _PIECES = ("a", "d", "q", "Da", "x_1", "(", ")", "*", "^", "-", "+", "2", "3/4",
-           "1/0", "0", "99999999", " ", "\n", "**", "^-")
+           "1/0", "0", "99999999", " ", "\n", "**", "^-",
+           # blanks, a digit and characters outside ASCII: a tab, a CRLF line
+           # end, a form feed, a no-break space, an Arabic-Indic 3, which \d
+           # reads, a superscript 2, which it does not, and an accented letter
+           "\t", "\r\n", "\x0c", "\xa0", "\u0663", "\u00b2", "\u00e9")
 
 
 def _random_text(rng):
@@ -420,6 +429,45 @@ def test_parse_ast_agrees_with_the_recursive_descent_reference():
             # Name and Power, which equality leaves out
             assert got == want and repr(got) == repr(want), repr(text)
     assert parsed > 5000, parsed  # the grammar is exercised, not only its errors
+
+
+def test_stray_character_is_named_where_it_stands():
+    # past the blanks before it, not at the first of them
+    for text, line, col, char in (("a  $", 1, 4, "$"), ("a\n  $", 2, 3, "$"),
+                                  ("a*\t#b", 1, 4, "#")):
+        want = (None, (ParseError, f"{line}:{col}: unexpected character {char!r}", line, col))
+        assert _outcome(tokenize, text) == _outcome(_reference_tokenize, text) == want, repr(text)
+
+
+def test_tokenize_outside_ascii_agrees_with_the_reference():
+    texts = ["a\t*\tb", "a\r\n+ b", "a\x0c*b", "a\xa0*\xa0b", "\u0663*a", "2\u00b2*a",
+             "\u00e9", "a*\u00e9"]
+    for text in texts:
+        assert _outcome(tokenize, text) == _outcome(_reference_tokenize, text), repr(text)
+    # [^\S\n] takes a no-break space as a blank, and \r before \n too
+    assert tokenize("a\xa0*b") == [("name", "a", 1, 1), ("op", "*", 1, 3),
+                                    ("name", "b", 1, 4), ("end", "", 1, 5)]
+    assert tokenize("a\r\n+ b")[1:] == [("op", "+", 2, 1), ("name", "b", 2, 3),
+                                         ("end", "", 2, 4)]
+    # \d reads any decimal digit; str.isdigit() says more are digits
+    assert tokenize("\u0663*a")[0] == ("int", "\u0663", 1, 1)
+    assert parse_ast("\u0663*a") == Sum(((1, Product((RatLit(Fraction(3)), Name("a")))),))
+    for text, line, col, char in (("2\u00b2*a", 1, 2, "\u00b2"), ("\u00e9", 1, 1, "\u00e9")):
+        want = (None, (ParseError, f"{line}:{col}: unexpected character {char!r}", line, col))
+        assert _outcome(tokenize, text) == want, repr(text)
+
+
+def test_evaluation_shares_no_dict_with_the_presentation(cat):
+    # a defined composite's value is handed through a one-term sum and a
+    # one-factor product; the Element at the top holds a copy of it
+    loc = cat.presentation("Omega_loc")
+    w1 = loc.defined["w1"]
+    for text in ("w1", "(w1)", "((w1))"):
+        got = parse_expression(text, loc)
+        assert got.terms is not w1.terms and got == w1, text
+    # no leading '+' in the grammar
+    with pytest.raises(ParseError, match="expected an atom, got '[+]'"):
+        parse_expression("+w1", loc)
 
 
 def test_parse_ast_nests_without_recursion():
