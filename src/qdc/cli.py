@@ -314,31 +314,29 @@ SUITES = {
 def run_suite(name, q0=None):
     """Run a named suite, or "all" of them, and return its SuiteReport,
     sorted by id.  A check that several suites list runs once per call and
-    is reported in each of them, as a copy.  A suite whose Checks cannot be
-    built gives one error row, setup.<suite>, and the other suites run."""
+    is reported in each of them, as the same row.  A suite whose Checks
+    cannot be built gives one error row, setup.<suite>, and the other
+    suites run.  With q0, each row's description ends with a note of it."""
     if name != "all" and name not in SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; have {['all', *SUITES]}"
         )
     cat = get_catalog(q0)
-    report = SuiteReport(name)
+    rows = []
     results = {}
     for s in SUITES if name == "all" else (name,):
         try:
             checks = SUITES[s](cat)
         except Exception as exc:  # as Check.run does: an error row, not a crash
-            report.checks.append(CheckResult(f"setup.{s}", f"build the {s} suite",
-                                             "", "error", error_text(exc)))
+            rows.append(CheckResult(f"setup.{s}", f"build the {s} suite",
+                                    "", "error", error_text(exc)))
             continue
-        for check in checks:
-            seen = check.id in results
-            result = run_once(check, results)
-            report.checks.append(result.copy() if seen else result)
-    report = report.sorted()
+        rows.extend(run_once(check, results) for check in checks)
     if q0 is not None:
-        for c in report.checks:
-            c.description += f" [numeric shadow at q = {q0}]"
-    return report
+        note = f" [numeric shadow at q = {q0}]"
+        rows = [CheckResult(i, d + note, eq, st, r, ms)
+                for i, d, eq, st, r, ms in rows]
+    return SuiteReport(name, rows).sorted()
 
 
 def main(argv=None):

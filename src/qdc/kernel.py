@@ -52,10 +52,13 @@ _NO_RULES = {}  # the rule row of a letter that starts no pattern; never written
 
 
 class _Value:
-    """Equality and hash of a namedtuple value type: equal only to a value
-    of its own type, on its first _compared fields (all of them when None),
-    so that a Sum is never a Product of the same tuple and an AST node's
-    position does not count."""
+    """Equality and hash of a namedtuple value type, the base of every
+    record in qdc: generators, rules, identities, AST nodes, checks, report
+    rows, suite reports, supermatrices, the ansatz and the solve and
+    confluence reports.  A value is equal only to a value of its own type,
+    on its first _compared fields (all of them when None), so that a Sum
+    is never a Product of the same tuple and an AST node's position does
+    not count."""
 
     __slots__ = ()
     _compared = None

@@ -1,11 +1,12 @@
 """Checks, their results and suite reports, with the published JSON shape.
 
-A check is a value: a Check holds its id, description, equation tag and a
+All three are values, kernel._Value namedtuples that no code changes after
+they are built.  A Check holds its id, description, equation tag and a
 function that has not run yet, and the Checks whose results that function
 reads.  Producers in calculus, liealg, hopf and rmatrix return lists of
 Checks, cli.SUITES assembles them into suites, and cli.run_suite runs each
 distinct id once, a needed one included, and collects the CheckResults in
-a SuiteReport."""
+a SuiteReport: a row that two suites list is the same row in both."""
 
 from __future__ import annotations
 
@@ -16,38 +17,12 @@ from collections import namedtuple
 from .kernel import _Value
 
 
-class _Record:
-    """Equality and repr of a mutable __slots__ class: equal only to an
-    instance of its own class with equal slots, and unhashable."""
+class CheckResult(_Value, namedtuple(
+        "CheckResult", "id description paper_eq status residual duration_ms",
+        defaults=(None, 0.0))):
+    """The outcome of one Check; status is pass, fail or error."""
 
     __slots__ = ()
-    __hash__ = None
-
-    def _values(self):
-        return tuple(getattr(self, s) for s in self.__slots__)
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
-
-    def copy(self):
-        """A new instance with the same slots; a shallow copy."""
-        return self.__class__(*self._values())
-
-
-class CheckResult(_Record):
-    __slots__ = ("id", "description", "paper_eq", "status", "residual", "duration_ms")
-
-    def __init__(self, id, description, paper_eq, status, residual=None, duration_ms=0.0):
-        self.id = id
-        self.description = description
-        self.paper_eq = paper_eq
-        self.status = status  # pass | fail | error
-        self.residual = residual
-        self.duration_ms = duration_ms
 
     @property
     def passed(self):
@@ -111,12 +86,9 @@ def error_text(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-class SuiteReport(_Record):
-    __slots__ = ("suite", "checks")
-
-    def __init__(self, suite, checks=None):
-        self.suite = suite
-        self.checks = [] if checks is None else checks
+class SuiteReport(_Value, namedtuple("SuiteReport", "suite checks",
+                                     defaults=((),))):
+    __slots__ = ()
 
     @property
     def summary(self):
@@ -130,8 +102,7 @@ class SuiteReport(_Record):
         return all(c.passed for c in self.checks)
 
     def sorted(self):
-        rep = SuiteReport(self.suite, sorted(self.checks, key=lambda c: c.id))
-        return rep
+        return SuiteReport(self.suite, tuple(sorted(self.checks, key=lambda c: c.id)))
 
     def as_dict(self):
         return {

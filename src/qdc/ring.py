@@ -62,11 +62,12 @@ class LaurentScalar:
 
     @classmethod
     def from_fraction(cls, f):
-        return cls({0: f})
+        f = _exact(f)
+        return _wrap({0: f} if f else {})
 
     @classmethod
     def q_power(cls, k):
-        return cls({k: 1})
+        return _wrap({int(k): 1})
 
     # -- predicates --------------------------------------------------------
 

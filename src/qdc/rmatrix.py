@@ -12,6 +12,7 @@ family are both purely quadratic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 
 from .errors import QdcError
@@ -19,6 +20,7 @@ from .kernel import (
     Element,
     Generator,
     Presentation,
+    _Value,
     _accumulate_product,
     format_element,
     graded_product,
@@ -27,13 +29,14 @@ from .kernel import (
 )
 from .linalg import elements_to_rows, row_space_equal
 from .parser import eval_ast
-from .report import Check, _Record
+from .report import Check
 from .ring import ONE, ZERO, qp
 
 # -- supermatrices --------------------------------------------------------------
 
 
-class SuperMatrix(_Record):
+class SuperMatrix(_Value, namedtuple("SuperMatrix",
+                                     "entries row_parity col_parity shift")):
     """Matrix with Element entries and declared row/column index parities.
 
     `shift` is the common parity offset of the entries relative to the index
@@ -41,18 +44,15 @@ class SuperMatrix(_Record):
     must be parity-homogeneous of parity row[i] + col[j] + shift.
     """
 
-    __slots__ = ("entries", "row_parity", "col_parity", "shift")
+    __slots__ = ()
 
-    def __init__(self, entries, row_parity, col_parity, shift=0):
-        self.entries = entries
-        self.row_parity = row_parity
-        self.col_parity = col_parity
-        self.shift = shift
-        if len(self.entries) != len(self.row_parity):
+    def __new__(cls, entries, row_parity, col_parity, shift=0):
+        if len(entries) != len(row_parity):
             raise QdcError("row count does not match row parities")
-        for row in self.entries:
-            if len(row) != len(self.col_parity):
+        for row in entries:
+            if len(row) != len(col_parity):
                 raise QdcError("column count does not match column parities")
+        return super().__new__(cls, entries, row_parity, col_parity, shift)
 
     def validate_parities(self, p):
         for i, row in enumerate(self.entries):

@@ -280,15 +280,18 @@ def test_cli_out_of_memory_exit_two():
                           "this process may use\n")
 
 
-def test_check_result_is_a_mutable_record():
-    # run_suite hands out copies of a repeated row, and --q edits each row
+def test_report_rows_are_values():
+    # run_suite hands out the same row for a repeated id, and --q notes a
+    # row by building a new one
     row = CheckResult("a", "d", "", "pass")
-    copy = row.copy()
-    assert copy == row and copy is not row and row != SuiteReport("a")
-    copy.description += " [numeric shadow at q = 2]"
-    assert copy != row and row.description == "d"
-    with pytest.raises(TypeError):
-        hash(row)
+    with pytest.raises(AttributeError):
+        row.description = "e"
+    noted = CheckResult(row.id, row.description + " [numeric shadow at q = 2]",
+                        *row[2:])
+    assert noted != row and row.description == "d"
+    twin = CheckResult("a", "d", "", "pass", None, 0.0)
+    assert twin == row and twin is not row and hash(twin) == hash(row)
+    assert row != SuiteReport("a") and SuiteReport("a").checks == ()
 
 
 def test_report_sorting_stable():
@@ -297,6 +300,7 @@ def test_report_sorting_stable():
         CheckResult("a", "", "", "pass"),
     ]).sorted()
     assert [c.id for c in rep.checks] == ["a", "b"]
+    assert hash(rep) == hash(SuiteReport("x", rep.checks))
 
 
 @pytest.mark.parametrize("expression", ["0^-1", "a*0/3^-2 + d"])
@@ -393,12 +397,18 @@ def test_shared_checks_run_once_per_call(monkeypatch):
         return real(rule, cat)
 
     monkeypatch.setattr(calculus, "verify_localized_rule", counted)
-    for _ in range(2):
+    for q0 in (None, None, 2):
         calls.clear()
-        rows = [c for c in run_suite("all").checks if c.id.startswith("localized.")]
+        rows = [c for c in run_suite("all", q0).checks if c.id.startswith("localized.")]
         assert len(calls) == 30 and len(set(calls)) == 30
         assert len(rows) == 41
-        assert len({id(c) for c in rows}) == 41
+        # sorted by id, a repeated id's rows are neighbours
+        twins = [(a, b) for a, b in zip(rows, rows[1:]) if a.id == b.id]
+        assert len(twins) == 11 and all(a == b for a, b in twins)
+        if q0 is not None:
+            note = f" [numeric shadow at q = {q0}]"
+            assert all(c.description.endswith(note) and c.description.count(note) == 1
+                       for c in rows)
 
 
 def test_lie_alg_critical_pairs_are_decided_once(monkeypatch):

@@ -66,6 +66,39 @@ def test_graded_kron_cross_sign(cat):
     assert T1T2.entries[0][0] == W(("a", "a"))
 
 
+def test_supermatrix_refuses_rows_that_do_not_match_the_row_parities(cat):
+    a = cat.presentation("A_glq11").el("a")
+    with pytest.raises(QdcError, match="row count"):
+        SuperMatrix([[a]], (0, 1), (0,))
+
+
+def test_supermatrix_refuses_a_row_that_does_not_match_the_column_parities(cat):
+    a = cat.presentation("A_glq11").el("a")
+    with pytest.raises(QdcError, match="column count"):
+        SuperMatrix([[a], [a, a]], (0, 1), (0, 1))
+
+
+def test_supermatrix_product_refuses_mismatched_parities(cat):
+    p = cat.presentation("A_glq11")
+    T = SuperMatrix([[p.el("a"), p.el("beta")], [p.el("gamma"), p.el("d")]],
+                    (0, 1), (0, 1))
+    S = SuperMatrix(T.entries, (1, 0), (0, 1))
+    with pytest.raises(QdcError, match="parity mismatch"):
+        T @ S
+
+
+def test_supermatrix_refuses_an_entry_of_the_wrong_parity(cat):
+    # beta is odd: right off the diagonal of T, wrong on it
+    p = cat.presentation("A_glq11")
+    T = SuperMatrix([[p.el("a"), p.el("beta")], [p.el("gamma"), p.el("d")]],
+                    (0, 1), (0, 1))
+    assert T.validate_parities(p) is T
+    wrong = SuperMatrix([[p.el("beta"), p.el("beta")], [p.el("gamma"), p.el("d")]],
+                        (0, 1), (0, 1))
+    with pytest.raises(QdcError, match=r"entry \(0,0\) has parity 1, expected 0"):
+        wrong.validate_parities(p)
+
+
 def test_graded_kron_koszul_property():
     # (M (x) I)(I (x) N) is the graded tensor of the products, and commuting
     # the factors costs (-1)^(p(M)p(N)) for parity-homogeneous M, N
@@ -278,8 +311,8 @@ def test_matmul_matches_the_entrywise_sum_on_random_supermatrices(q0):
     for size in (2, 4, 8):
         for _ in range(6):
             A = _random_supermatrix(rng, cat, size)
-            B = _random_supermatrix(rng, cat, size)
-            B.row_parity = B.col_parity = A.col_parity
+            B = _random_supermatrix(rng, cat, size)._replace(
+                row_parity=A.col_parity, col_parity=A.col_parity)
             got = A @ B
             assert got.entries == _reference_matmul(A, B)
             assert (got.row_parity, got.col_parity) == (A.row_parity, B.col_parity)
