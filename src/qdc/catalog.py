@@ -22,7 +22,6 @@ is asked.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from fractions import Fraction
 
 from .errors import CatalogFormatError, UnknownFamilyError, UnknownPresentationError
@@ -32,14 +31,6 @@ from .ring import ONE, LaurentScalar
 
 _FILES = ("a_glq11.txt", "a_hat.txt", "omega.txt", "omega_loc.txt",
           "forms.txt", "lie_alg.txt", "planes.txt")
-
-# How many oriented rules / expected identities each source equation family
-# contributes; the coverage audit checks the loaded catalog against this.
-_EXPECTED_COUNTS = {
-    "(2)": 8, "(17)": 8, "(24a)": 4, "(24b)": 12,
-    "(33)": 16, "(34)": 16, "(35)": 16, "(36)": 8, "(37)": 4,
-    "(43)": 8, "(45)": 16, "(46)": 2, "(47)": 2, "(52)": 4,
-}
 
 
 def _data_text(fname):
@@ -267,23 +258,6 @@ class Catalog:
             ) from None
         return p, [ident for ident in p.identities if ident.family == name]
 
-    def coverage_audit(self):
-        """Relation families whose rule/identity count disagrees with the
-        transcription table; must come back empty."""
-        # rule patterns are unique in a presentation, identity names in a family
-        counts = Counter()
-        for p in self.presentations.values():
-            counts.update((p.name, r.eq, "rule") for r in p.rules)
-            counts.update((p.name, i.eq, "ident") for i in p.identities)
-        problems = []
-        # every equation family must be fully transcribed somewhere
-        for eq, want in _EXPECTED_COUNTS.items():
-            got = max((n for (_, tag, _), n in counts.items() if tag == eq),
-                      default=0)
-            if got < want:
-                problems.append(f"{eq}: expected {want} entries, best block has {got}")
-        return problems
-
 
 _CACHE = {}
 
@@ -294,20 +268,3 @@ def get_catalog(q0=None):
     if key not in _CACHE:
         _CACHE[key] = Catalog() if key is None else get_catalog().at(key)
     return _CACHE[key]
-
-
-def roundtrip_lines():
-    """(file, expression text) pairs for the parser round-trip check."""
-    out = []
-    for fname in _FILES:
-        for block in parse_document(_data_text(fname)):
-            for line in block.rule_lines:
-                if line[0] != "from":
-                    out.append((fname, line[1]))
-                    out.append((fname, line[2]))
-            for _, expr, _eq in block.define_lines:
-                out.append((fname, expr))
-            for _, _, lhs, rhs, _eq in block.identity_lines:
-                out.append((fname, lhs))
-                out.append((fname, rhs))
-    return out

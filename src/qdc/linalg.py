@@ -1,56 +1,49 @@
-"""Fraction-free exact linear algebra over the Laurent coefficient ring.
+"""Exact span equality of Elements over Q(q), by a sparse echelon form.
 
-Rank is computed by cross-multiplication elimination (no division), which is
-exact over an integral domain; the matrices here are tiny, so the modest
-degree growth is irrelevant.
+An Element is read as the vector of its {word: coeff} dict.  A list of
+Elements is brought to echelon form by a table of pivots keyed by their
+lead word, the least word of the pivot in tuple order (never hash order,
+so the pivots do not depend on the hash seed).  An element is reduced by
+cancelling its lead against the pivot with that lead until it vanishes or
+its lead is not a pivot's.  A pivot whose lead coefficient is a unit r*q^k
+is scaled to lead 1; any other lead is cancelled by cross-multiplication,
+so every value stays in Q[q, q^-1] and the elimination is exact without
+division.
 """
 
 from __future__ import annotations
 
+from .ring import ONE
 
-def rank(rows):
-    """Rank of a matrix given as a list of rows of LaurentScalar."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        for i in range(r + 1, len(work)):
-            ci = work[i][col]
-            if ci:
-                work[i] = [pv * work[i][j] - ci * work[r][j] for j in range(ncols)]
-        r += 1
-        if r == len(work):
+
+def _reduce(e, pivots):
+    """e with its lead cancelled against pivots while a pivot has it."""
+    while e:
+        lead = min(e.terms)
+        p = pivots.get(lead)
+        if p is None:
             break
-    return r
+        c, pc = e.terms[lead], p.terms[lead]
+        e = (e if pc is ONE else e.scaled(pc)) - p.scaled(c)
+    return e
 
 
-def row_space_equal(rows_a, rows_b):
-    ra = rank(rows_a)
-    rb = rank(rows_b)
-    return ra == rb == rank(list(rows_a) + list(rows_b))
-
-
-def elements_to_rows(elements, word_basis, zero):
-    """Coefficient rows of elements over an ordered word basis; raises when an
-    element has support outside the basis."""
-    index = {w: i for i, w in enumerate(word_basis)}
-    rows = []
+def _echelon(elements):
+    """{lead word: pivot} whose pivots span the elements, one per dimension."""
+    pivots = {}
     for e in elements:
-        row = [zero] * len(word_basis)
-        for w, c in e.terms.items():
-            if w not in index:
-                raise ValueError(f"word {w} outside the declared basis")
-            row[index[w]] = c
-        rows.append(row)
-    return rows
+        e = _reduce(e, pivots)
+        if e:
+            lead = min(e.terms)
+            c = e.terms[lead]
+            pivots[lead] = e.scaled(c.unit_inverse()) if c.is_unit() else e
+    return pivots
+
+
+def same_span(a, b):
+    """True iff the Elements a and b span the same space over Q(q): the two
+    echelon forms have the same size and every element of b reduces to zero
+    against a's."""
+    pivots = _echelon(a)
+    return (len(_echelon(b)) == len(pivots)
+            and not any(_reduce(e, pivots) for e in b))

@@ -1,13 +1,13 @@
 """Quantum superplane covariance and the braid-form R-matrix equivalences.
 
 Each matrix relation (53)-(57) is written once, by _entries, as the 16
-unreduced entries of lhs - rhs, and checked in two directions: every entry
-reduces to zero modulo the relation's presentation (membership), and the
-degree-two components of the entries span the same subspace as the
-transcribed relation family (ideal generation), by exact linear algebra.
-Spanning is computed over the rule-free copy _free(p) of the presentation,
-where the one-form composites are letters, so that the entries and the
-family are both purely quadratic.
+unreduced entries of lhs - rhs, built once over the rule-free copy _free(p)
+of its presentation p, where the one-form composites are letters.  The
+entries are checked in two directions: with each one-form letter replaced
+by its composite (substitute), every entry reduces to zero modulo p
+(membership); and the entries, which are purely quadratic, span the same
+space as the transcribed relation family (ideal generation), by the exact
+sparse echelon form of linalg.same_span.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .kernel import (
     residual,
     substitute,
 )
-from .linalg import elements_to_rows, row_space_equal
+from .linalg import same_span
 from .parser import eval_ast
 from .report import Check
 from .ring import ONE, ZERO, qp
@@ -41,12 +41,15 @@ class SuperMatrix(_Value, namedtuple("SuperMatrix",
 
     `shift` is the common parity offset of the entries relative to the index
     parities (1 for matrices of differentials and one-forms); entry (i, j)
-    must be parity-homogeneous of parity row[i] + col[j] + shift.
+    must be parity-homogeneous of parity row[i] + col[j] + shift.  The
+    entries are stored as a tuple of row tuples, so a matrix is a hashable
+    value that no caller can change after the shape guards below.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries, row_parity, col_parity, shift=0):
+        entries = tuple(map(tuple, entries))
         if len(entries) != len(row_parity):
             raise QdcError("row count does not match row parities")
         for row in entries:
@@ -251,36 +254,32 @@ def _free(p):
                         validate=False)
 
 
-def _degree2_basis(elements):
-    words = sorted({w for e in elements for w in e.terms})
-    if any(len(w) != 2 for w in words):
-        raise QdcError("entry equations are not purely quadratic")
-    return words
-
-
 def verify_rtt_family(eq, cat):
     """Membership and spanning checks for one matrix relation tag."""
     if eq not in _RELATIONS:
         raise QdcError(f"unknown matrix relation tag {eq!r}; use 53..57")
     pname, family = _RELATIONS[eq]
     p = cat.presentation(pname)
+    free = _free(p)
+    formal = _entries(eq, free, cat)
+    # over p each one-form letter of free is its composite; where free has
+    # no such letter (53-55), an entry over free is the entry over p
+    composites = {n: p.defined[n] for n in free.index if n not in p.index}
+    images = {**{g: p.el(g) for g in p.index}, **composites}
     out = []
-    for k, e in enumerate(_entries(eq, p, cat)):
+    for k, e in enumerate(formal):
         i, j = divmod(k, 4)
+        e = substitute(images, e) if composites else e
         out.append(Check(f"rtt{eq}.entry_{i+1}_{j+1}",
                          f"matrix relation entry ({i+1},{j+1}) reduces to zero",
                          f"({eq})", partial(residual, e, p)))
 
     def fn_span():
-        free = _free(p)
-        entries = _entries(eq, free, cat)
         rels = [(eval_ast(i.lhs_ast, free) - eval_ast(i.rhs_ast, free)).mapped(cat.scalar)
                 for i in cat.family(family)[1]]
-        basis = _degree2_basis(entries + rels)
-        if not row_space_equal(elements_to_rows(entries, basis, ZERO),
-                               elements_to_rows(rels, basis, ZERO)):
-            return "degree-2 spans differ"
-        return None
+        if any(len(w) != 2 for e in formal + rels for w in e.terms):
+            raise QdcError("entry equations are not purely quadratic")
+        return None if same_span(formal, rels) else "degree-2 spans differ"
 
     out.append(Check(f"rtt{eq}.spanning",
                      f"entry equations span the {family} relations at degree 2",

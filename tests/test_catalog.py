@@ -14,7 +14,6 @@ from qdc.catalog import (
     _data_text,
     get_catalog,
     parse_document,
-    roundtrip_lines,
 )
 from qdc.errors import CatalogFormatError, UnknownPresentationError
 from qdc.hopf import HopfData
@@ -22,6 +21,7 @@ from qdc.kernel import Presentation, RewriteRule, format_element, normalize
 from qdc.parser import parse_ast, print_ast
 from qdc.kernel import Element
 from qdc.ring import ONE, LaurentScalar, lfrac, lint, qp
+from transcription import coverage_audit, roundtrip_lines
 
 
 def test_presentation_shapes(cat):
@@ -67,19 +67,19 @@ def test_maurer_forms(cat):
 
 
 def test_coverage_audit_empty(cat):
-    assert cat.coverage_audit() == []
+    assert coverage_audit(cat) == []
 
 
 def test_coverage_audit_reports_a_short_family():
     fresh = Catalog()
     la = fresh.presentation("LieAlg")
     la.rules.remove(next(r for r in la.rules if r.eq == "(45)"))
-    assert fresh.coverage_audit() == ["(45): expected 16 entries, best block has 15"]
+    assert coverage_audit(fresh) == ["(45): expected 16 entries, best block has 15"]
 
     fresh = Catalog()
     loc = fresh.presentation("Omega_loc")
     loc.identities.remove(next(i for i in loc.identities if i.eq == "(33)"))
-    assert [p.split(":")[0] for p in fresh.coverage_audit()] == ["(33)"]
+    assert [p.split(":")[0] for p in coverage_audit(fresh)] == ["(33)"]
 
 
 def test_duplicate_identity_name_is_refused():

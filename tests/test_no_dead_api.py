@@ -11,13 +11,6 @@ from collections import Counter
 
 import qdc
 
-# definitions kept for the tests alone, with the reason
-TEST_FACING = {
-    "Catalog.coverage_audit": "audit of the documents' coverage, run by the tests",
-    "catalog.roundtrip_lines": "the documents' expression lines, for the "
-                               "parse/print round-trip test",
-}
-
 
 def _names(node):
     out = Counter()
@@ -53,7 +46,7 @@ def _unused(src):
 
 def test_no_dead_api():
     src = pathlib.Path(qdc.__file__).parent
-    assert _unused(src) == sorted(TEST_FACING)
+    assert _unused(src) == []
 
 
 def test_dead_api_is_caught(tmp_path):

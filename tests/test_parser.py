@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qdc.errors import ParseError, UnknownGeneratorError
-from qdc.catalog import _FILES, _data_text, parse_document, roundtrip_lines
+from qdc.catalog import _FILES, _data_text, parse_document
 from qdc.kernel import (Element, Generator, Identity, Presentation, RewriteRule,
                         format_element, normalize)
 from qdc.parser import (
@@ -26,6 +26,7 @@ from qdc.parser import (
     tokenize,
 )
 from qdc.ring import LaurentScalar
+from transcription import roundtrip_lines
 
 
 def test_mixed_relation_residual(cat):

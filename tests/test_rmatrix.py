@@ -7,10 +7,10 @@ from qdc import catalog, rmatrix
 from qdc.catalog import Catalog, get_catalog
 from qdc.errors import QdcError
 from qdc.kernel import Element
-from qdc.linalg import elements_to_rows, rank, row_space_equal
+from qdc.linalg import same_span
 from qdc.parser import parse_ast
 from qdc.report import Check
-from qdc.ring import ONE, ZERO, LaurentScalar, lint, qp
+from qdc.ring import ONE, ZERO, LaurentScalar, lfrac, lint, qp
 from qdc.rmatrix import (
     SuperMatrix,
     check_hecke_braid,
@@ -148,8 +148,9 @@ def test_hecke_rows_print_the_residual(cat, monkeypatch):
 
     def doubled(cat):
         R = r_hat(cat)
-        R.entries[1][2] = R.entries[1][2].scaled(lint(2))
-        return R
+        rows = [list(row) for row in R.entries]
+        rows[1][2] = rows[1][2].scaled(lint(2))
+        return R._replace(entries=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(rmatrix, "r_hat", doubled)
     failing = {c.id: c.residual for c in map(Check.run, check_hecke_braid(cat))
@@ -179,34 +180,63 @@ def test_rtt_families_pass(cat):
 
 
 def test_rtt53_span_contains_coordinate_relation(cat):
-    from qdc.rmatrix import _degree2_basis, _entries, _free
+    from qdc.rmatrix import _entries, _free
 
     entries = _entries("53", _free(cat.presentation("A_glq11")), cat)
     rel = W(("a", "beta")) - W(("beta", "a"), qp(1))
-    basis = _degree2_basis(entries + [rel])
-    rows = elements_to_rows(entries, basis, ZERO)
-    vec = elements_to_rows([rel], basis, ZERO)[0]
-    assert rank(rows) == rank(rows + [vec])
+    assert same_span(entries, entries + [rel])
+    assert rank(_rows(entries)) == rank(_rows(entries + [rel]))
+    wrong = W(("a", "beta")) - W(("beta", "a"), qp(2))
+    assert not same_span(entries, entries + [wrong])
 
 
 @pytest.mark.parametrize("eq, family, name, rhs", [
-    ("56", "T_forms", "a_w1", "q*w1*a"),
     ("53", "relations_2", "a_beta", "q^2*beta*a"),
+    ("54", "dT_relations", "a_Da", "q*Da*a"),
+    ("55", "relations_17", "da_dbeta", "q*Dbeta*Da"),
+    ("56", "T_forms", "a_w1", "q*w1*a"),
+    ("57", "forms", "u_v", "q*v*u"),
 ])
 def test_rtt_spanning_negative_control(eq, family, name, rhs):
     # a perturbed transcription of one family member changes the family's
     # degree-2 span, and so fails spanning, while membership still holds
+    checks = {c.id: c.run() for c in verify_rtt_family(eq, _perturbed(family, name, rhs))}
+    span = checks.pop(f"rtt{eq}.spanning")
+    assert (span.status, span.residual) == ("fail", "degree-2 spans differ")
+    assert len(checks) == 16
+    assert all(c.passed for c in checks.values())
+
+
+def test_rtt_spanning_refuses_a_family_member_that_is_not_quadratic():
+    fresh = _perturbed("T_forms", "a_w1", "q^2*w1*a*a")
+    (span,) = [c.run() for c in verify_rtt_family("56", fresh)
+               if c.id == "rtt56.spanning"]
+    assert span.status == "error"
+    assert "entry equations are not purely quadratic" in span.residual
+
+
+def _perturbed(family, name, rhs):
+    """A fresh catalog whose family member `name` reads `lhs = rhs`."""
     fresh = Catalog()
     p, _ = fresh.family(family)
     p.identities = [
         i._replace(rhs_ast=parse_ast(rhs)) if i.name == name else i
         for i in p.identities
     ]
-    checks = {c.id: c.run() for c in verify_rtt_family(eq, fresh)}
-    span = checks.pop(f"rtt{eq}.spanning")
-    assert (span.status, span.residual) == ("fail", "degree-2 spans differ")
-    assert len(checks) == 16
-    assert all(c.passed for c in checks.values())
+    return fresh
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q2"])
+@pytest.mark.parametrize("eq", sorted(rmatrix._RELATIONS))
+def test_membership_entries_are_the_entries_over_the_presentation(eq, q0):
+    # each membership row reduces an entry built over _free(p) with the
+    # one-form composites substituted for their letters: term for term the
+    # entry that the same products give over p itself
+    cat = get_catalog(q0)
+    p = cat.presentation(rmatrix._RELATIONS[eq][0])
+    rows = [c.fn.args for c in verify_rtt_family(eq, cat)
+            if c.id != f"rtt{eq}.spanning"]
+    assert rows == [(e, p) for e in rmatrix._entries(eq, p, cat)]
 
 
 def test_rtt_unknown_tag(cat):
@@ -277,9 +307,10 @@ def _reference_matmul(A, B):
     """The entrywise definition of A @ B: entry (i, j) is the Element sum
     over t of A[i][t] * B[t][j]."""
     k = len(B.entries)
-    return [[sum((A.entries[i][t] * B.entries[t][j] for t in range(k)), Element.zero())
-             for j in range(len(B.entries[0]))]
-            for i in range(len(A.entries))]
+    return tuple(tuple(sum((A.entries[i][t] * B.entries[t][j] for t in range(k)),
+                           Element.zero())
+                       for j in range(len(B.entries[0])))
+                 for i in range(len(A.entries)))
 
 
 def _random_supermatrix(rng, cat, size):
@@ -345,11 +376,138 @@ def test_matmul_matches_the_entrywise_sum_on_the_matrix_relations(q0, monkeypatc
         assert out.entries == _reference_matmul(A, B)
 
 
+def test_supermatrix_is_a_hashable_value(cat):
+    p = cat.presentation("A_glq11")
+    T = rmatrix.name_matrix(p, rmatrix.T_NAMES)
+    again = rmatrix.name_matrix(p, rmatrix.T_NAMES)
+    assert T == again and hash(T) == hash(again)
+    with pytest.raises(AttributeError):
+        T.entries.append(T.entries[0])
+    with pytest.raises(TypeError):
+        T.entries[0][0] = T.entries[1][1]
+    R, I2 = r_hat(cat), identity_matrix((0, 1))
+    for M in (T, I2, R, R @ R, R + R, R - R, R.scaled(qp(1)), T.signed(),
+              graded_kron(T, I2), SuperMatrix([[p.el("a")]], (0,), (0,))):
+        assert type(M.entries) is tuple
+        assert all(type(row) is tuple for row in M.entries)
+        hash(M)
+
+
+# -- the span test against a dense reference ------------------------------------
+
+
+def rank(rows):
+    """Rank of a matrix given as a list of rows of LaurentScalar, by dense
+    fraction-free elimination: the reference for linalg.same_span."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, len(work)):
+            if work[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        pv = work[r][col]
+        for i in range(r + 1, len(work)):
+            ci = work[i][col]
+            if ci:
+                work[i] = [pv * work[i][j] - ci * work[r][j] for j in range(ncols)]
+        r += 1
+        if r == len(work):
+            break
+    return r
+
+
+def _rows(elements, basis=None):
+    """Coefficient rows of elements over the sorted words they use, or over
+    basis."""
+    basis = sorted({w for e in elements for w in e.terms}) if basis is None else basis
+    return [[e.terms.get(w, ZERO) for w in basis] for e in elements]
+
+
+def _reference_same_span(a, b):
+    basis = sorted({w for e in a + b for w in e.terms})
+    ra, rb = rank(_rows(a, basis)), rank(_rows(b, basis))
+    return ra == rb == rank(_rows(a + b, basis))
+
+
 def test_linalg_rank_basics():
     one, q = ONE, qp(1)
     rows = [[one, q], [q, q * q]]
     assert rank(rows) == 1
     rows = [[one, ZERO], [ZERO, one]]
     assert rank(rows) == 2
-    assert row_space_equal([[one, q]], [[q, q * q]])
-    assert not row_space_equal([[one, ZERO]], [[ZERO, one]])
+    x, y = W(("x",)), W(("y",))
+    assert same_span([x + y.scaled(q)], [x.scaled(q) + y.scaled(q * q)])
+    assert not same_span([x], [y])
+    # every element of b lies in a's span, but a spans more: only the sizes
+    # of the two echelon forms tell the spans apart
+    assert not same_span([x, y], [x])
+    assert not same_span([x], [x, y])
+    # a non-unit lead, zero elements and duplicates
+    assert same_span([x.scaled(q + one), Element.zero(), y],
+                     [x + y, x + y, x.scaled(lint(2)) - y])
+    assert same_span([], [Element.zero()])
+
+
+def _random_coefficient(rng, q0):
+    c = rng.choice([ONE, -ONE, qp(1), -qp(-1), lint(2), lfrac(3, 2), qp(1) + ONE,
+                    qp(2) - ONE, lint(2) * qp(-1) - qp(1), qp(1) - qp(-1)])
+    return c if q0 is None else LaurentScalar.from_fraction(c.eval_at(q0))
+
+
+def _random_elements(rng, q0, words, count):
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.1:
+            out.append(Element.zero())
+        elif out and rng.random() < 0.15:
+            out.append(rng.choice(out).scaled(_random_coefficient(rng, q0)))
+        else:
+            e = Element.zero()
+            for w in rng.sample(words, rng.randint(1, 3)):
+                e = e + W(w, _random_coefficient(rng, q0))
+            out.append(e)
+    return out
+
+
+def _combinations(rng, q0, elements, count):
+    """count random combinations of elements: a list inside their span."""
+    out = []
+    for _ in range(count):
+        e = Element.zero()
+        for x in elements:
+            if rng.random() < 0.6:
+                e = e + x.scaled(_random_coefficient(rng, q0))
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("q0", [None, 2], ids=["symbolic", "q2"])
+def test_same_span_agrees_with_the_dense_rank(q0):
+    # a against b: an unrelated list, combinations of a (often the same span,
+    # sometimes smaller), and a shuffled with duplicates and zeros added
+    rng = random.Random(5357)
+    words = [(x, y) for x in "ab" for y in "abc"]
+    verdicts = []
+    for case in range(100):
+        a = _random_elements(rng, q0, words, rng.randint(0, 5))
+        kind = case % 3
+        if kind == 0:
+            b = _random_elements(rng, q0, words, rng.randint(0, 5))
+        elif kind == 1:
+            b = _combinations(rng, q0, a, rng.randint(len(a), len(a) + 2))
+        else:
+            b = a + [Element.zero()] + a[:rng.randint(0, len(a))]
+            rng.shuffle(b)
+        want = _reference_same_span(a, b)
+        assert same_span(a, b) == want, (a, b)
+        assert same_span(b, a) == want, (a, b)
+        verdicts.append(want)
+    assert 20 < sum(verdicts) < 80  # both verdicts occur often
